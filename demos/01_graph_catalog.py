@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Tour of the graph layer: constructors, metrics, and the two analytic
-criteria that settle some graphs without any lemma machinery."""
+"""Tour of the graph layer: constructors, metrics, and the analytic
+criterion that settles some circulants without any lemma machinery."""
 
 from qsym import (
     CirculantSpec,
@@ -8,9 +8,8 @@ from qsym import (
     common_neighbours,
     has_quadrangle,
     injective_f_check,
-    product_spectra_conditions,
 )
-from qsym.named import build_named, catalog_names, complete_graph, cycle_graph
+from qsym.named import build_named, catalog_names
 
 print("=" * 70)
 print("the twelve-vertex catalog")
@@ -47,13 +46,3 @@ for chords in ((), (3,), (6,), (2,)):
     label = f"C12{chords if chords else ''}"
     print(f"  {label:10s} injective={injective}  "
           f"values={[round(v, 2) for v in values]}")
-
-print()
-print("spectral disjointness for products:")
-d_ok, c_ok = product_spectra_conditions(cycle_graph(4), cycle_graph(3))
-print(f"  (C4, C3): cartesian criterion holds: {c_ok}")
-d_ok, _ = product_spectra_conditions(complete_graph(6), complete_graph(2))
-print(f"  (K6, K2): direct criterion holds: {d_ok}")
-_, c_bad = product_spectra_conditions(complete_graph(2), cycle_graph(6))
-print(f"  (K2, C6): cartesian criterion holds: {c_bad} "
-      "(this is why K2[]C6 needs the lemma engine)")

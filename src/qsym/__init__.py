@@ -28,7 +28,6 @@ from .graphs import (
     has_quadrangle,
     injective_f_check,
     line_graph,
-    product_spectra_conditions,
     read_graph,
     write_graph,
 )

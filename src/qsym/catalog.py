@@ -199,20 +199,12 @@ def run_entry(entry: CatalogEntry, timeout: float = 30.0,
     return record
 
 
-def run_report(entries=None, timeout: float = 30.0, max_rounds: int = 8,
-               jobs: int = 1) -> dict:
-    """Decide every entry and summarize; per-entry failures never abort.
-
-    Results keep catalog order regardless of ``jobs``.
-    """
+def run_report(entries=None, timeout: float = 30.0,
+               max_rounds: int = 8) -> dict:
+    """Decide every entry, in catalog order, and summarize; per-entry
+    failures never abort."""
     entries = list(entries) if entries is not None else twelve_vertex_entries()
-    if jobs > 1 and len(entries) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(
-                lambda e: run_entry(e, timeout, max_rounds), entries))
-    else:
-        records = [run_entry(e, timeout, max_rounds) for e in entries]
+    records = [run_entry(e, timeout, max_rounds) for e in entries]
 
     by_subclass = {}
     for rec in records:

@@ -5,7 +5,11 @@ one of a fixed set of rules about the generators u_ij of the commutation
 algebra of a graph; each rule's side conditions can be re-checked from the
 graph and the previously accepted steps alone, so a verifier that knows
 nothing about the search that produced the log can still validate the
-conclusion.  Two kinds of facts accumulate during replay:
+conclusion.  Each rule is written once, in the table ``RULES``: its fields,
+its side-condition check and its effect on the replay state
+(:class:`CommutationKB`).  The verifier replays a log through that table,
+and the lemma engine proposes every step it finds to the same table.  Two
+kinds of facts accumulate during replay:
 
 * ``commute {j,l}``  --  u_ij u_kl = u_kl u_ij for all rows i, k;
 * ``killed (j,l): p``  --  u_ij u_kl u_ip = 0 for all rows i, k.
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .graphs import (
     CirculantSpec,
@@ -28,7 +33,7 @@ from .graphs import (
     injective_f_check,
     read_graph,
 )
-from .perms import Permutation, is_automorphism, parse_cycles
+from .perms import is_automorphism, parse_cycles
 
 # step kinds
 QUADRANGLE_FREE = "QUADRANGLE_FREE"
@@ -50,25 +55,6 @@ INJECTIVE_F = "INJECTIVE_F"
 VERDICT_NONE = "no_quantum_symmetry"
 VERDICT_HAS = "has_quantum_symmetry"
 
-# field order per kind, used for the stable serialized form
-_FIELDS = {
-    QUADRANGLE_FREE: (),
-    ONE_COMMON_NEIGHBOUR: (),
-    ONE_COMMON_NEIGHBOUR_GEN: ("j", "l", "q"),
-    UNIQUE_AT_DISTANCE: ("j", "l", "m"),
-    CHOOSE_Q_RIGHT: ("j", "l", "q", "survivors"),
-    CHOOSE_Q_MIDDLE: ("j", "l", "p", "q"),
-    TRIANGLE_MISMATCH: ("j", "l", "p"),
-    CN_MISMATCH: ("j", "l", "p"),
-    MONOMIAL_ZERO: ("j", "l", "p", "q"),
-    AUT_TRANSFER: ("j1", "l1", "j2", "l2", "phi"),
-    ADJ_COMMUTE_CLOSE: ("j", "l"),
-    VERTEX_TRANSIT: ("base", "v", "phi"),
-    CONCLUSION_COMMUTATIVE: ("bases",),
-    DISJOINT_WITNESS: ("sigma", "tau"),
-    INJECTIVE_F: ("n", "chords", "values"),
-}
-
 
 @dataclass(frozen=True)
 class ProofStep:
@@ -86,7 +72,7 @@ class ProofStep:
 
 
 def step(kind, **fields) -> ProofStep:
-    unknown = set(fields) - set(_FIELDS[kind])
+    unknown = set(fields) - set(RULES[kind].fields)
     if unknown:
         raise ValueError(f"{kind} does not take fields {unknown}")
     return ProofStep(kind, fields)
@@ -145,7 +131,7 @@ def _parse_value(key, text, n):
 
 def serialize_step(s: ProofStep) -> str:
     parts = [s.kind]
-    for key in _FIELDS[s.kind]:
+    for key in RULES[s.kind].fields:
         parts.append(f"{key}={_ser_value(key, s.fields[key])}")
     return " ".join(parts)
 
@@ -161,7 +147,7 @@ def parse_certificate(text: str) -> Certificate:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != "qsym-certificate v1":
         raise ValueError("not a qsym certificate (missing header)")
-    if not lines[1].startswith("verdict "):
+    if len(lines) < 2 or not lines[1].startswith("verdict "):
         raise ValueError("missing verdict line")
     verdict = lines[1].split(None, 1)[1]
     graph_lines = [ln[6:] for ln in lines if ln.startswith("graph ")]
@@ -170,19 +156,301 @@ def parse_certificate(text: str) -> Certificate:
     for ln in lines:
         if not ln.startswith("step "):
             continue
-        body = ln[5:].split()
-        kind = body[0]
-        if kind not in _FIELDS:
+        kind, *tokens = ln[5:].split()
+        rule = RULES.get(kind)
+        if rule is None:
             raise ValueError(f"unknown step kind {kind!r}")
         fields = {}
-        for tok in body[1:]:
+        for tok in tokens:
             key, eq, raw = tok.partition("=")
-            if not eq:
+            if not eq or key in fields:
                 raise ValueError(f"malformed field {tok!r} in {kind}")
             fields[key] = _parse_value(key, raw, g.n)
+        if sorted(fields) != sorted(rule.fields):
+            raise ValueError(f"{kind} takes the fields {rule.fields}, "
+                             f"not {tuple(fields)}")
         steps.append(ProofStep(kind, fields))
     return Certificate(verdict=verdict, n=g.n, edges=tuple(g.edges()),
                        steps=tuple(steps))
+
+
+# -- replay state ----------------------------------------------------------
+
+
+class CommutationKB:
+    """Monotone store of proven facts, searched by the lemma engine and
+    replayed into by the verifier.  ``commute`` holds column pairs {j,l},
+    ``killed[(j,l)]`` vertices p, ``candidates[(j,l)]`` the survivors of
+    the reductions so far, ``transits`` (base, v) pairs joined by a
+    recorded automorphism, ``automorphisms`` the permutations an accepted
+    transfer has shown to be automorphisms.  Facts only enter through
+    :meth:`apply`."""
+
+    def __init__(self, g: Graph):
+        self.graph = g
+        self.commute: set = set()
+        self.killed: dict = {}
+        self.candidates: dict = {}
+        self.transits: set = set()
+        self.automorphisms: set = set()
+        self.log: list = []
+        # search bookkeeping of the engine's orbit closure; never replayed
+        self._closed_orbit_roots: set = set()
+
+    def knows_commute(self, j, l) -> bool:
+        return j == l or frozenset((j, l)) in self.commute
+
+    def survivors(self, j, l) -> frozenset:
+        """Candidates for (j,l): P0 = {p : d(p,l) = d(j,l)} until a
+        candidate reduction narrows it."""
+        cand = self.candidates.get((j, l))
+        if cand is None:
+            cand = self.candidates[(j, l)] = narrowed(
+                self.graph, self.graph.vertices(), j, l)
+        return cand
+
+    def open_column_pair(self, bases):
+        """The first (base, l) not yet known to commute, or None."""
+        return next(((b, l) for b in bases for l in self.graph.vertices()
+                     if not self.knows_commute(b, l)), None)
+
+    def apply(self, s: ProofStep):
+        """Record an accepted step: its effect on the facts, then the log."""
+        effect = RULES[s.kind].effect
+        if effect is not None:
+            effect(self, **s.fields)
+        self.log.append(s)
+
+    # effects: each adds the facts an accepted step's fields establish
+    def _commute_edges(self):
+        self.commute.update(frozenset(e) for e in self.graph.edges())
+
+    def _commute(self, j, l, **_):
+        self.commute.add(frozenset((j, l)))
+
+    def _transfer(self, j2, l2, phi, **_):
+        self._commute(j2, l2)
+        self.automorphisms.add(phi)
+
+    def _narrow(self, j, l, survivors, **_):
+        self.candidates[(j, l)] = frozenset(survivors)
+
+    def _kill(self, j, l, p, **_):
+        self.killed.setdefault((j, l), set()).add(p)
+
+    def _transit(self, base, v, **_):
+        self.transits.add((base, v))
+
+    def summary(self) -> dict:
+        g = self.graph
+        total = g.n * (g.n - 1) // 2
+        return {
+            "commuting_pairs": len(self.commute),
+            "total_pairs": total,
+            "killed_monomials": sum(len(v) for v in self.killed.values()),
+            "steps": len(self.log),
+        }
+
+
+# -- the rules -------------------------------------------------------------
+#
+# A check takes the graph, the replay state (None will do for the checks
+# that read only the graph) and the step's fields in table order, and
+# returns None when the step is justified, else the reason it is not.  The
+# engine calls checks as search predicates, where rejection is the common
+# case, so a reason that only restates the step's fields names them.
+
+
+def narrowed(g, cand, j, q):
+    """The members of ``cand`` as far from q as j is; with every vertex as
+    ``cand`` and q = l, that is P0 for (j,l)."""
+    dq = g.distances().d[q]
+    dqj = dq[j]
+    return frozenset([p for p in cand if dq[p] == dqj])
+
+
+def _triple_condition(g, i, k):
+    cn = common_neighbours(g, i, k)
+    if len(cn) != 1:
+        return False
+    p = cn[0]
+    return common_neighbours(g, i, p) == [k] and common_neighbours(g, k, p) == [i]
+
+
+def _quadrangle_free(g, kb):
+    if has_quadrangle(g):
+        return "graph contains a quadrangle"
+
+
+def _one_common_neighbour(g, kb):
+    if not g.num_edges():
+        return "graph has no edges"
+    for i, j in g.edges():
+        if len(common_neighbours(g, i, j)) != 1:
+            return f"adjacent pair ({i},{j}) lacks a unique common neighbour"
+
+
+def _one_common_neighbour_gen(g, kb, j, l, q):
+    if not g.adjacent(j, l):
+        return "(j,l) not adjacent"
+    if common_neighbours(g, j, l) != [q]:
+        return "CN(j,l) is not exactly {q}"
+    if not _triple_condition(g, j, l):
+        return "triple condition fails for (j,l)"
+    for a, b in g.edges():
+        if len(common_neighbours(g, a, b)) == 1 \
+                and not _triple_condition(g, a, b):
+            return f"adjacent pair ({a},{b}) breaks the global side condition"
+
+
+def _unique_at_distance(g, kb, j, l, m):
+    if g.distances()[j, l] != m or m == math.inf:
+        return "d(j,l) != m"
+    if narrowed(g, g.vertices(), j, l) != frozenset((j,)):
+        return "j is not the unique vertex at distance m from l"
+
+
+def _choose_q_right(g, kb, j, l, q, survivors):
+    if g.distances()[j, l] == math.inf:
+        return "(j,l) disconnected"
+    if not kb.knows_commute(l, q):
+        return "commute({l,q}) not yet established"
+    new = narrowed(g, kb.survivors(j, l), j, q)
+    if tuple(sorted(new)) != tuple(survivors):
+        return "survivor set mismatch"
+
+
+def _choose_q_middle(g, kb, j, l, p, q):
+    """q kills u_ij u_kl u_ip when d(j,q) != d(q,p) and l is the only
+    vertex at distance d(l,q) from q, d(j,l) from j and d(p,l) from p."""
+    d = g.distances().d
+    dj, dp, dq = d[j], d[p], d[q]
+    m = dj[l]
+    if m == math.inf or dp[l] != m or p == j:
+        return "bad p for the middle rule on (j,l)"
+    if dq[j] == dq[p]:
+        return "q does not separate j from p"
+    s_dist = dq[l]
+    hits = [x for x in g.vertices()
+            if dq[x] == s_dist and dj[x] == m and dp[x] == m]
+    if hits != [l]:
+        return "l not unique for the middle rule"
+
+
+def _cn_mismatch(g, kb, j, l, p, triangle=False):
+    a, b = len(common_neighbours(g, j, l)), len(common_neighbours(g, l, p))
+    if a == b:
+        return "|CN(j,l)| = |CN(l,p)|"
+    if triangle and 0 not in (a, b):
+        return "triangle variant needs one empty CN set"
+
+
+def _triangle_mismatch(g, kb, j, l, p):
+    return _cn_mismatch(g, kb, j, l, p, triangle=True)
+
+
+def _monomial_zero(g, kb, j, l, p, q):
+    if not kb.knows_commute(l, q):
+        return "commute({l,q}) not yet established"
+    dq = g.distances().d[q]
+    if dq[p] == dq[j]:
+        return "d(p,q) = d(j,q)"
+
+
+def _adj_commute_close(g, kb, j, l):
+    if g.distances()[j, l] == math.inf:
+        return "(j,l) disconnected"
+    left = kb.survivors(j, l) - {j} - kb.killed.get((j, l), set())
+    if left:
+        return "unkilled candidates remain for (j,l)"
+
+
+def _aut_transfer(g, kb, j1, l1, j2, l2, phi):
+    if phi not in kb.automorphisms and not is_automorphism(g, phi):
+        return "phi is not an automorphism"
+    if {phi(j1), phi(l1)} != {j2, l2}:
+        return "phi does not map {j1,l1} to {j2,l2}"
+    if not kb.knows_commute(j1, l1):
+        return "commute({j1,l1}) not yet established"
+
+
+def _vertex_transit(g, kb, base, v, phi):
+    if phi not in kb.automorphisms and not is_automorphism(g, phi):
+        return "phi is not an automorphism"
+    if phi(base) != v:
+        return "phi(base) != v"
+
+
+def _conclusion(g, kb, bases):
+    bases = tuple(bases)
+    covered = set(bases) | {v for b, v in kb.transits if b in bases}
+    missing = set(g.vertices()) - covered
+    if missing:
+        return f"vertices {sorted(missing)} not reached from any base"
+    pair = kb.open_column_pair(bases)
+    if pair is not None:
+        return f"column pair ({pair[0]},{pair[1]}) never proved to commute"
+
+
+def _disjoint_witness(g, kb, sigma, tau):
+    if sigma.is_identity() or tau.is_identity():
+        return "witness permutation is the identity"
+    if not (is_automorphism(g, sigma) and is_automorphism(g, tau)):
+        return "witness is not an automorphism"
+    if set(sigma.support()) & set(tau.support()):
+        return "witness supports are not disjoint"
+
+
+def _injective_f(g, kb, n, chords, values):
+    spec = CirculantSpec(n, tuple(chords))
+    if build_circulant(spec) != Graph(g.n, g.edges()):
+        return "circulant spec does not rebuild the graph"
+    injective, recomputed = injective_f_check(spec)
+    if not injective:
+        return "cosine sums are not injective"
+    if len(recomputed) != len(values) or any(
+            abs(a - b) > 1e-9 for a, b in zip(recomputed, values)):
+        return "recorded values disagree with the recomputed ones"
+
+
+@dataclass(frozen=True)
+class Rule:
+    """One step kind: its fields in serialized order, its side-condition
+    check and its effect.  ``verdict`` is the verdict a step of this kind
+    proves, if any; a ``final`` step must end the log."""
+
+    fields: tuple
+    check: Callable
+    effect: Callable | None = None
+    verdict: str | None = None
+    final: bool = False
+
+
+_KB = CommutationKB
+RULES = {
+    QUADRANGLE_FREE: Rule((), _quadrangle_free, _KB._commute_edges),
+    ONE_COMMON_NEIGHBOUR: Rule((), _one_common_neighbour, _KB._commute_edges),
+    ONE_COMMON_NEIGHBOUR_GEN: Rule(("j", "l", "q"), _one_common_neighbour_gen,
+                                   _KB._commute),
+    UNIQUE_AT_DISTANCE: Rule(("j", "l", "m"), _unique_at_distance,
+                             _KB._commute),
+    CHOOSE_Q_RIGHT: Rule(("j", "l", "q", "survivors"), _choose_q_right,
+                         _KB._narrow),
+    CHOOSE_Q_MIDDLE: Rule(("j", "l", "p", "q"), _choose_q_middle, _KB._kill),
+    TRIANGLE_MISMATCH: Rule(("j", "l", "p"), _triangle_mismatch, _KB._kill),
+    CN_MISMATCH: Rule(("j", "l", "p"), _cn_mismatch, _KB._kill),
+    MONOMIAL_ZERO: Rule(("j", "l", "p", "q"), _monomial_zero, _KB._kill),
+    AUT_TRANSFER: Rule(("j1", "l1", "j2", "l2", "phi"), _aut_transfer,
+                       _KB._transfer),
+    ADJ_COMMUTE_CLOSE: Rule(("j", "l"), _adj_commute_close, _KB._commute),
+    VERTEX_TRANSIT: Rule(("base", "v", "phi"), _vertex_transit, _KB._transit),
+    CONCLUSION_COMMUTATIVE: Rule(("bases",), _conclusion,
+                                 verdict=VERDICT_NONE, final=True),
+    DISJOINT_WITNESS: Rule(("sigma", "tau"), _disjoint_witness,
+                           verdict=VERDICT_HAS),
+    INJECTIVE_F: Rule(("n", "chords", "values"), _injective_f,
+                      verdict=VERDICT_NONE),
+}
 
 
 # -- verification ----------------------------------------------------------
@@ -202,191 +470,32 @@ def _fail(idx, msg):
     return VerificationResult(False, idx, msg)
 
 
-def _triple_condition(g, i, k):
-    cn = common_neighbours(g, i, k)
-    if len(cn) != 1:
-        return False
-    p = cn[0]
-    return common_neighbours(g, i, p) == [k] and common_neighbours(g, k, p) == [i]
-
-
 def verify_certificate(g: Graph, cert: Certificate) -> VerificationResult:
-    """Replay the log, re-checking every step's side conditions against the
-    graph and previously accepted facts only.  Never raises on bad input;
-    reports the first failing step instead."""
+    """Replay the log through the rule table: each step's check against the
+    graph and the facts accepted before it, then its effect.  Never raises
+    on bad input; reports the first failing step instead."""
     if not cert.matches(g):
         return _fail(-1, "certificate is bound to a different graph")
-    d = g.distances()
-    n = g.n
-    commute = set()
-    killed = {}
-    candidates = {}
-    transits = set()
-
-    def knows(a, b):
-        return a == b or frozenset((a, b)) in commute
-
-    def base_candidates(j, l):
-        m = d[j, l]
-        return frozenset(p for p in g.vertices() if d[p, l] == m)
-
+    kb = CommutationKB(g)
+    last = len(cert.steps) - 1
     for idx, s in enumerate(cert.steps):
-        k = s.kind
         try:
-            if k == QUADRANGLE_FREE:
-                if has_quadrangle(g):
-                    return _fail(idx, "graph contains a quadrangle")
-                for i, j in g.edges():
-                    commute.add(frozenset((i, j)))
-            elif k == ONE_COMMON_NEIGHBOUR:
-                for i, j in g.edges():
-                    if len(common_neighbours(g, i, j)) != 1:
-                        return _fail(idx, f"adjacent pair ({i},{j}) lacks a "
-                                          "unique common neighbour")
-                for i, j in g.edges():
-                    commute.add(frozenset((i, j)))
-            elif k == ONE_COMMON_NEIGHBOUR_GEN:
-                j, l, q = s.j, s.l, s.q
-                if not g.adjacent(j, l):
-                    return _fail(idx, f"({j},{l}) not adjacent")
-                if common_neighbours(g, j, l) != [q]:
-                    return _fail(idx, f"CN({j},{l}) is not exactly {{{q}}}")
-                if not _triple_condition(g, j, l):
-                    return _fail(idx, f"triple condition fails for ({j},{l})")
-                for a, b in g.edges():
-                    if len(common_neighbours(g, a, b)) == 1 \
-                            and not _triple_condition(g, a, b):
-                        return _fail(idx, f"adjacent pair ({a},{b}) breaks the "
-                                          "global side condition")
-                commute.add(frozenset((j, l)))
-            elif k == UNIQUE_AT_DISTANCE:
-                j, l, m = s.j, s.l, s.m
-                if d[j, l] != m or m == math.inf:
-                    return _fail(idx, f"d({j},{l}) != {m}")
-                if base_candidates(j, l) != frozenset((j,)):
-                    return _fail(idx, f"{j} is not the unique vertex at "
-                                      f"distance {m} from {l}")
-                commute.add(frozenset((j, l)))
-            elif k == CHOOSE_Q_RIGHT:
-                j, l, q = s.j, s.l, s.q
-                if d[j, l] == math.inf:
-                    return _fail(idx, f"({j},{l}) disconnected")
-                if not knows(l, q):
-                    return _fail(idx, f"commute({{{l},{q}}}) not yet established")
-                cand = candidates.get((j, l), base_candidates(j, l))
-                new = frozenset(p for p in cand if d[p, q] == d[j, q])
-                if tuple(sorted(new)) != tuple(s.survivors):
-                    return _fail(idx, f"survivor set mismatch for ({j},{l}) q={q}")
-                candidates[(j, l)] = new
-            elif k == CHOOSE_Q_MIDDLE:
-                j, l, p, q = s.j, s.l, s.p, s.q
-                m = d[j, l]
-                if m == math.inf or d[p, l] != m or p == j:
-                    return _fail(idx, f"bad p for middle rule on ({j},{l})")
-                if d[j, q] == d[q, p]:
-                    return _fail(idx, f"q={q} does not separate {j} from {p}")
-                s_dist = d[l, q]
-                hits = [x for x in g.vertices()
-                        if d[x, q] == s_dist and d[x, j] == m and d[x, p] == m]
-                if hits != [l]:
-                    return _fail(idx, f"{l} not unique for middle rule "
-                                      f"({j},{l},{p}) q={q}")
-                killed.setdefault((j, l), set()).add(p)
-            elif k in (CN_MISMATCH, TRIANGLE_MISMATCH):
-                j, l, p = s.j, s.l, s.p
-                a = len(common_neighbours(g, j, l))
-                b = len(common_neighbours(g, l, p))
-                if a == b:
-                    return _fail(idx, f"|CN({j},{l})| = |CN({l},{p})| = {a}")
-                if k == TRIANGLE_MISMATCH and 0 not in (a, b):
-                    return _fail(idx, "triangle variant needs one empty CN set")
-                killed.setdefault((j, l), set()).add(p)
-            elif k == MONOMIAL_ZERO:
-                j, l, p, q = s.j, s.l, s.p, s.q
-                if not knows(l, q):
-                    return _fail(idx, f"commute({{{l},{q}}}) not yet established")
-                if d[p, q] == d[j, q]:
-                    return _fail(idx, f"d({p},{q}) = d({j},{q})")
-                killed.setdefault((j, l), set()).add(p)
-            elif k == ADJ_COMMUTE_CLOSE:
-                j, l = s.j, s.l
-                if d[j, l] == math.inf:
-                    return _fail(idx, f"({j},{l}) disconnected")
-                cand = candidates.get((j, l), base_candidates(j, l))
-                left = cand - {j} - killed.get((j, l), set())
-                if left:
-                    return _fail(idx, f"unkilled candidates {sorted(left)} "
-                                      f"for ({j},{l})")
-                commute.add(frozenset((j, l)))
-            elif k == AUT_TRANSFER:
-                j1, l1, j2, l2, phi = s.j1, s.l1, s.j2, s.l2, s.phi
-                if not is_automorphism(g, phi):
-                    return _fail(idx, "phi is not an automorphism")
-                if {phi(j1), phi(l1)} != {j2, l2}:
-                    return _fail(idx, f"phi does not map {{{j1},{l1}}} to "
-                                      f"{{{j2},{l2}}}")
-                if not knows(j1, l1):
-                    return _fail(idx, f"commute({{{j1},{l1}}}) not yet "
-                                      "established")
-                commute.add(frozenset((j2, l2)))
-            elif k == VERTEX_TRANSIT:
-                base, v, phi = s.base, s.v, s.phi
-                if not is_automorphism(g, phi):
-                    return _fail(idx, "phi is not an automorphism")
-                if phi(base) != v:
-                    return _fail(idx, f"phi({base}) != {v}")
-                transits.add((base, v))
-            elif k == CONCLUSION_COMMUTATIVE:
-                bases = tuple(s.bases)
-                covered = set(bases) | {v for b, v in transits if b in bases}
-                missing = set(g.vertices()) - covered
-                if missing:
-                    return _fail(idx, f"vertices {sorted(missing)} not reached "
-                                      "from any base")
-                for b in bases:
-                    for l in g.vertices():
-                        if not knows(b, l):
-                            return _fail(idx, f"column pair ({b},{l}) never "
-                                              "proved to commute")
-                if idx != len(cert.steps) - 1:
-                    return _fail(idx, "conclusion must be the final step")
-                if cert.verdict != VERDICT_NONE:
-                    return _fail(idx, "conclusion contradicts the verdict")
-            elif k == DISJOINT_WITNESS:
-                sigma, tau = s.sigma, s.tau
-                if sigma.is_identity() or tau.is_identity():
-                    return _fail(idx, "witness permutation is the identity")
-                if not (is_automorphism(g, sigma) and is_automorphism(g, tau)):
-                    return _fail(idx, "witness is not an automorphism")
-                if set(sigma.support()) & set(tau.support()):
-                    return _fail(idx, "witness supports are not disjoint")
-                if cert.verdict != VERDICT_HAS:
-                    return _fail(idx, "witness contradicts the verdict")
-            elif k == INJECTIVE_F:
-                spec = CirculantSpec(s.n, tuple(s.chords))
-                if build_circulant(spec) != Graph(g.n, g.edges()):
-                    return _fail(idx, "circulant spec does not rebuild the graph")
-                injective, values = injective_f_check(spec)
-                if not injective:
-                    return _fail(idx, "cosine sums are not injective")
-                if len(values) != len(s.values) or any(
-                        abs(a - b) > 1e-9 for a, b in zip(values, s.values)):
-                    return _fail(idx, "recorded values disagree with the "
-                                      "recomputed ones")
-                if cert.verdict != VERDICT_NONE:
-                    return _fail(idx, "injectivity contradicts the verdict")
-            else:
-                return _fail(idx, f"unknown step kind {k}")
+            rule = RULES.get(s.kind)
+            if rule is None:
+                return _fail(idx, f"unknown step kind {s.kind}")
+            why = rule.check(g, kb, **s.fields)
+            if why is None and rule.final and idx != last:
+                why = "conclusion must be the final step"
+            if why is None and rule.verdict not in (None, cert.verdict):
+                why = f"{s.kind} contradicts the verdict"
+            if why is not None:
+                return _fail(idx, f"{s.kind}: {why}")
+            kb.apply(s)
         except Exception as exc:  # malformed fields must not crash the verifier
             return _fail(idx, f"malformed step: {exc}")
-
-    final = cert.steps[-1].kind if cert.steps else None
-    if cert.verdict == VERDICT_NONE and final not in (CONCLUSION_COMMUTATIVE,
-                                                      INJECTIVE_F):
-        return _fail(len(cert.steps) - 1,
-                     "no-quantum-symmetry certificate lacks a conclusion")
-    if cert.verdict == VERDICT_HAS and final != DISJOINT_WITNESS:
-        return _fail(len(cert.steps) - 1, "witness certificate lacks a witness")
+    final = RULES.get(cert.steps[-1].kind) if cert.steps else None
+    if final is None or final.verdict != cert.verdict:
+        return _fail(last, f"no final step proves the verdict {cert.verdict}")
     return VerificationResult(True)
 
 
@@ -421,37 +530,29 @@ def render_certificate(cert: Certificate, fmt: str = "md") -> str:
 
     out = []
     title = f"certificate: {cert.verdict} (graph on {cert.n} vertices)"
+    tables = (("triple-product kills", "jlpq", middle),
+              ("candidate reductions", "jlqP", right))
     if fmt == "md":
         out.append(f"## {title}")
-        for j in sorted(middle):
-            out.append("")
-            out.append(f"### triple-product kills from base {j} (j, l, p, q)")
-            out.append("| j | l | p | q |")
-            out.append("|---|---|---|---|")
-            out.extend(f"| {a} | {b} | {c} | {d_} |" for a, b, c, d_ in middle[j])
-        for j in sorted(right):
-            out.append("")
-            out.append(f"### candidate reductions from base {j} (j, l, q, P)")
-            out.append("| j | l | q | P |")
-            out.append("|---|---|---|---|")
-            out.extend(f"| {a} | {b} | {c} | {d_} |" for a, b, c, d_ in right[j])
+        for heading, cols, groups in tables:
+            for j in sorted(groups):
+                out += ["", f"### {heading} from base {j} ({', '.join(cols)})",
+                        "| " + " | ".join(cols) + " |", "|---|---|---|---|"]
+                out.extend("| " + " | ".join(map(str, row)) + " |"
+                           for row in groups[j])
         if other:
-            out.append("")
-            out.append("### other steps")
+            out += ["", "### other steps"]
             out.extend(f"- `{line}`" for line in other)
     else:
         out.append(f"% {title}")
-        for j in sorted(middle):
-            out.append(r"\begin{tabular}{|c|c|c|c|}")
-            out.append(r"\hline $j$ & $l$ & $p$ & $q$\\ \hline")
-            out.extend(rf"{a} & {b} & {c} & {d_}\\" for a, b, c, d_ in middle[j])
-            out.append(r"\hline \end{tabular}")
-        for j in sorted(right):
-            out.append(r"\begin{tabular}{|c|c|c|c|}")
-            out.append(r"\hline $j$ & $l$ & $q$ & $P$\\ \hline")
-            out.extend(rf"{a} & {b} & {c} & $\{{{d_[1:-1]}\}}$\\"
-                       for a, b, c, d_ in right[j])
-            out.append(r"\hline \end{tabular}")
-        if other:
-            out.extend(rf"% {line}" for line in other)
+        for heading, cols, groups in tables:
+            for j in sorted(groups):
+                out.append(r"\begin{tabular}{|c|c|c|c|}")
+                out.append(r"\hline " + " & ".join(f"${c}$" for c in cols)
+                           + r"\\ \hline")
+                # survivor sets {1,8} become $\{1,8\}$
+                out.extend(" & ".join(map(str, row)).replace("{", r"$\{")
+                           .replace("}", r"\}$") + r"\\" for row in groups[j])
+                out.append(r"\hline \end{tabular}")
+        out.extend(rf"% {line}" for line in other)
     return "\n".join(out) + "\n"

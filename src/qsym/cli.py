@@ -213,7 +213,7 @@ def cmd_report(args) -> int:
     if args.subclass:
         entries = [e for e in entries if e.subclass == args.subclass]
     report = cat.run_report(entries, timeout=args.timeout,
-                            max_rounds=args.max_rounds, jobs=args.jobs)
+                            max_rounds=args.max_rounds)
     if args.format == "structured":
         _emit(json.dumps(report, indent=2, default=str), args.output)
     else:
@@ -270,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_rep, graph=False)
     p_rep.add_argument("--subclass", default=None,
                        choices=cat.SUBCLASSES)
-    p_rep.add_argument("--jobs", type=int, default=1)
     p_rep.set_defaults(func=cmd_report)
     return parser
 

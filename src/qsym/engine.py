@@ -13,7 +13,12 @@ The decision pipeline mirrors how these questions are settled by hand:
 
 Every fact carries a replayable proof step, so a successful run of step 3
 emits a certificate that an independent verifier can check against the
-graph alone; see :mod:`qsym.certificate`.
+graph alone; see :mod:`qsym.certificate`.  The lemma rules live there
+once, in its rule table.  The search below only chooses field values (the
+smallest q, the next candidate p, an orbit path) and proposes each step to
+the table, whose check decides whether the rule applies and whose effect
+records the fact in the shared replay state.  Certificates are therefore
+valid by construction; ``decide`` re-verifies them only as a fault guard.
 
 The rules are one-sided: they can prove commutation, never refute it.  A
 graph the engine cannot close stays Undecided rather than being declared
@@ -27,8 +32,8 @@ import time
 from dataclasses import dataclass, field
 
 from . import certificate as cert_mod
-from .certificate import Certificate, ProofStep, step, verify_certificate
-from .graphs import Graph, common_neighbours, has_quadrangle, injective_f_check
+from .certificate import Certificate, CommutationKB, step, verify_certificate
+from .graphs import Graph, common_neighbours, injective_f_check
 from .perms import (
     AutGroup,
     Permutation,
@@ -68,63 +73,18 @@ class Undecided:
     kind = "Undecided"
 
 
-# -- knowledge base ---------------------------------------------------------
+# -- proposing steps to the rule table ---------------------------------------
 
 
-class CommutationKB:
-    """Monotone store of proven facts about the generator columns.
-
-    ``commute`` holds unordered column pairs {j,l} with
-    u_ij u_kl = u_kl u_ij for all rows; ``killed[(j,l)]`` holds vertices p
-    with u_ij u_kl u_ip = 0 for all rows.  Facts are only ever added, and
-    each addition appends the proof step that justifies it.  ``candidates``
-    tracks, per ordered pair, the survivors of the candidate reductions
-    applied so far; the certificate verifier replays the same state.
-    """
-
-    def __init__(self, g: Graph):
-        self.graph = g
-        self.commute: set = set()
-        self.killed: dict = {}
-        self.candidates: dict = {}
-        self.log: list = []
-        self._closed_orbit_roots: set = set()
-
-    def knows_commute(self, j, l) -> bool:
-        return j == l or frozenset((j, l)) in self.commute
-
-    def add_commute(self, j, l, proof: ProofStep):
-        pair = frozenset((j, l))
-        if pair not in self.commute:
-            self.commute.add(pair)
-            self.log.append(proof)
-
-    def add_kill(self, j, l, p, proof: ProofStep):
-        bucket = self.killed.setdefault((j, l), set())
-        if p not in bucket:
-            bucket.add(p)
-            self.log.append(proof)
-
-    def summary(self) -> dict:
-        g = self.graph
-        total = g.n * (g.n - 1) // 2
-        return {
-            "commuting_pairs": len(self.commute),
-            "total_pairs": total,
-            "killed_monomials": sum(len(v) for v in self.killed.values()),
-            "steps": len(self.log),
-        }
+def _propose(kb: CommutationKB, kind, **fields) -> bool:
+    """Record the step iff its rule's check accepts it; the check runs once."""
+    if cert_mod.RULES[kind].check(kb.graph, kb, **fields) is not None:
+        return False
+    kb.apply(cert_mod.ProofStep(kind, fields))
+    return True
 
 
 # -- seeding ----------------------------------------------------------------
-
-
-def _triple_condition(g, i, k):
-    cn = common_neighbours(g, i, k)
-    if len(cn) != 1:
-        return False
-    p = cn[0]
-    return common_neighbours(g, i, p) == [k] and common_neighbours(g, k, p) == [i]
 
 
 def seed_kb(g: Graph, use_global_seeds: bool = True) -> CommutationKB:
@@ -145,29 +105,13 @@ def seed_kb(g: Graph, use_global_seeds: bool = True) -> CommutationKB:
     if not g.is_connected():
         raise EngineError("the lemma engine requires a connected graph")
     kb = CommutationKB(g)
-    if not use_global_seeds:
+    if not use_global_seeds or _propose(kb, cert_mod.QUADRANGLE_FREE) \
+            or _propose(kb, cert_mod.ONE_COMMON_NEIGHBOUR):
         return kb
-    edges = g.edges()
-    if not has_quadrangle(g):
-        proof = step(cert_mod.QUADRANGLE_FREE)
-        kb.log.append(proof)
-        for i, j in edges:
-            kb.commute.add(frozenset((i, j)))
-        return kb
-    if edges and all(len(common_neighbours(g, i, j)) == 1 for i, j in edges):
-        proof = step(cert_mod.ONE_COMMON_NEIGHBOUR)
-        kb.log.append(proof)
-        for i, j in edges:
-            kb.commute.add(frozenset((i, j)))
-        return kb
-    gen_ok = all(_triple_condition(g, i, j)
-                 for i, j in edges if len(common_neighbours(g, i, j)) == 1)
-    if gen_ok:
-        for i, j in edges:
-            if _triple_condition(g, i, j):
-                q = common_neighbours(g, i, j)[0]
-                kb.add_commute(i, j, step(cert_mod.ONE_COMMON_NEIGHBOUR_GEN,
-                                          j=i, l=j, q=q))
+    for i, j in g.edges():
+        cn = common_neighbours(g, i, j)
+        if cn:
+            _propose(kb, cert_mod.ONE_COMMON_NEIGHBOUR_GEN, j=i, l=j, q=cn[0])
     return kb
 
 
@@ -181,76 +125,47 @@ def reduce_candidates(kb: CommutationKB, g: Graph, j, l):
     with column l restricts the survivors to {p : d(p,q) = d(j,q)}.  Only
     strictly shrinking applications are recorded.  j itself always survives.
     """
-    d = g.distances()
-    m = d[j, l]
-    cand = kb.candidates.get((j, l))
-    if cand is None:
-        cand = frozenset(p for p in g.vertices() if d[p, l] == m)
-        kb.candidates[(j, l)] = cand
+    cand = kb.survivors(j, l)
     for q in g.vertices():
         if len(cand) == 1:
             break
-        if not kb.knows_commute(l, q):
-            continue
-        new = frozenset(p for p in cand if d[p, q] == d[j, q])
-        if new != cand:
+        new = cert_mod.narrowed(g, cand, j, q)
+        if new != cand and _propose(kb, cert_mod.CHOOSE_Q_RIGHT, j=j, l=l,
+                                    q=q, survivors=tuple(sorted(new))):
             cand = new
-            kb.candidates[(j, l)] = cand
-            kb.log.append(step(cert_mod.CHOOSE_Q_RIGHT, j=j, l=l, q=q,
-                               survivors=tuple(sorted(cand))))
     return set(cand)
 
 
 def kill_choose_q_middle(g: Graph, j, l, p):
-    """Smallest q for which the middle rule kills u_ij u_kl u_ip, if any.
-
-    Requires d(j,q) != d(q,p) and that l is the only vertex at distance
-    d(l,q) from q, d(j,l) from j, and d(p,l) from p.
-    """
-    d = g.distances()
-    m = d[j, l]
-    if p == j or d[p, l] != m:
-        return None
-    for q in g.vertices():
-        if d[j, q] == d[q, p]:
-            continue
-        s_dist = d[l, q]
-        hits = [x for x in g.vertices()
-                if d[x, q] == s_dist and d[x, j] == m and d[x, p] == m]
-        if hits == [l]:
-            return q
-    return None
+    """Smallest q for which the middle rule kills u_ij u_kl u_ip, if any."""
+    check = cert_mod.RULES[cert_mod.CHOOSE_Q_MIDDLE].check
+    return next((q for q in g.vertices()
+                 if check(g, None, j, l, p, q) is None), None)
 
 
 def kill_cn_mismatch(g: Graph, j, l, p) -> bool:
     """True iff the common-neighbour counts of (j,l) and (l,p) differ."""
-    return len(common_neighbours(g, j, l)) != len(common_neighbours(g, l, p))
+    check = cert_mod.RULES[cert_mod.CN_MISMATCH].check
+    return check(g, None, j, l, p) is None
 
 
 def kill_monomial_zero(kb: CommutationKB, g: Graph, j, l, p):
     """Smallest q with d(p,q) != d(j,q) whose column commutes with l."""
-    d = g.distances()
-    for q in g.vertices():
-        if kb.knows_commute(l, q) and d[p, q] != d[j, q]:
-            return q
-    return None
+    check = cert_mod.RULES[cert_mod.MONOMIAL_ZERO].check
+    return next((q for q in g.vertices()
+                 if check(g, kb, j, l, p, q) is None), None)
 
 
 def prove_pair(kb: CommutationKB, g: Graph, j, l) -> bool:
     """Try to establish commute({j,l}); partial kills are kept either way."""
-    d = g.distances()
-    m = d[j, l]
+    m = g.distances()[j, l]
     if m == math.inf:
         raise EngineError(f"({j},{l}) lie in different components")
     if kb.knows_commute(j, l):
         return True
-
-    if (j, l) not in kb.candidates:
-        base = frozenset(p for p in g.vertices() if d[p, l] == m)
-        if base == frozenset((j,)):
-            kb.add_commute(j, l, step(cert_mod.UNIQUE_AT_DISTANCE, j=j, l=l, m=m))
-            return True
-        kb.candidates[(j, l)] = base
+    if (j, l) not in kb.candidates and _propose(
+            kb, cert_mod.UNIQUE_AT_DISTANCE, j=j, l=l, m=m):
+        return True
 
     cand = reduce_candidates(kb, g, j, l)
     killed = kb.killed.get((j, l), set())
@@ -259,23 +174,17 @@ def prove_pair(kb: CommutationKB, g: Graph, j, l) -> bool:
             continue
         q = kill_choose_q_middle(g, j, l, p)
         if q is not None:
-            kb.add_kill(j, l, p, step(cert_mod.CHOOSE_Q_MIDDLE, j=j, l=l, p=p, q=q))
+            kb.apply(step(cert_mod.CHOOSE_Q_MIDDLE, j=j, l=l, p=p, q=q))
             continue
         if kill_cn_mismatch(g, j, l, p):
-            a = len(common_neighbours(g, j, l))
-            b = len(common_neighbours(g, l, p))
-            kind = cert_mod.TRIANGLE_MISMATCH if 0 in (a, b) else cert_mod.CN_MISMATCH
-            kb.add_kill(j, l, p, step(kind, j=j, l=l, p=p))
+            if not _propose(kb, cert_mod.TRIANGLE_MISMATCH, j=j, l=l, p=p):
+                kb.apply(step(cert_mod.CN_MISMATCH, j=j, l=l, p=p))
             continue
         q = kill_monomial_zero(kb, g, j, l, p)
         if q is not None:
-            kb.add_kill(j, l, p, step(cert_mod.MONOMIAL_ZERO, j=j, l=l, p=p, q=q))
+            kb.apply(step(cert_mod.MONOMIAL_ZERO, j=j, l=l, p=p, q=q))
 
-    killed = kb.killed.get((j, l), set())
-    if not (cand - {j}) - killed:
-        kb.add_commute(j, l, step(cert_mod.ADJ_COMMUTE_CLOSE, j=j, l=l))
-        return True
-    return False
+    return _propose(kb, cert_mod.ADJ_COMMUTE_CLOSE, j=j, l=l)
 
 
 def close_under_automorphisms(kb: CommutationKB, g: Graph, aut: AutGroup):
@@ -292,38 +201,31 @@ def close_under_automorphisms(kb: CommutationKB, g: Graph, aut: AutGroup):
         if source in kb._closed_orbit_roots:
             continue
         j1, l1 = sorted(source)
-        reached = {source: Permutation.identity(g.n)}
-        queue = [source]
-        while queue:
-            pair = queue.pop()
-            phi = reached[pair]
-            a, b = sorted(pair)
-            for gen in aut.generators:
-                image = frozenset((gen(a), gen(b)))
-                if image in reached:
-                    continue
-                reached[image] = gen * phi
-                queue.append(image)
+        reached = _orbit_witnesses(g, aut, source,
+                                   lambda gen, pair: frozenset(
+                                       map(gen.img.__getitem__, pair)))
         for image, phi in reached.items():
             kb._closed_orbit_roots.add(image)
             if image not in kb.commute:
                 j2, l2 = sorted(image)
-                kb.add_commute(j2, l2, step(cert_mod.AUT_TRANSFER,
-                                            j1=j1, l1=l1, j2=j2, l2=l2, phi=phi))
+                _propose(kb, cert_mod.AUT_TRANSFER,
+                         j1=j1, l1=l1, j2=j2, l2=l2, phi=phi)
 
 
-def _orbit_witnesses(g: Graph, aut: AutGroup, base):
-    """(vertex, automorphism mapping base to vertex) for base's whole orbit."""
-    reached = {base: Permutation.identity(g.n)}
-    queue = [base]
+def _orbit_witnesses(g: Graph, aut: AutGroup, root,
+                     act=Permutation.__call__):
+    """(x, automorphism taking root to x) for root's whole orbit, by BFS
+    over generator applications ``act(gen, x)``."""
+    reached = {root: Permutation.identity(g.n)}
+    queue = [root]
     while queue:
-        v = queue.pop()
-        phi = reached[v]
+        x = queue.pop()
+        phi = reached[x]
         for gen in aut.generators:
-            w = gen(v)
-            if w not in reached:
-                reached[w] = gen * phi
-                queue.append(w)
+            y = act(gen, x)
+            if y not in reached:
+                reached[y] = gen * phi
+                queue.append(y)
     return reached
 
 
@@ -345,11 +247,6 @@ def lemma_fixpoint(g: Graph, aut: AutGroup | None = None,
     close_under_automorphisms(kb, g, aut)
     d = g.distances()
 
-    def all_closed():
-        return all(kb.knows_commute(j0, l)
-                   for j0 in reps for l in g.vertices())
-
-    timed_out = False
     for _ in range(max_rounds):
         added_this_round = False
         for j0 in reps:
@@ -371,21 +268,21 @@ def lemma_fixpoint(g: Graph, aut: AutGroup | None = None,
                 if class_added:
                     close_under_automorphisms(kb, g, aut)
                     added_this_round = True
-        if all_closed() or not added_this_round:
+        if kb.open_column_pair(reps) is None or not added_this_round:
             break
-    return kb, all_closed(), timed_out
+    return kb, kb.open_column_pair(reps) is None, False
 
 
 def _commutativity_certificate(g: Graph, aut: AutGroup, kb: CommutationKB,
                                reps) -> Certificate:
-    steps = list(kb.log)
+    """Append the orbit transits and the conclusion to a closed ``kb`` and
+    return its whole log as the certificate."""
     for base in reps:
         for v, phi in sorted(_orbit_witnesses(g, aut, base).items()):
             if v != base:
-                steps.append(step(cert_mod.VERTEX_TRANSIT, base=base, v=v,
-                                  phi=phi))
-    steps.append(step(cert_mod.CONCLUSION_COMMUTATIVE, bases=tuple(reps)))
-    return Certificate.for_graph(g, cert_mod.VERDICT_NONE, steps)
+                _propose(kb, cert_mod.VERTEX_TRANSIT, base=base, v=v, phi=phi)
+    _propose(kb, cert_mod.CONCLUSION_COMMUTATIVE, bases=tuple(reps))
+    return Certificate.for_graph(g, cert_mod.VERDICT_NONE, kb.log)
 
 
 # -- the decision pipeline ---------------------------------------------------

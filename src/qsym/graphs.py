@@ -14,12 +14,8 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-import numpy as np
-
 INFINITE = math.inf
 
-# distances below this gap count as equal when comparing spectra
-SPECTRUM_TOL = 1e-8
 # minimal pairwise gap for the cosine-sum injectivity test
 INJECTIVITY_TOL = 1e-6
 
@@ -152,19 +148,9 @@ class Graph:
     def degree_sequence(self):
         return sorted(self.degree(i) for i in self.vertices())
 
-    def is_regular(self) -> bool:
-        degs = {self.degree(i) for i in self.vertices()}
-        return len(degs) == 1
-
     def relabel(self, label) -> "Graph":
         g = Graph(self.n, self.edges(), label=label, circulant=self.circulant)
         return g
-
-    def adjacency_matrix(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=float)
-        for i, j in self.edges():
-            a[i - 1, j - 1] = a[j - 1, i - 1] = 1.0
-        return a
 
     # -- metric structure -------------------------------------------------
 
@@ -203,9 +189,6 @@ class Graph:
     def is_connected(self) -> bool:
         return all(self.dist(1, v) != INFINITE for v in self.vertices())
 
-    def eccentricity(self, i) -> float:
-        return max(self.dist(i, v) for v in self.vertices())
-
 
 @dataclass(frozen=True)
 class DistanceMatrix:
@@ -220,10 +203,6 @@ class DistanceMatrix:
 
 
 # -- constructors ---------------------------------------------------------
-
-
-def from_edges(n, edges, label=""):
-    return Graph(n, edges, label=label)
 
 
 def build_circulant(spec: CirculantSpec) -> Graph:
@@ -391,45 +370,6 @@ def injective_f_check(spec: CirculantSpec, tol=INJECTIVITY_TOL):
     injective = all(abs(a - b) > tol
                     for a, b in combinations(values, 2))
     return injective, values
-
-
-def spectrum(g: Graph) -> np.ndarray:
-    return np.linalg.eigvalsh(g.adjacency_matrix())
-
-
-def product_spectra_conditions(g: Graph, h: Graph, tol=SPECTRUM_TOL):
-    """Spectral disjointness tests for the two graph products.
-
-    For connected regular g, h with spectra {lambda}, {mu}:
-    direct_ok  iff no zero eigenvalue and {lambda_i/lambda_j} meets
-    {mu_k/mu_l} only in 1; cartesian_ok iff {lambda_i - lambda_j} meets
-    {mu_k - mu_l} only in 0.  When a condition holds, the quantum
-    automorphism group of the product is the tensor product of the
-    factors' quantum automorphism groups.
-    """
-    for graph in (g, h):
-        if not graph.is_connected():
-            raise GraphError("spectral product test needs connected factors")
-        if not graph.is_regular():
-            raise GraphError("spectral product test needs regular factors")
-    lam = spectrum(g)
-    mu = spectrum(h)
-
-    def diffs(vals):
-        return {round(a - b, 9) for a in vals for b in vals}
-
-    common_diffs = {x for x in diffs(lam)
-                    if any(abs(x - y) <= tol for y in diffs(mu))}
-    cartesian_ok = all(abs(x) <= tol for x in common_diffs)
-
-    direct_ok = False
-    if all(abs(x) > tol for x in lam) and all(abs(x) > tol for x in mu):
-        ratios_l = {a / b for a in lam for b in lam}
-        ratios_m = {a / b for a in mu for b in mu}
-        common = {x for x in ratios_l
-                  if any(abs(x - y) <= tol for y in ratios_m)}
-        direct_ok = all(abs(x - 1.0) <= tol for x in common)
-    return direct_ok, cartesian_ok
 
 
 # -- plain-text graph format ----------------------------------------------

@@ -118,13 +118,19 @@ def parse_cycles(text: str, n: int) -> Permutation:
 
 
 def is_automorphism(g: Graph, perm: Permutation) -> bool:
-    """Independent re-check: perm preserves adjacency on every pair."""
+    """Independent re-check: perm maps the neighbourhood of every vertex
+    onto the neighbourhood of its image, so it preserves every pair."""
     if perm.n != g.n:
         return False
-    for i in range(1, g.n + 1):
-        for j in range(i + 1, g.n + 1):
-            if g.adjacent(i, j) != g.adjacent(perm(i), perm(j)):
-                return False
+    img, rows = perm.img, g.rows
+    for i in g.vertices():
+        row, image = rows[i], 0
+        while row:
+            low = row & -row
+            image |= 1 << img[low.bit_length() - 1]
+            row ^= low
+        if image != rows[img[i]]:
+            return False
     return True
 
 
@@ -439,7 +445,3 @@ def find_disjoint_automorphisms(g: Graph):
             movers.sort(key=lambda p: p.img)
             return movers[0], partner
     return None
-
-
-def are_disjoint(p: Permutation, q: Permutation) -> bool:
-    return not (set(p.support()) & set(q.support()))

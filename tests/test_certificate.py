@@ -1,5 +1,7 @@
 """Certificates: serialization, independent verification, rendering."""
 
+import inspect
+
 import pytest
 
 import qsym.certificate as cm
@@ -15,6 +17,8 @@ from qsym.engine import decide, lemma_fixpoint, _commutativity_certificate
 from qsym.graphs import Graph
 from qsym.named import build_named, circulant, cycle_graph
 from qsym.perms import automorphism_group
+
+from replayer import IndependentReplayer
 
 
 def _lemma_certificate(name, use_global_seeds=True):
@@ -152,3 +156,52 @@ def test_malformed_step_fields_do_not_crash():
                       + cert.steps)
     result = verify_certificate(g, bad)
     assert not result and result.step_index == 0
+
+
+def test_one_common_neighbour_needs_an_edge():
+    """On an edgeless graph the whole-graph rule is not vacuously true:
+    the engine never emits it there, and the independent replayer
+    rejects it."""
+    g = Graph(1, [])
+    cert = Certificate.for_graph(
+        g, cm.VERDICT_NONE,
+        [step(cm.ONE_COMMON_NEIGHBOUR),
+         step(cm.CONCLUSION_COMMUTATIVE, bases=(1,))])
+    assert not IndependentReplayer(g.n, g.edges()).accepts(cert)
+    result = verify_certificate(g, cert)
+    assert not result and result.step_index == 0
+
+
+def test_unknown_verdict_is_rejected():
+    g = Graph(1, [])
+    cert = Certificate.for_graph(g, "maybe", [])
+    assert not IndependentReplayer(g.n, g.edges()).accepts(cert)
+    assert not verify_certificate(g, cert)
+
+
+def test_parse_rejects_truncated_text():
+    with pytest.raises(ValueError):
+        parse_certificate("qsym-certificate v1\n")
+    with pytest.raises(ValueError):
+        parse_certificate("")
+
+
+def test_parse_rejects_unknown_and_missing_fields():
+    g, cert = _lemma_certificate("C5")
+    text = serialize_certificate(cert)
+    assert "step QUADRANGLE_FREE\n" in text
+    for bad in ("step QUADRANGLE_FREE bogus=3\n",
+                "step CHOOSE_Q_MIDDLE j=1 l=2 p=3\n",
+                "step ADJ_COMMUTE_CLOSE j=1 l=2 j=1\n"):
+        with pytest.raises(ValueError):
+            parse_certificate(text.replace("step QUADRANGLE_FREE\n", bad))
+
+
+def test_rule_checks_take_their_fields_in_table_order():
+    """The engine calls some checks positionally, and serialization writes
+    fields in table order, so the two must agree for every kind."""
+    for kind, rule in cm.RULES.items():
+        params = [p.name for p in
+                  inspect.signature(rule.check).parameters.values()
+                  if p.default is inspect.Parameter.empty]
+        assert tuple(params[2:]) == rule.fields, kind

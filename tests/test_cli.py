@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from qsym.cli import main
+from qsym.cli import EXIT_ERROR, main
 from qsym.graphs import read_graph, write_graph
 from qsym.named import build_named
 
@@ -90,6 +90,13 @@ def test_certificate_verify_detects_tampering(capsys, tmp_path):
     tampered_path.write_text(tampered, encoding="utf-8")
     code, out, _ = run(capsys, "certificate", "--verify", str(tampered_path))
     assert code == 1 and "INVALID at step" in out
+
+
+def test_certificate_verify_truncated_file_exit_1(capsys, tmp_path):
+    cert_path = tmp_path / "header_only.cert"
+    cert_path.write_text("qsym-certificate v1\n", encoding="utf-8")
+    code, _, err = run(capsys, "certificate", "--verify", str(cert_path))
+    assert code == EXIT_ERROR and "missing verdict line" in err
 
 
 def test_certificate_refuses_quantum_graph(capsys):

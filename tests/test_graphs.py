@@ -21,7 +21,6 @@ from qsym.graphs import (
     has_quadrangle,
     injective_f_check,
     line_graph,
-    product_spectra_conditions,
     read_graph,
     write_graph,
 )
@@ -272,20 +271,6 @@ def test_injective_f_fails_where_hand_proofs_were_needed():
         assert not injective
     with pytest.raises(GraphError):
         injective_f_check(CirculantSpec(4))
-
-
-def test_product_spectra_conditions():
-    direct_ok, cartesian_ok = product_spectra_conditions(
-        cycle_graph(4), cycle_graph(3))
-    assert cartesian_ok
-    _, cartesian_k2c6 = product_spectra_conditions(
-        complete_graph(2), cycle_graph(6))
-    assert not cartesian_k2c6
-    direct_k6k2, _ = product_spectra_conditions(
-        complete_graph(6), complete_graph(2))
-    assert direct_k6k2
-    with pytest.raises(GraphError):
-        product_spectra_conditions(Graph(3, [(1, 2)]), complete_graph(2))
 
 
 def test_text_format_roundtrip():
