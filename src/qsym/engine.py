@@ -36,7 +36,7 @@ from .certificate import Certificate, CommutationKB, step, verify_certificate
 from .graphs import Graph, common_neighbours, injective_f_check
 from .perms import (
     AutGroup,
-    Permutation,
+    act_on_pair,
     automorphism_group,
     find_disjoint_automorphisms,
 )
@@ -129,6 +129,8 @@ def reduce_candidates(kb: CommutationKB, g: Graph, j, l):
     for q in g.vertices():
         if len(cand) == 1:
             break
+        if not kb.knows_commute(l, q):
+            continue
         new = cert_mod.narrowed(g, cand, j, q)
         if new != cand and _propose(kb, cert_mod.CHOOSE_Q_RIGHT, j=j, l=l,
                                     q=q, survivors=tuple(sorted(new))):
@@ -201,32 +203,12 @@ def close_under_automorphisms(kb: CommutationKB, g: Graph, aut: AutGroup):
         if source in kb._closed_orbit_roots:
             continue
         j1, l1 = sorted(source)
-        reached = _orbit_witnesses(g, aut, source,
-                                   lambda gen, pair: frozenset(
-                                       map(gen.img.__getitem__, pair)))
-        for image, phi in reached.items():
+        for image, phi in aut.orbit(source, act_on_pair).items():
             kb._closed_orbit_roots.add(image)
             if image not in kb.commute:
                 j2, l2 = sorted(image)
                 _propose(kb, cert_mod.AUT_TRANSFER,
                          j1=j1, l1=l1, j2=j2, l2=l2, phi=phi)
-
-
-def _orbit_witnesses(g: Graph, aut: AutGroup, root,
-                     act=Permutation.__call__):
-    """(x, automorphism taking root to x) for root's whole orbit, by BFS
-    over generator applications ``act(gen, x)``."""
-    reached = {root: Permutation.identity(g.n)}
-    queue = [root]
-    while queue:
-        x = queue.pop()
-        phi = reached[x]
-        for gen in aut.generators:
-            y = act(gen, x)
-            if y not in reached:
-                reached[y] = gen * phi
-                queue.append(y)
-    return reached
 
 
 def lemma_fixpoint(g: Graph, aut: AutGroup | None = None,
@@ -278,7 +260,7 @@ def _commutativity_certificate(g: Graph, aut: AutGroup, kb: CommutationKB,
     """Append the orbit transits and the conclusion to a closed ``kb`` and
     return its whole log as the certificate."""
     for base in reps:
-        for v, phi in sorted(_orbit_witnesses(g, aut, base).items()):
+        for v, phi in sorted(aut.orbit(base).items()):
             if v != base:
                 _propose(kb, cert_mod.VERTEX_TRANSIT, base=base, v=v, phi=phi)
     _propose(kb, cert_mod.CONCLUSION_COMMUTATIVE, bases=tuple(reps))

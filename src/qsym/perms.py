@@ -1,14 +1,16 @@
 """Classical automorphism groups of small graphs.
 
-Everything here is exact and deliberately unsophisticated: a backtracking
-search over vertex images pruned by degree and distance profiles, an
-orbit-stabilizer chain built from existence queries (which also yields the
-exact group order without enumerating elements, so K12 with |Aut| = 12!
-stays cheap), and an exhaustive-by-construction search for a pair of
-non-trivial automorphisms with disjoint supports.  The latter decides the
-question exactly: it scans candidate supports by size, which is enough
-because the smaller support of any disjoint pair has at most n//2
-vertices.
+Everything here is exact and deliberately unsophisticated.  One
+backtracking search, ``_extensions``, answers every automorphism query: it
+extends a partial vertex map, pruned by degree and distance profiles and by
+exact distance preservation, and yields the completions in increasing order
+of image vector.  On top of it sit an orbit-stabilizer chain built from
+existence queries (which also yields the exact group order without
+enumerating elements, so K12 with |Aut| = 12! stays cheap), and an
+exhaustive-by-construction search for a pair of non-trivial automorphisms
+with disjoint supports.  The latter decides the question exactly: it scans
+candidate supports by size, which is enough because the smaller support of
+any disjoint pair has at most n//2 vertices.
 """
 
 from __future__ import annotations
@@ -39,9 +41,16 @@ class Permutation:
             raise ValueError(f"not a permutation of 1..{n}: {img[1:]}")
         object.__setattr__(self, "img", img)
 
+    @classmethod
+    def _trusted(cls, img: tuple) -> "Permutation":
+        """Wrap a known-valid image tuple ``(0, p(1), ..., p(n))``."""
+        perm = object.__new__(cls)
+        perm.img = img
+        return perm
+
     @staticmethod
     def identity(n: int) -> "Permutation":
-        return Permutation(range(1, n + 1))
+        return Permutation._trusted(tuple(range(n + 1)))
 
     @property
     def n(self) -> int:
@@ -52,13 +61,16 @@ class Permutation:
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         # (p * q)(v) = p(q(v))
-        return Permutation(self.img[other.img[v]] for v in range(1, self.n + 1))
+        if len(self.img) != len(other.img):
+            raise ValueError("permutations of different degrees")
+        return Permutation._trusted(
+            tuple(map(self.img.__getitem__, other.img)))
 
     def inverse(self) -> "Permutation":
         inv = [0] * (self.n + 1)
         for v in range(1, self.n + 1):
             inv[self.img[v]] = v
-        return Permutation(inv[1:])
+        return Permutation._trusted(tuple(inv))
 
     def is_identity(self) -> bool:
         return all(self.img[v] == v for v in range(1, self.n + 1))
@@ -145,79 +157,62 @@ def _invariants(g: Graph):
     return inv
 
 
-def find_automorphism(g: Graph, pre: dict) -> Permutation | None:
-    """Some automorphism extending the partial map ``pre``, or None.
+def _fits(d, inv, pre: dict, v, a) -> bool:
+    """Whether v -> a keeps v's invariants and its distances to the pairs of
+    ``pre``.  A partial map is distance-consistent when each of its own
+    pairs fits it; that makes it injective, as d(v,w) > 0 = d(a,a)."""
+    if inv[v] != inv[a]:
+        return False
+    dv, da = d[v], d[a]
+    return all(dv[w] == da[b] for w, b in pre.items())
 
-    Candidate images are filtered by (degree, distance-profile) classes and
-    the partial map is pruned by exact distance preservation against every
-    vertex assigned so far.
-    """
+
+def _extensions(g: Graph, pre: dict, inv):
+    """Every automorphism extending the distance-consistent partial map
+    ``pre`` (see ``_fits``), in increasing order of image vector; ``inv`` is
+    ``_invariants(g)``.  Unassigned vertices are visited in the order 1..n
+    and their images tried in ascending order, so the first value is the
+    lexicographically smallest completion."""
     n = g.n
     d = g.distances().d
-    inv = _invariants(g)
     assigned = dict(pre)
     used = set(assigned.values())
-    if len(used) != len(assigned):
-        return None
-    for v, a in assigned.items():
-        if inv[v] != inv[a]:
-            return None
-    for v, a in assigned.items():
-        for w, b in assigned.items():
-            if d[v][w] != d[a][b]:
-                return None
-
     todo = [v for v in range(1, n + 1) if v not in assigned]
-    # most-constrained-first: vertices in small invariant classes first
-    class_size = {}
-    for v in range(1, n + 1):
-        class_size[inv[v]] = class_size.get(inv[v], 0) + 1
-    todo.sort(key=lambda v: (class_size[inv[v]], v))
-
-    def consistent(v, a):
-        if a in used or inv[v] != inv[a]:
-            return False
-        dv, da = d[v], d[a]
-        for w, b in assigned.items():
-            if dv[w] != da[b]:
-                return False
-        return True
 
     def dfs(pos):
         if pos == len(todo):
-            return True
+            yield Permutation._trusted(
+                (0, *map(assigned.__getitem__, range(1, n + 1))))
+            return
         v = todo[pos]
+        dv, iv = d[v], inv[v]
         for a in range(1, n + 1):
-            if consistent(v, a):
+            if a in used or inv[a] != iv:
+                continue
+            da = d[a]
+            for w, b in assigned.items():
+                if dv[w] != da[b]:
+                    break
+            else:
                 assigned[v] = a
                 used.add(a)
-                if dfs(pos + 1):
-                    return True
+                yield from dfs(pos + 1)
                 del assigned[v]
                 used.discard(a)
-        return False
 
-    if not dfs(0):
+    return dfs(0)
+
+
+def find_automorphism(g: Graph, pre: dict) -> Permutation | None:
+    """The automorphism with the smallest image vector that extends the
+    partial map ``pre``, or None; ``ValueError`` if ``pre`` leaves 1..n."""
+    if not all(1 <= x <= g.n for x in (*pre, *pre.values())):
+        raise ValueError(f"partial map {pre} leaves 1..{g.n}")
+    d = g.distances().d
+    inv = _invariants(g)
+    if not all(_fits(d, inv, pre, v, a) for v, a in pre.items()):
         return None
-    return Permutation(assigned[v] for v in range(1, n + 1))
-
-
-def _lexmin_completion(g: Graph, pre: dict) -> Permutation:
-    """Extend ``pre`` to the automorphism with lexicographically smallest
-    image vector (pre must be extendable)."""
-    assigned = dict(pre)
-    for v in range(1, g.n + 1):
-        if v in assigned:
-            continue
-        for a in range(1, g.n + 1):
-            if a in assigned.values():
-                continue
-            trial = dict(assigned)
-            trial[v] = a
-            if find_automorphism(g, trial) is not None:
-                assigned[v] = a
-                break
-    return Permutation(assigned[v] for v in range(1, g.n + 1))
+    return next(_extensions(g, pre, inv), None)
 
 
 # -- automorphism group ----------------------------------------------------
@@ -237,31 +232,28 @@ class AutGroup:
     generators: tuple
     order: int
 
+    def orbit(self, root, act=Permutation.__call__) -> dict:
+        """{x: automorphism taking root to x} over root's whole orbit, by
+        BFS over generator applications ``act(gen, x)``."""
+        reached = {root: Permutation.identity(self.n)}
+        queue = [root]
+        while queue:
+            x = queue.pop()
+            phi = reached[x]
+            for gen in self.generators:
+                y = act(gen, x)
+                if y not in reached:
+                    reached[y] = gen * phi
+                    queue.append(y)
+        return reached
+
     def vertex_orbits(self):
         """Orbits of vertices, each sorted, ordered by smallest element."""
-        seen = set()
         orbits = []
         for v in range(1, self.n + 1):
-            if v in seen:
-                continue
-            orbit = {v}
-            frontier = [v]
-            while frontier:
-                w = frontier.pop()
-                for gen in self.generators:
-                    u = gen(w)
-                    if u not in orbit:
-                        orbit.add(u)
-                        frontier.append(u)
-            seen |= orbit
-            orbits.append(tuple(sorted(orbit)))
+            if not any(v in orbit for orbit in orbits):
+                orbits.append(tuple(sorted(self.orbit(v))))
         return orbits
-
-    def orbit_of(self, v: int):
-        for orbit in self.vertex_orbits():
-            if v in orbit:
-                return orbit
-        raise ValueError(f"vertex {v} outside 1..{self.n}")
 
     def elements(self, cap: int = ENUMERATION_CAP):
         """The full element set (closure of the generators under products)."""
@@ -290,7 +282,8 @@ def automorphism_group(g: Graph) -> AutGroup:
     At level v the search asks, for each candidate image a, whether some
     automorphism fixes 1..v-1 pointwise and maps v to a; the count of
     successes is the orbit size of v in the pointwise stabilizer, and the
-    product over levels is the group order.
+    product over levels is the group order.  Each generator is the
+    smallest-image-vector automorphism with its prefix.
     """
     if g.n > 16:
         raise CapabilityError(f"n = {g.n} exceeds the supported bound 16")
@@ -302,13 +295,9 @@ def automorphism_group(g: Graph) -> AutGroup:
     for v in range(1, g.n + 1):
         orbit_size = 1  # a = v always extends (the identity does)
         for a in range(1, g.n + 1):
-            if a == v or inv[a] != inv[v]:
+            if a == v or not _fits(d, inv, prefix, v, a):
                 continue
-            if any(d[v][w] != d[a][w] for w in prefix):
-                continue
-            trial = dict(prefix)
-            trial[v] = a
-            phi = find_automorphism(g, trial)
+            phi = next(_extensions(g, {**prefix, v: a}, inv), None)
             if phi is not None:
                 orbit_size += 1
                 gens.append(phi)
@@ -319,7 +308,7 @@ def automorphism_group(g: Graph) -> AutGroup:
 
 def is_vertex_transitive(g: Graph, group: AutGroup | None = None) -> bool:
     group = group or automorphism_group(g)
-    return len(group.orbit_of(1)) == g.n
+    return len(group.orbit(1)) == g.n
 
 
 # -- pair orbits -----------------------------------------------------------
@@ -344,27 +333,18 @@ class PairOrbits:
         raise KeyError(pair)
 
 
+def act_on_pair(gen: Permutation, pair: frozenset) -> frozenset:
+    """The image of an unordered pair, as an ``AutGroup.orbit`` action."""
+    return frozenset(map(gen.img.__getitem__, pair))
+
+
 def pair_orbits(g: Graph, group: AutGroup) -> PairOrbits:
     d = g.distances()
-    seen = set()
-    orbits = []
-    dists = []
-    for i in range(1, g.n + 1):
-        for j in range(i + 1, g.n + 1):
-            start = frozenset((i, j))
-            if start in seen:
-                continue
-            orbit = {start}
-            frontier = [(i, j)]
-            while frontier:
-                a, b = frontier.pop()
-                for gen in group.generators:
-                    im = frozenset((gen(a), gen(b)))
-                    if im not in orbit:
-                        orbit.add(im)
-                        frontier.append(tuple(im))
-            seen |= orbit
-            orbits.append(frozenset(orbit))
+    orbits, dists = [], []
+    for i, j in combinations(g.vertices(), 2):
+        pair = frozenset((i, j))
+        if not any(pair in orbit for orbit in orbits):
+            orbits.append(frozenset(group.orbit(pair, act_on_pair)))
             dists.append(d[i, j])
     return PairOrbits(orbits=tuple(orbits), distance=tuple(dists))
 
@@ -372,50 +352,23 @@ def pair_orbits(g: Graph, group: AutGroup) -> PairOrbits:
 # -- disjoint automorphisms ------------------------------------------------
 
 
-def _stabilizer_elements_within(g: Graph, moving) -> list:
-    """All automorphisms fixing every vertex outside ``moving`` pointwise."""
-    n = g.n
+def _first_nonidentity_fixing(g: Graph, fixed, inv) -> Permutation | None:
+    """The non-identity automorphism fixing ``fixed`` pointwise with the
+    smallest moved vertex w, then the smallest image of w, then the smallest
+    image vector; None if only the identity fixes ``fixed``.  It need not
+    have the smallest image vector: on C6 it is (1 2)(3 6)(4 5), not
+    (2 6)(3 5)."""
     d = g.distances().d
-    moving = sorted(moving)
-    fixed = [v for v in range(1, n + 1) if v not in moving]
-    found = []
-    assigned = {v: v for v in fixed}
-
-    def dfs(pos, img):
-        if pos == len(moving):
-            found.append(Permutation(
-                [img.get(v, v) for v in range(1, n + 1)]))
-            return
-        v = moving[pos]
-        for a in moving:
-            if a in img.values():
-                continue
-            ok = all(d[v][w] == d[a][img[w]] for w in img)
-            if ok and all(d[v][w] == d[a][w] for w in fixed):
-                img[v] = a
-                dfs(pos + 1, img)
-                del img[v]
-
-    dfs(0, dict(assigned))
-    return found
-
-
-def _lexmin_nonidentity_fixing(g: Graph, fixed) -> Permutation | None:
-    """Lexicographically smallest non-identity automorphism that fixes the
-    given vertex set pointwise, or None if only the identity does."""
-    fixed = set(fixed)
     base = {v: v for v in fixed}
     for w in range(1, g.n + 1):
-        if w in fixed:
+        if w in base:
             continue
         for a in range(w + 1, g.n + 1):
-            if a in fixed:
-                continue
-            trial = dict(base)
-            trial[w] = a
-            if find_automorphism(g, trial) is not None:
-                return _lexmin_completion(g, trial)
-        base[w] = w  # w stays fixed in any lex-smaller candidate
+            if _fits(d, inv, base, w, a):
+                phi = next(_extensions(g, {**base, w: a}, inv), None)
+                if phi is not None:
+                    return phi
+        base[w] = w  # no automorphism fixing base moves w
     return None
 
 
@@ -426,22 +379,22 @@ def find_disjoint_automorphisms(g: Graph):
     has support size at most n//2, and for its exact support A the scan
     below finds a witness (pointwise stabilizer of the complement) and a
     partner (non-identity pointwise stabilizer of A).  Candidate supports
-    are visited by size then lexicographically, and within a support the
-    smallest image vector wins, so the result is deterministic.
+    are visited by size then lexicographically, the witness is the
+    smallest image vector with support exactly A, and the partner is
+    ``_first_nonidentity_fixing``'s, so the result is deterministic.
     """
-    n = g.n
-    if n > 16:
+    if g.n > 16:
         raise CapabilityError(f"n = {g.n} exceeds the supported bound 16")
-    vertices = range(1, n + 1)
-    for size in range(2, n // 2 + 1):
+    inv = _invariants(g)
+    vertices = g.vertices()
+    for size in range(2, g.n // 2 + 1):
         for subset in combinations(vertices, size):
-            elements = _stabilizer_elements_within(g, subset)
-            movers = [p for p in elements if p.support() == subset]
-            if not movers:
+            fixed = {v: v for v in vertices if v not in subset}
+            sigma = next((p for p in _extensions(g, fixed, inv)
+                          if p.support() == subset), None)
+            if sigma is None:
                 continue
-            partner = _lexmin_nonidentity_fixing(g, subset)
-            if partner is None:
-                continue
-            movers.sort(key=lambda p: p.img)
-            return movers[0], partner
+            partner = _first_nonidentity_fixing(g, subset, inv)
+            if partner is not None:
+                return sigma, partner
     return None

@@ -168,3 +168,33 @@ def test_disjoint_pair_is_deterministic():
     assert first == second
     assert str(first[0]) == "(1 7)(3 9)(5 11)"
     assert str(first[1]) == "(2 8)(4 10)(6 12)"
+    pinned = {
+        "C12(5)": ("(1 7)", "(2 6)(3 5)(8 12)(9 11)"),
+        "K2xC6(2)": ("(1 4)(7 10)", "(2 3)(5 6)(8 9)(11 12)"),
+        "C12(5+)": ("(1 7)(2 8)", "(3 9)(4 10)"),
+        "6K2": ("(1 2)", "(3 4)"),
+    }
+    for name, expected in pinned.items():
+        sigma, tau = find_disjoint_automorphisms(build_named(name))
+        assert (str(sigma), str(tau)) == expected, name
+
+
+def test_find_automorphism_is_the_smallest_extension():
+    """Against the enumerated group: the result is the element with the
+    smallest image vector among those extending ``pre``."""
+    for g in (cycle_graph(5), cycle_graph(6), build_named("K2xC6"),
+              path_graph(4)):
+        elems = automorphism_group(g).elements()
+        for v, a in itertools.product(g.vertices(), repeat=2):
+            for pre in ({v: a}, {1: v, 2: a}):
+                extending = [p for p in elems
+                             if all(p(x) == y for x, y in pre.items())]
+                expected = min(extending, key=lambda p: p.img, default=None)
+                assert find_automorphism(g, pre) == expected, (g, pre)
+
+
+def test_find_automorphism_rejects_vertices_outside_the_graph():
+    g = cycle_graph(5)
+    for pre in ({6: 1}, {0: 1}, {1: 6}, {1: 0}, {-1: 2}):
+        with pytest.raises(ValueError):
+            find_automorphism(g, pre)
