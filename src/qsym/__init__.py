@@ -35,6 +35,7 @@ from .named import build_named, catalog_names
 from .perms import (
     AutGroup,
     CapabilityError,
+    DeadlineExceeded,
     PairOrbits,
     Permutation,
     automorphism_group,

@@ -178,7 +178,7 @@ def run_entry(entry: CatalogEntry, timeout: float = 30.0,
         record["aut_order_ok"] = (entry.expected_aut_order is None
                                   or aut.order == entry.expected_aut_order)
         record["vertex_transitive"] = is_vertex_transitive(g, aut)
-        verdict = decide(g, timeout=timeout, max_rounds=max_rounds)
+        verdict = decide(g, timeout=timeout, max_rounds=max_rounds, aut=aut)
         record["verdict"] = verdict.kind
         if verdict.kind == "HasQuantumSymmetry":
             record["witness"] = [str(p) for p in verdict.witness]

@@ -36,6 +36,7 @@ from .certificate import Certificate, CommutationKB, step, verify_certificate
 from .graphs import Graph, common_neighbours, injective_f_check
 from .perms import (
     AutGroup,
+    DeadlineExceeded,
     act_on_pair,
     automorphism_group,
     find_disjoint_automorphisms,
@@ -272,20 +273,25 @@ def _commutativity_certificate(g: Graph, aut: AutGroup, kb: CommutationKB,
 
 def decide(g: Graph, timeout: float = DEFAULT_TIMEOUT,
            max_rounds: int = DEFAULT_MAX_ROUNDS,
-           engine: str = "auto"):
+           engine: str = "auto", aut: AutGroup | None = None):
     """Decide whether ``g`` has quantum symmetries.
 
     ``engine`` selects the pipeline: "auto" runs the disjoint-automorphism
     test, then (for circulants) the injectivity criterion, then the lemma
-    fixpoint; "lemmas" runs only the fixpoint.  Returns a verdict object;
-    Undecided is the fallback, never a wrong answer.
+    fixpoint; "lemmas" runs only the fixpoint.  ``aut``, if given, is
+    ``automorphism_group(g)``, which the fixpoint then does not recompute.
+    Returns a verdict object; Undecided is the fallback, never a wrong
+    answer, and the disjoint scan and the fixpoint both honour ``timeout``.
     """
     if engine not in ("auto", "lemmas"):
         raise ValueError(f"unknown engine {engine!r}")
     deadline = time.monotonic() + timeout
 
     if engine == "auto":
-        pair = find_disjoint_automorphisms(g)
+        try:
+            pair = find_disjoint_automorphisms(g, deadline=deadline)
+        except DeadlineExceeded:
+            return Undecided(reason="timeout")
         if pair is not None:
             sigma, tau = pair
             cert = Certificate.for_graph(
@@ -307,7 +313,7 @@ def decide(g: Graph, timeout: float = DEFAULT_TIMEOUT,
         return Undecided(reason="disconnected graph without a disjoint "
                                 "automorphism pair", summary={})
 
-    aut = automorphism_group(g)
+    aut = aut or automorphism_group(g)
     kb, closed, timed_out = lemma_fixpoint(g, aut, max_rounds=max_rounds,
                                            deadline=deadline)
     if closed:

@@ -10,11 +10,17 @@ enumerating elements, so K12 with |Aut| = 12! stays cheap), and an
 exhaustive-by-construction search for a pair of non-trivial automorphisms
 with disjoint supports.  The latter decides the question exactly: it scans
 candidate supports by size, which is enough because the smaller support of
-any disjoint pair has at most n//2 vertices.
+any disjoint pair has at most n//2 vertices.  Only twin-closed subsets are
+candidates, those in which every vertex v has a twin u != v with the same
+invariants and the same distance to every vertex outside the subset.  That
+is necessary: if sigma fixes the outside pointwise and moves v to u, then
+d(x, v) = d(sigma x, sigma v) = d(x, u) for every outside x, and u, being
+moved as well, lies inside.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -25,6 +31,10 @@ ENUMERATION_CAP = 2_000_000
 
 class CapabilityError(RuntimeError):
     """The request is beyond the supported problem size."""
+
+
+class DeadlineExceeded(RuntimeError):
+    """A search ran past the caller's deadline."""
 
 
 class Permutation:
@@ -372,7 +382,57 @@ def _first_nonidentity_fixing(g: Graph, fixed, inv) -> Permutation | None:
     return None
 
 
-def find_disjoint_automorphisms(g: Graph):
+def _twin_masks(g: Graph, inv):
+    """twins[v]: for each u != v with v's invariants, the bitmask of the
+    vertices whose distances to v and to u differ, v and u among them."""
+    d = g.distances().d
+    vertices = g.vertices()
+    twins = [()] * (g.n + 1)
+    for v in vertices:
+        dv = d[v]
+        twins[v] = tuple(
+            sum(1 << x for x in vertices if dv[x] != d[u][x])
+            for u in vertices if u != v and inv[u] == inv[v])
+    return twins
+
+
+def _twin_closed_subsets(twins, n: int, size: int):
+    """Every subset A of 1..n with ``size`` vertices in which each v has a
+    twin mask inside A, as sorted tuples in lexicographic order.
+
+    Vertices are chosen in increasing order, so those passed over are
+    outside A for good; a prefix is dropped as soon as some chosen v has
+    no twin mask that avoids them and fits in the room left.  With no room
+    left that is the exact condition.
+    """
+    chosen = []
+
+    def extend(mask, start):
+        room = size - len(chosen)
+        out = ((1 << start) - 2) & ~mask
+        for v in chosen:
+            for m in twins[v]:
+                if not m & out and (m & ~mask).bit_count() <= room:
+                    break
+            else:
+                return
+        if not room:
+            yield tuple(chosen)
+            return
+        for v in range(start, n - room + 2):
+            chosen.append(v)
+            yield from extend(mask | 1 << v, v + 1)
+            chosen.pop()
+
+    return extend(0, 1)
+
+
+def _check_deadline(deadline: float | None) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise DeadlineExceeded("disjoint-automorphism scan")
+
+
+def find_disjoint_automorphisms(g: Graph, deadline: float | None = None):
     """A pair of non-trivial automorphisms with disjoint supports, or None.
 
     Exact: if any disjoint pair exists, the one with the smaller support
@@ -382,13 +442,26 @@ def find_disjoint_automorphisms(g: Graph):
     are visited by size then lexicographically, the witness is the
     smallest image vector with support exactly A, and the partner is
     ``_first_nonidentity_fixing``'s, so the result is deterministic.
+
+    Only twin-closed subsets reach the search: each v in A needs a twin
+    u in A, u != v, with v's invariants and d(x, v) = d(x, u) for all x
+    outside A.  An automorphism with support exactly A passes u = sigma(v),
+    as d(x, v) = d(sigma x, sigma v) = d(x, u) when sigma fixes x.  The
+    search still decides every candidate exactly.
+
+    ``deadline`` is a ``time.monotonic()`` value, checked once per support
+    size and before each candidate's search; past it the scan raises
+    ``DeadlineExceeded``.
     """
     if g.n > 16:
         raise CapabilityError(f"n = {g.n} exceeds the supported bound 16")
     inv = _invariants(g)
+    twins = _twin_masks(g, inv)
     vertices = g.vertices()
     for size in range(2, g.n // 2 + 1):
-        for subset in combinations(vertices, size):
+        _check_deadline(deadline)
+        for subset in _twin_closed_subsets(twins, g.n, size):
+            _check_deadline(deadline)
             fixed = {v: v for v in vertices if v not in subset}
             sigma = next((p for p in _extensions(g, fixed, inv)
                           if p.support() == subset), None)

@@ -237,6 +237,31 @@ def test_decide_timeout_returns_undecided():
     assert v.kind == "Undecided" and v.reason == "timeout"
 
 
+def test_decide_timeout_covers_disjoint_scan(monkeypatch):
+    """The scan itself stops at the deadline: no later stage runs."""
+    def later_stage(*_args):
+        raise AssertionError("decide ran past the disjoint scan")
+
+    monkeypatch.setattr("qsym.engine.injective_f_check", later_stage)
+    monkeypatch.setattr("qsym.engine.automorphism_group", later_stage)
+    v = decide(circulant(16, 3), engine="auto", timeout=0.0)
+    assert v.kind == "Undecided" and v.reason == "timeout"
+
+
+def test_decide_reuses_a_given_group(monkeypatch):
+    g = build_named("K2xC6")
+    aut = automorphism_group(g)
+    expected = decide(g)
+
+    def recompute(_g):
+        raise AssertionError("decide recomputed the group it was given")
+
+    monkeypatch.setattr("qsym.engine.automorphism_group", recompute)
+    v = decide(g, aut=aut)
+    assert v.kind == "NoQuantumSymmetry" == expected.kind
+    assert v.certificate == expected.certificate
+
+
 def test_decide_lemmas_undecided_on_quantum_graph():
     v = decide(build_named("C12(4,5)"), engine="lemmas")
     assert v.kind == "Undecided"

@@ -4,7 +4,8 @@ import itertools
 
 import pytest
 
-from qsym.graphs import Graph, complement
+from qsym.catalog import catalog
+from qsym.graphs import Graph, complement, disjoint_copies
 from qsym.named import (
     build_named,
     circulant,
@@ -198,3 +199,56 @@ def test_find_automorphism_rejects_vertices_outside_the_graph():
     for pre in ({6: 1}, {0: 1}, {1: 6}, {1: 0}, {-1: 2}):
         with pytest.raises(ValueError):
             find_automorphism(g, pre)
+
+
+def _oracle_disjoint_pair(elems):
+    """The pair the scan must return, from the enumerated group: the
+    smallest support A by (size, lex) among elements with a disjoint
+    non-identity partner; sigma, the smallest image vector with support
+    exactly A; tau, the element fixing A pointwise with the smallest moved
+    vertex w, then the smallest image of w, then the smallest image
+    vector."""
+    def partner_order(p):
+        w = p.support()[0]
+        return w, p(w), p.img
+
+    moved = [(p, p.support()) for p in elems if not p.is_identity()]
+    for support in sorted({s for _, s in moved}, key=lambda s: (len(s), s)):
+        fixing = [p for p, s in moved if not set(s) & set(support)]
+        if fixing:
+            sigma = min((p for p, s in moved if s == support),
+                        key=lambda p: p.img)
+            return str(sigma), str(min(fixing, key=partner_order))
+    return None
+
+
+def test_disjoint_pair_is_the_oracle_pair():
+    """String-exact against the enumerated group on every circulant
+    C_n(S), 5 <= n <= 12, and every catalog graph, whose group order is at
+    most 5000: the scan's pruning must not move the tie-break."""
+    graphs = [circulant(n, *chords)
+              for n in range(5, 13)
+              for k in range(n // 2)
+              for chords in itertools.combinations(range(2, n // 2 + 1), k)]
+    graphs += [e.build() for e in catalog()]
+    # The 3-cube less two parallel edges: its group Z2 x Z2 moves all 8
+    # vertices, so in two copies three witnesses share the smallest support
+    # and the image-vector tie-break decides between them.
+    cube_less_two = Graph(8, [(1, 2), (3, 4), (5, 6), (5, 7), (6, 8), (7, 8),
+                              (1, 5), (2, 6), (3, 7), (4, 8)])
+    graphs.append(disjoint_copies(cube_less_two, 2))
+    compared = 0
+    for g in graphs:
+        aut = automorphism_group(g)
+        if aut.order > 5000:
+            continue
+        pair = find_disjoint_automorphisms(g)
+        found = pair and tuple(map(str, pair))
+        assert found == _oracle_disjoint_pair(aut.elements(cap=5000)), g
+        compared += 1
+    assert compared >= 100
+
+
+def test_n16_no_pair_scans_stay_exact():
+    for chords in ((3,), (2, 5), (2, 4, 6, 8)):
+        assert find_disjoint_automorphisms(circulant(16, *chords)) is None
