@@ -24,7 +24,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .engine import decide
+from .engine import DEFAULT_TIMEOUT, decide
 from .graphs import Graph
 from .named import build_named
 from .perms import automorphism_group, is_vertex_transitive
@@ -129,11 +129,9 @@ _ENTRIES = (
 )
 
 
-def catalog(include_sanity: bool = True):
+def catalog():
     """The catalog entries; the 12-vertex rows always come first."""
-    if include_sanity:
-        return list(_ENTRIES)
-    return [e for e in _ENTRIES if e.subclass != "sanity"]
+    return list(_ENTRIES)
 
 
 def twelve_vertex_entries():
@@ -155,8 +153,7 @@ def quantum_flagged_names():
 # -- batch report ------------------------------------------------------------
 
 
-def run_entry(entry: CatalogEntry, timeout: float = 30.0,
-              max_rounds: int = 8) -> dict:
+def run_entry(entry: CatalogEntry, timeout: float = DEFAULT_TIMEOUT) -> dict:
     """Evaluate one entry; failures are captured, never raised."""
     record = {
         "name": entry.name,
@@ -178,7 +175,7 @@ def run_entry(entry: CatalogEntry, timeout: float = 30.0,
         record["aut_order_ok"] = (entry.expected_aut_order is None
                                   or aut.order == entry.expected_aut_order)
         record["vertex_transitive"] = is_vertex_transitive(g, aut)
-        verdict = decide(g, timeout=timeout, max_rounds=max_rounds, aut=aut)
+        verdict = decide(g, timeout=timeout, aut=aut)
         record["verdict"] = verdict.kind
         if verdict.kind == "HasQuantumSymmetry":
             record["witness"] = [str(p) for p in verdict.witness]
@@ -199,12 +196,11 @@ def run_entry(entry: CatalogEntry, timeout: float = 30.0,
     return record
 
 
-def run_report(entries=None, timeout: float = 30.0,
-               max_rounds: int = 8) -> dict:
+def run_report(entries=None, timeout: float = DEFAULT_TIMEOUT) -> dict:
     """Decide every entry, in catalog order, and summarize; per-entry
     failures never abort."""
     entries = list(entries) if entries is not None else twelve_vertex_entries()
-    records = [run_entry(e, timeout, max_rounds) for e in entries]
+    records = [run_entry(e, timeout) for e in entries]
 
     by_subclass = {}
     for rec in records:

@@ -2,7 +2,7 @@
 
 Subcommands: list, show, decide, certificate, groebner, report.  Exit
 codes are a stable contract: 0 for a decided question, 2 for Undecided,
-1 for errors (bad input, failed verification, internal trouble).
+1 for errors (bad input or usage, failed verification, internal trouble).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .certificate import (
     serialize_certificate,
     verify_certificate,
 )
-from .engine import decide
+from .engine import DEFAULT_TIMEOUT, decide
 from .graphs import GraphError, read_graph, write_graph
 from .groebner import (
     buchberger,
@@ -56,7 +56,7 @@ def _emit(text: str, output: str | None):
 
 
 def cmd_list(args) -> int:
-    rows = cat.catalog(include_sanity=True)
+    rows = cat.catalog()
     print(f"{'name':16s} {'subclass':14s} {'|Aut|':>10s}  quantum?  aut group")
     for e in rows:
         flag = "yes" if e.expected_has_qsym else "no"
@@ -74,7 +74,7 @@ def cmd_show(args) -> int:
     print(f"connected: {g.is_connected()}  "
           f"vertex-transitive: {is_vertex_transitive(g, aut)}")
     print(f"|Aut| = {aut.order}")
-    if args.format == "text" and args.output:
+    if args.output:
         _emit(write_graph(g), args.output)
     return EXIT_OK
 
@@ -83,8 +83,7 @@ def cmd_decide(args) -> int:
     g = _load_graph(args.graph)
     if args.engine == "groebner":
         return _decide_groebner(g, args)
-    verdict = decide(g, timeout=args.timeout, max_rounds=args.max_rounds,
-                     engine=args.engine)
+    verdict = decide(g, timeout=args.timeout, engine=args.engine)
     payload = {"graph": g.label or args.graph, "verdict": verdict.kind}
     if verdict.kind == "HasQuantumSymmetry":
         sigma, tau = verdict.witness
@@ -150,17 +149,15 @@ def cmd_certificate(args) -> int:
               file=sys.stderr)
         return EXIT_ERROR
     g = _load_graph(args.graph)
-    engine = args.engine if args.engine != "groebner" else "lemmas"
-    verdict = decide(g, timeout=args.timeout, max_rounds=args.max_rounds,
-                     engine=engine)
+    verdict = decide(g, timeout=args.timeout, engine=args.engine)
     if verdict.kind == "HasQuantumSymmetry":
         print(f"{g.label or args.graph} has quantum symmetries; no "
               "commutativity certificate exists (witness: "
               f"{verdict.witness[0]} and {verdict.witness[1]})")
         return EXIT_ERROR
-    if verdict.kind == "Undecided" and engine == "lemmas":
+    if verdict.kind == "Undecided" and args.engine == "lemmas":
         # the lemma engine alone could not close it; check the full pipeline
-        auto = decide(g, timeout=args.timeout, max_rounds=args.max_rounds)
+        auto = decide(g, timeout=args.timeout)
         if auto.kind == "HasQuantumSymmetry":
             print(f"{g.label or args.graph} has quantum symmetries; no "
                   "commutativity certificate exists")
@@ -212,8 +209,7 @@ def cmd_report(args) -> int:
     entries = cat.twelve_vertex_entries()
     if args.subclass:
         entries = [e for e in entries if e.subclass == args.subclass]
-    report = cat.run_report(entries, timeout=args.timeout,
-                            max_rounds=args.max_rounds)
+    report = cat.run_report(entries, timeout=args.timeout)
     if args.format == "structured":
         _emit(json.dumps(report, indent=2, default=str), args.output)
     else:
@@ -223,60 +219,61 @@ def cmd_report(args) -> int:
     return EXIT_ERROR if bad else EXIT_OK
 
 
+GRAPH = ("graph",), {"help": "catalog name or graph file path"}
+OPTIONAL_GRAPH = ("graph",), {**GRAPH[1], "nargs": "?"}
+TIMEOUT = ("--timeout",), {"type": float, "default": DEFAULT_TIMEOUT}
+MAX_DEGREE = ("--max-degree",), {"type": int, "default": None}
+MAX_STEPS = ("--max-steps",), {"type": int, "default": 200_000}
+OUTPUT = ("--output", "-o"), {"default": None}
+
+
+def _choice(flag, *choices):
+    return (flag,), {"choices": choices, "default": choices[0]}
+
+
+# name, handler, help, and the only options the handler reads
+SUBCOMMANDS = (
+    ("list", cmd_list, "print the catalog alias table", ()),
+    ("show", cmd_show, "print graph statistics; -o writes the graph file",
+     (GRAPH, OUTPUT)),
+    ("decide", cmd_decide, "decide quantum symmetry",
+     (GRAPH, _choice("--engine", "auto", "lemmas", "groebner"), TIMEOUT,
+      MAX_DEGREE, MAX_STEPS, _choice("--format", "text", "structured"),
+      OUTPUT)),
+    ("certificate", cmd_certificate,
+     "emit or verify a commutation certificate",
+     (OPTIONAL_GRAPH, _choice("--engine", "lemmas", "auto"), TIMEOUT,
+      _choice("--format", "text", "md", "latex"), OUTPUT,
+      (("--verify",), {"default": None, "metavar": "FILE",
+                       "help": "re-check a serialized certificate"}))),
+    ("groebner", cmd_groebner, "degree-capped Groebner reduction report",
+     (GRAPH, MAX_DEGREE, MAX_STEPS, OUTPUT)),
+    ("report", cmd_report, "run the full catalog",
+     (TIMEOUT, _choice("--format", "text", "structured"), OUTPUT,
+      (("--subclass",), {"default": None, "choices": cat.SUBCLASSES}))),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qsym",
         description="decide quantum symmetries of finite graphs")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, graph_required=True, graph=True):
-        if graph:
-            nargs = {} if graph_required else {"nargs": "?"}
-            p.add_argument("graph", help="catalog name or graph file path",
-                           **nargs)
-        p.add_argument("--engine", choices=("auto", "lemmas", "groebner"),
-                       default="auto")
-        p.add_argument("--timeout", type=float, default=30.0)
-        p.add_argument("--max-rounds", type=int, default=8)
-        p.add_argument("--max-degree", type=int, default=None)
-        p.add_argument("--max-steps", type=int, default=200_000)
-        p.add_argument("--format", default="text")
-        p.add_argument("--output", "-o", default=None)
-
-    p_list = sub.add_parser("list", help="print the catalog alias table")
-    p_list.set_defaults(func=cmd_list)
-
-    p_show = sub.add_parser("show", help="print graph statistics")
-    common(p_show)
-    p_show.set_defaults(func=cmd_show)
-
-    p_decide = sub.add_parser("decide", help="decide quantum symmetry")
-    common(p_decide)
-    p_decide.set_defaults(func=cmd_decide)
-
-    p_cert = sub.add_parser("certificate",
-                            help="emit or verify a commutation certificate")
-    common(p_cert, graph_required=False)
-    p_cert.add_argument("--verify", default=None, metavar="FILE",
-                        help="re-check a serialized certificate")
-    p_cert.set_defaults(func=cmd_certificate, engine="lemmas")
-
-    p_gb = sub.add_parser("groebner",
-                          help="degree-capped Groebner reduction report")
-    common(p_gb)
-    p_gb.set_defaults(func=cmd_groebner)
-
-    p_rep = sub.add_parser("report", help="run the full catalog")
-    common(p_rep, graph=False)
-    p_rep.add_argument("--subclass", default=None,
-                       choices=cat.SUBCLASSES)
-    p_rep.set_defaults(func=cmd_report)
+    for name, handler, help_text, options in SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flags, kwargs in options:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, which reads as Undecided
+        return EXIT_OK if exc.code in (0, None) else EXIT_ERROR
     try:
         return args.func(args)
     except (GraphError, ValueError, KeyError, OSError) as exc:

@@ -43,7 +43,6 @@ from .perms import (
 )
 
 DEFAULT_TIMEOUT = 30.0
-DEFAULT_MAX_ROUNDS = 8
 
 
 class EngineError(RuntimeError):
@@ -213,16 +212,16 @@ def close_under_automorphisms(kb: CommutationKB, g: Graph, aut: AutGroup):
 
 
 def lemma_fixpoint(g: Graph, aut: AutGroup | None = None,
-                   max_rounds: int = DEFAULT_MAX_ROUNDS,
                    deadline: float | None = None,
                    use_global_seeds: bool = True):
     """Saturate the lemma rules; returns (kb, closed, timed_out).
 
     Sweeps visit one base vertex per vertex orbit and its partner columns
     in ascending distance order; the orbit closure runs after each distance
-    class, matching how the written proofs interleave the two.  ``closed``
-    means every base column commutes with every column, which settles the
-    graph (no quantum symmetry).
+    class, matching how the written proofs interleave the two, until a
+    sweep adds no commute fact (each other sweep adds one of the n(n-1)/2).
+    ``closed`` means every base column commutes with every column, which
+    settles the graph (no quantum symmetry).
     """
     aut = aut or automorphism_group(g)
     kb = seed_kb(g, use_global_seeds=use_global_seeds)
@@ -230,7 +229,7 @@ def lemma_fixpoint(g: Graph, aut: AutGroup | None = None,
     close_under_automorphisms(kb, g, aut)
     d = g.distances()
 
-    for _ in range(max_rounds):
+    while True:
         added_this_round = False
         for j0 in reps:
             by_dist = {}
@@ -272,7 +271,6 @@ def _commutativity_certificate(g: Graph, aut: AutGroup, kb: CommutationKB,
 
 
 def decide(g: Graph, timeout: float = DEFAULT_TIMEOUT,
-           max_rounds: int = DEFAULT_MAX_ROUNDS,
            engine: str = "auto", aut: AutGroup | None = None):
     """Decide whether ``g`` has quantum symmetries.
 
@@ -281,17 +279,20 @@ def decide(g: Graph, timeout: float = DEFAULT_TIMEOUT,
     fixpoint; "lemmas" runs only the fixpoint.  ``aut``, if given, is
     ``automorphism_group(g)``, which the fixpoint then does not recompute.
     Returns a verdict object; Undecided is the fallback, never a wrong
-    answer, and the disjoint scan and the fixpoint both honour ``timeout``.
+    answer.  ``timeout`` is the one bound: past it, the scan, the group or
+    the fixpoint ends in ``Undecided(reason="timeout")``.
     """
     if engine not in ("auto", "lemmas"):
         raise ValueError(f"unknown engine {engine!r}")
-    deadline = time.monotonic() + timeout
+    try:
+        return _decide(g, time.monotonic() + timeout, engine, aut)
+    except DeadlineExceeded:
+        return Undecided(reason="timeout")
 
+
+def _decide(g: Graph, deadline: float, engine: str, aut: AutGroup | None):
     if engine == "auto":
-        try:
-            pair = find_disjoint_automorphisms(g, deadline=deadline)
-        except DeadlineExceeded:
-            return Undecided(reason="timeout")
+        pair = find_disjoint_automorphisms(g, deadline=deadline)
         if pair is not None:
             sigma, tau = pair
             cert = Certificate.for_graph(
@@ -313,9 +314,8 @@ def decide(g: Graph, timeout: float = DEFAULT_TIMEOUT,
         return Undecided(reason="disconnected graph without a disjoint "
                                 "automorphism pair", summary={})
 
-    aut = aut or automorphism_group(g)
-    kb, closed, timed_out = lemma_fixpoint(g, aut, max_rounds=max_rounds,
-                                           deadline=deadline)
+    aut = aut or automorphism_group(g, deadline=deadline)
+    kb, closed, timed_out = lemma_fixpoint(g, aut, deadline=deadline)
     if closed:
         reps = [orbit[0] for orbit in aut.vertex_orbits()]
         cert = _commutativity_certificate(g, aut, kb, reps)

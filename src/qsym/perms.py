@@ -4,18 +4,20 @@ Everything here is exact and deliberately unsophisticated.  One
 backtracking search, ``_extensions``, answers every automorphism query: it
 extends a partial vertex map, pruned by degree and distance profiles and by
 exact distance preservation, and yields the completions in increasing order
-of image vector.  On top of it sit an orbit-stabilizer chain built from
-existence queries (which also yields the exact group order without
-enumerating elements, so K12 with |Aut| = 12! stays cheap), and an
-exhaustive-by-construction search for a pair of non-trivial automorphisms
-with disjoint supports.  The latter decides the question exactly: it scans
-candidate supports by size, which is enough because the smaller support of
-any disjoint pair has at most n//2 vertices.  Only twin-closed subsets are
-candidates, those in which every vertex v has a twin u != v with the same
-invariants and the same distance to every vertex outside the subset.  That
-is necessary: if sigma fixes the outside pointwise and moves v to u, then
-d(x, v) = d(sigma x, sigma v) = d(x, u) for every outside x, and u, being
-moved as well, lies inside.
+of image vector; ``_moves`` runs it once per image of one more vertex.  On
+top of these sit an orbit-stabilizer chain built from existence queries
+(which also yields the exact group order without enumerating elements, so
+K12 with |Aut| = 12! stays cheap), and an exhaustive-by-construction search
+for a pair of non-trivial automorphisms with disjoint supports.  The latter
+decides the question exactly: it scans candidate supports by size, which is
+enough because the smaller support of any disjoint pair has at most n//2
+vertices.  Only twin-closed subsets are candidates, those in which every
+vertex v has a twin u != v with the same invariants and the same distance
+to every vertex outside the subset.  That is necessary: if sigma fixes the
+outside pointwise and moves v to u, then d(x, v) = d(sigma x, sigma v) =
+d(x, u) for every outside x, and u, being moved as well, lies inside.  The
+chain and the scan check a ``time.monotonic()`` deadline before every
+search.
 """
 
 from __future__ import annotations
@@ -177,6 +179,11 @@ def _fits(d, inv, pre: dict, v, a) -> bool:
     return all(dv[w] == da[b] for w, b in pre.items())
 
 
+def _check_deadline(deadline: float | None) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise DeadlineExceeded("automorphism search ran past its deadline")
+
+
 def _extensions(g: Graph, pre: dict, inv):
     """Every automorphism extending the distance-consistent partial map
     ``pre`` (see ``_fits``), in increasing order of image vector; ``inv`` is
@@ -233,9 +240,10 @@ class AutGroup:
     """Automorphism group given by generators and its exact order.
 
     The generators are the coset representatives of an orbit-stabilizer
-    chain over the vertices 1, 2, ..., so they generate the full group.
-    Element enumeration is on demand and capped: it is only feasible (and
-    only needed) for the moderate orders in the catalog.
+    chain over the vertices 1, 2, ...: those of level v fix 1..v-1 and
+    move v, and together they generate the full group.  Element
+    enumeration is on demand and capped: it is only feasible (and only
+    needed) for the moderate orders in the catalog.
     """
 
     n: int
@@ -266,52 +274,56 @@ class AutGroup:
         return orbits
 
     def elements(self, cap: int = ENUMERATION_CAP):
-        """The full element set (closure of the generators under products)."""
+        """The full element set, each element built once as a product
+        t_1 * ... * t_n along the chain, every t_v the identity or a
+        generator of level v (whose smallest moved vertex is v)."""
         if self.order > cap:
             raise CapabilityError(
                 f"group order {self.order} exceeds enumeration cap {cap}")
-        ident = Permutation.identity(self.n)
-        seen = {ident}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for gen in self.generators:
-                    q = gen * p
-                    if q not in seen:
-                        seen.add(q)
-                        nxt.append(q)
-            frontier = nxt
-        assert len(seen) == self.order, "closure does not match computed order"
+        levels = [[] for _ in range(self.n + 1)]
+        for gen in self.generators:
+            levels[gen.support()[0]].append(gen)
+        elems = [Permutation.identity(self.n)]
+        for level in levels:
+            elems += [p * t for p in elems for t in level]
+        seen = set(elems)
+        assert len(seen) == self.order, "chain products do not match the order"
         return seen
 
 
-def automorphism_group(g: Graph) -> AutGroup:
+def _moves(g: Graph, prefix: dict, v, inv, deadline: float | None = None):
+    """For each a != v in ascending order, the smallest-image-vector
+    automorphism extending ``prefix`` and v -> a, where one exists.  The
+    deadline is checked before each search (see ``_check_deadline``)."""
+    d = g.distances().d
+    for a in range(1, g.n + 1):
+        if a == v or not _fits(d, inv, prefix, v, a):
+            continue
+        _check_deadline(deadline)
+        phi = next(_extensions(g, {**prefix, v: a}, inv), None)
+        if phi is not None:
+            yield phi
+
+
+def automorphism_group(g: Graph, deadline: float | None = None) -> AutGroup:
     """Generators plus exact order via an orbit-stabilizer chain.
 
-    At level v the search asks, for each candidate image a, whether some
-    automorphism fixes 1..v-1 pointwise and maps v to a; the count of
-    successes is the orbit size of v in the pointwise stabilizer, and the
-    product over levels is the group order.  Each generator is the
-    smallest-image-vector automorphism with its prefix.
+    Level v keeps ``_moves`` with 1..v-1 fixed: for each image a != v that
+    an automorphism fixing 1..v-1 pointwise gives v, the smallest such.
+    The orbit of v in that stabilizer is v plus those images, and the
+    product of the orbit sizes is the group order.  Past ``deadline``, a
+    ``time.monotonic()`` value, the chain raises ``DeadlineExceeded``.
     """
     if g.n > 16:
         raise CapabilityError(f"n = {g.n} exceeds the supported bound 16")
     inv = _invariants(g)
-    d = g.distances().d
     order = 1
     gens = []
     prefix = {}
     for v in range(1, g.n + 1):
-        orbit_size = 1  # a = v always extends (the identity does)
-        for a in range(1, g.n + 1):
-            if a == v or not _fits(d, inv, prefix, v, a):
-                continue
-            phi = next(_extensions(g, {**prefix, v: a}, inv), None)
-            if phi is not None:
-                orbit_size += 1
-                gens.append(phi)
-        order *= orbit_size
+        level = list(_moves(g, prefix, v, inv, deadline))
+        gens += level
+        order *= 1 + len(level)  # a = v always extends (the identity does)
         prefix[v] = v
     return AutGroup(n=g.n, generators=tuple(gens), order=order)
 
@@ -362,23 +374,20 @@ def pair_orbits(g: Graph, group: AutGroup) -> PairOrbits:
 # -- disjoint automorphisms ------------------------------------------------
 
 
-def _first_nonidentity_fixing(g: Graph, fixed, inv) -> Permutation | None:
+def _first_nonidentity_fixing(g: Graph, fixed, inv,
+                              deadline=None) -> Permutation | None:
     """The non-identity automorphism fixing ``fixed`` pointwise with the
     smallest moved vertex w, then the smallest image of w, then the smallest
     image vector; None if only the identity fixes ``fixed``.  It need not
     have the smallest image vector: on C6 it is (1 2)(3 6)(4 5), not
     (2 6)(3 5)."""
-    d = g.distances().d
     base = {v: v for v in fixed}
     for w in range(1, g.n + 1):
-        if w in base:
-            continue
-        for a in range(w + 1, g.n + 1):
-            if _fits(d, inv, base, w, a):
-                phi = next(_extensions(g, {**base, w: a}, inv), None)
-                if phi is not None:
-                    return phi
-        base[w] = w  # no automorphism fixing base moves w
+        if w not in base:
+            phi = next(_moves(g, base, w, inv, deadline), None)
+            if phi is not None:
+                return phi
+            base[w] = w  # no automorphism fixing base moves w
     return None
 
 
@@ -427,11 +436,6 @@ def _twin_closed_subsets(twins, n: int, size: int):
     return extend(0, 1)
 
 
-def _check_deadline(deadline: float | None) -> None:
-    if deadline is not None and time.monotonic() > deadline:
-        raise DeadlineExceeded("disjoint-automorphism scan")
-
-
 def find_disjoint_automorphisms(g: Graph, deadline: float | None = None):
     """A pair of non-trivial automorphisms with disjoint supports, or None.
 
@@ -450,8 +454,8 @@ def find_disjoint_automorphisms(g: Graph, deadline: float | None = None):
     search still decides every candidate exactly.
 
     ``deadline`` is a ``time.monotonic()`` value, checked once per support
-    size and before each candidate's search; past it the scan raises
-    ``DeadlineExceeded``.
+    size, before each candidate's search and before each search for its
+    partner; past it the scan raises ``DeadlineExceeded``.
     """
     if g.n > 16:
         raise CapabilityError(f"n = {g.n} exceeds the supported bound 16")
@@ -467,7 +471,7 @@ def find_disjoint_automorphisms(g: Graph, deadline: float | None = None):
                           if p.support() == subset), None)
             if sigma is None:
                 continue
-            partner = _first_nonidentity_fixing(g, subset, inv)
+            partner = _first_nonidentity_fixing(g, subset, inv, deadline)
             if partner is not None:
                 return sigma, partner
     return None

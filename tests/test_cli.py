@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from qsym.cli import EXIT_ERROR, main
+from qsym.cli import EXIT_ERROR, build_parser, main
 from qsym.graphs import read_graph, write_graph
 from qsym.named import build_named
 
@@ -60,6 +60,41 @@ def test_decide_malformed_file_exit_1(capsys, tmp_path):
     bad.write_text("p 3\ne 1\n", encoding="utf-8")
     code, _, err = run(capsys, "decide", str(bad))
     assert code == 1 and "error" in err
+
+
+def test_usage_error_exit_1(capsys):
+    """argparse's own exit code 2 would read as Undecided."""
+    for argv in (("decide", "C5", "--bogus"),
+                 ("decide", "C5", "--engine", "nope"),
+                 ("decide", "C5", "--format", "xml"),
+                 ("certificate", "C5", "--engine", "groebner"),
+                 ("show", "C5", "--timeout", "1"),
+                 ("groebner", "K3", "--engine", "auto"),
+                 ("report", "--max-degree", "3")):
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_ERROR and "usage:" in err, argv
+    code, out, _ = run(capsys, "decide", "--help")
+    assert code == 0 and "--engine" in out
+
+
+def test_each_subcommand_declares_only_the_options_it_reads():
+    subparsers = next(action for action in build_parser()._actions
+                      if action.dest == "command")
+    declared = {
+        command: sorted(flag for action in p._actions
+                        for flag in action.option_strings
+                        if flag.startswith("--") and flag != "--help")
+        for command, p in subparsers.choices.items()}
+    assert declared == {
+        "list": [],
+        "show": ["--output"],
+        "decide": ["--engine", "--format", "--max-degree", "--max-steps",
+                   "--output", "--timeout"],
+        "certificate": ["--engine", "--format", "--output", "--timeout",
+                        "--verify"],
+        "groebner": ["--max-degree", "--max-steps", "--output"],
+        "report": ["--format", "--output", "--subclass", "--timeout"],
+    }
 
 
 def test_graph_file_roundtrip(tmp_path):
@@ -123,8 +158,7 @@ def test_decide_with_groebner_engine(capsys):
 
 def test_show_writes_graph_file(capsys, tmp_path):
     out_path = tmp_path / "g.txt"
-    code, _, _ = run(capsys, "show", "TruncK4", "--format", "text",
-                     "-o", str(out_path))
+    code, _, _ = run(capsys, "show", "TruncK4", "-o", str(out_path))
     assert code == 0
     back = read_graph(out_path.read_text(encoding="utf-8"))
     assert back.n == 12 and back.num_edges() == 18

@@ -248,6 +248,17 @@ def test_decide_timeout_covers_disjoint_scan(monkeypatch):
     assert v.kind == "Undecided" and v.reason == "timeout"
 
 
+def test_decide_timeout_covers_aut_group(monkeypatch):
+    """The group search itself stops at the deadline: the fixpoint never
+    runs."""
+    def later_stage(*_args, **_kwargs):
+        raise AssertionError("decide ran past the automorphism group")
+
+    monkeypatch.setattr("qsym.engine.lemma_fixpoint", later_stage)
+    v = decide(circulant(12, 2), engine="lemmas", timeout=0.0)
+    assert v.kind == "Undecided" and v.reason == "timeout"
+
+
 def test_decide_reuses_a_given_group(monkeypatch):
     g = build_named("K2xC6")
     aut = automorphism_group(g)

@@ -1,6 +1,7 @@
 """Automorphism machinery: orders, orbits, disjoint pairs, determinism."""
 
 import itertools
+import time
 
 import pytest
 
@@ -17,6 +18,7 @@ from qsym.named import (
 )
 from qsym.perms import (
     CapabilityError,
+    DeadlineExceeded,
     Permutation,
     automorphism_group,
     find_automorphism,
@@ -74,6 +76,55 @@ def test_elements_closure_matches_order():
     big = automorphism_group(complete_graph(12))
     with pytest.raises(CapabilityError):
         big.elements(cap=1000)
+
+
+def _closure(aut):
+    """Reference for ``AutGroup.elements``: close the generators under
+    products, one frontier at a time."""
+    ident = Permutation.identity(aut.n)
+    seen, frontier = {ident}, [ident]
+    while frontier:
+        frontier = [q for q in {gen * p for p in frontier
+                                for gen in aut.generators} if q not in seen]
+        seen.update(frontier)
+    return seen
+
+
+def test_elements_from_the_chain_match_the_closure():
+    for name in ("C5", "K2xC6", "C12(4,5)", "Cuboctahedron", "3C4"):
+        aut = automorphism_group(build_named(name))
+        elems = aut.elements()
+        assert elems == _closure(aut), name
+        assert len(elems) == aut.order, name
+
+
+def _reference_chain(g):
+    """The orbit-stabilizer chain's generators and order, one
+    ``find_automorphism`` query per level and image."""
+    gens, order, prefix = [], 1, {}
+    for v in g.vertices():
+        level = [find_automorphism(g, {**prefix, v: a})
+                 for a in g.vertices() if a != v]
+        level = [phi for phi in level if phi is not None]
+        gens += level
+        order *= 1 + len(level)
+        prefix[v] = v
+    return gens, order
+
+
+def test_group_without_deadline_is_the_reference_chain():
+    for entry in catalog():
+        g = entry.build()
+        aut = automorphism_group(g)
+        assert (list(aut.generators), aut.order) == _reference_chain(g), \
+            entry.name
+        far = automorphism_group(g, deadline=time.monotonic() + 3600)
+        assert far == aut, entry.name
+
+
+def test_group_past_its_deadline_raises():
+    with pytest.raises(DeadlineExceeded):
+        automorphism_group(circulant(12, 2), deadline=time.monotonic() - 1)
 
 
 def test_capability_bound():
