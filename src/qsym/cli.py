@@ -11,9 +11,11 @@ import argparse
 import json
 import os
 import sys
+import time
 
 from . import catalog as cat
 from .certificate import (
+    INJECTIVE_F,
     VERDICT_HAS,
     parse_certificate,
     render_certificate,
@@ -149,20 +151,21 @@ def cmd_certificate(args) -> int:
               file=sys.stderr)
         return EXIT_ERROR
     g = _load_graph(args.graph)
-    verdict = decide(g, timeout=args.timeout, engine=args.engine)
+    deadline = time.monotonic() + args.timeout
+    verdict = decide(g, timeout=args.timeout)
     if verdict.kind == "HasQuantumSymmetry":
         print(f"{g.label or args.graph} has quantum symmetries; no "
               "commutativity certificate exists (witness: "
               f"{verdict.witness[0]} and {verdict.witness[1]})")
         return EXIT_ERROR
-    if verdict.kind == "Undecided" and args.engine == "lemmas":
-        # the lemma engine alone could not close it; check the full pipeline
-        auto = decide(g, timeout=args.timeout)
-        if auto.kind == "HasQuantumSymmetry":
-            print(f"{g.label or args.graph} has quantum symmetries; no "
-                  "commutativity certificate exists")
-            return EXIT_ERROR
-        verdict = auto if auto.kind != "Undecided" else verdict
+    if args.engine == "lemmas" and verdict.kind == "NoQuantumSymmetry" \
+            and verdict.certificate.steps[0].kind == INJECTIVE_F:
+        # the criterion settled it before the lemmas ran: try them in the
+        # time left, and keep the criterion's proof if they stay open
+        lemmas = decide(g, timeout=max(0.0, deadline - time.monotonic()),
+                        engine="lemmas")
+        if lemmas.kind == "NoQuantumSymmetry":
+            verdict = lemmas
     if verdict.kind == "Undecided":
         print(f"{g.label or args.graph}: Undecided ({verdict.reason}); "
               "nothing to certify")

@@ -88,7 +88,8 @@ class SemicirculantSpec:
 class Graph:
     """Immutable simple undirected graph on vertices 1..n."""
 
-    __slots__ = ("n", "rows", "label", "circulant", "_dist", "_hash")
+    __slots__ = ("n", "rows", "label", "circulant", "_dist", "_colours",
+                 "_hash")
 
     def __init__(self, n, edges, label="", circulant=None):
         if n < 1:
@@ -106,6 +107,7 @@ class Graph:
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "circulant", circulant)
         object.__setattr__(self, "_dist", None)
+        object.__setattr__(self, "_colours", None)
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
@@ -182,6 +184,25 @@ class Graph:
         dm = DistanceMatrix(n, tuple(tuple(row) for row in d))
         object.__setattr__(self, "_dist", dm)
         return dm
+
+    def pair_colours(self) -> tuple:
+        """c[x][y], 1-based: a small int per class of the ordered pair's
+        (distance, number of common neighbours), so c[x][x] also encodes
+        the degree of x.  Every automorphism preserves both components, so
+        it preserves the colour; and the colour refines distance."""
+        if self._colours is not None:
+            return self._colours
+        d, rows, n = self.distances().d, self.rows, self.n
+        ids = {}
+        c = [[-1] * (n + 1) for _ in range(n + 1)]
+        for x in self.vertices():
+            dx, cx, rx = d[x], c[x], rows[x]
+            for y in range(x, n + 1):
+                key = (dx[y], (rx & rows[y]).bit_count())
+                cx[y] = c[y][x] = ids.setdefault(key, len(ids))
+        colours = tuple(map(tuple, c))
+        object.__setattr__(self, "_colours", colours)
+        return colours
 
     def dist(self, i, j):
         return self.distances().d[i][j]

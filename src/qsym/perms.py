@@ -2,9 +2,14 @@
 
 Everything here is exact and deliberately unsophisticated.  One
 backtracking search, ``_extensions``, answers every automorphism query: it
-extends a partial vertex map, pruned by degree and distance profiles and by
-exact distance preservation, and yields the completions in increasing order
-of image vector; ``_moves`` runs it once per image of one more vertex.  On
+extends a partial vertex map, pruned by each vertex's profile of pair
+colours and by exact preservation of the pair colour (distance, common
+neighbours) from ``Graph.pair_colours``, and yields the completions in
+increasing order of image vector; ``_moves`` runs it once per image of one
+more vertex.  The pruning is sound because an automorphism preserves
+distances and maps the common neighbours of x and y onto those of their
+images, so it preserves both components; it only cuts branches that hold
+no automorphism, and the order in which the rest are visited is fixed.  On
 top of these sit an orbit-stabilizer chain built from existence queries
 (which also yields the exact group order without enumerating elements, so
 K12 with |Aut| = 12! stays cheap), and an exhaustive-by-construction search
@@ -12,12 +17,12 @@ for a pair of non-trivial automorphisms with disjoint supports.  The latter
 decides the question exactly: it scans candidate supports by size, which is
 enough because the smaller support of any disjoint pair has at most n//2
 vertices.  Only twin-closed subsets are candidates, those in which every
-vertex v has a twin u != v with the same invariants and the same distance
-to every vertex outside the subset.  That is necessary: if sigma fixes the
-outside pointwise and moves v to u, then d(x, v) = d(sigma x, sigma v) =
-d(x, u) for every outside x, and u, being moved as well, lies inside.  The
-chain and the scan check a ``time.monotonic()`` deadline before every
-search.
+vertex v has a twin u != v with the same invariants and the same pair
+colour with every vertex outside the subset.  That is necessary: if sigma
+fixes the outside pointwise and moves v to u, then c(x, v) =
+c(sigma x, sigma v) = c(x, u) for every outside x, and u, being moved as
+well, lies inside.  The chain and the scan check a ``time.monotonic()``
+deadline before every search.
 """
 
 from __future__ import annotations
@@ -162,21 +167,22 @@ def is_automorphism(g: Graph, perm: Permutation) -> bool:
 
 
 def _invariants(g: Graph):
-    d = g.distances()
-    inv = [None] * (g.n + 1)
-    for v in range(1, g.n + 1):
-        inv[v] = (g.degree(v), tuple(sorted(d.d[v][1:], key=str)))
-    return inv
+    """inv[v]: v's sorted row of pair colours, its degree included (the
+    diagonal colour carries it); an automorphism maps v only to a vertex
+    with the same row."""
+    return [None] + [tuple(sorted(row[1:])) for row in g.pair_colours()[1:]]
 
 
-def _fits(d, inv, pre: dict, v, a) -> bool:
-    """Whether v -> a keeps v's invariants and its distances to the pairs of
-    ``pre``.  A partial map is distance-consistent when each of its own
-    pairs fits it; that makes it injective, as d(v,w) > 0 = d(a,a)."""
+def _fits(c, inv, pre: dict, v, a) -> bool:
+    """Whether v -> a keeps v's invariants and its pair colours (distance,
+    common neighbours) to the pairs of ``pre``, c being
+    ``g.pair_colours()``.  Sound, as every automorphism preserves both.  A
+    partial map is colour-consistent when each of its own pairs fits it;
+    that makes it injective, as c(v,w) has d(v,w) > 0 = d(a,a)."""
     if inv[v] != inv[a]:
         return False
-    dv, da = d[v], d[a]
-    return all(dv[w] == da[b] for w, b in pre.items())
+    cv, ca = c[v], c[a]
+    return all(cv[w] == ca[b] for w, b in pre.items())
 
 
 def _check_deadline(deadline: float | None) -> None:
@@ -185,13 +191,13 @@ def _check_deadline(deadline: float | None) -> None:
 
 
 def _extensions(g: Graph, pre: dict, inv):
-    """Every automorphism extending the distance-consistent partial map
+    """Every automorphism extending the colour-consistent partial map
     ``pre`` (see ``_fits``), in increasing order of image vector; ``inv`` is
     ``_invariants(g)``.  Unassigned vertices are visited in the order 1..n
     and their images tried in ascending order, so the first value is the
     lexicographically smallest completion."""
     n = g.n
-    d = g.distances().d
+    c = g.pair_colours()
     assigned = dict(pre)
     used = set(assigned.values())
     todo = [v for v in range(1, n + 1) if v not in assigned]
@@ -202,13 +208,13 @@ def _extensions(g: Graph, pre: dict, inv):
                 (0, *map(assigned.__getitem__, range(1, n + 1))))
             return
         v = todo[pos]
-        dv, iv = d[v], inv[v]
+        cv, iv = c[v], inv[v]
         for a in range(1, n + 1):
             if a in used or inv[a] != iv:
                 continue
-            da = d[a]
+            ca = c[a]
             for w, b in assigned.items():
-                if dv[w] != da[b]:
+                if cv[w] != ca[b]:
                     break
             else:
                 assigned[v] = a
@@ -225,9 +231,9 @@ def find_automorphism(g: Graph, pre: dict) -> Permutation | None:
     partial map ``pre``, or None; ``ValueError`` if ``pre`` leaves 1..n."""
     if not all(1 <= x <= g.n for x in (*pre, *pre.values())):
         raise ValueError(f"partial map {pre} leaves 1..{g.n}")
-    d = g.distances().d
+    c = g.pair_colours()
     inv = _invariants(g)
-    if not all(_fits(d, inv, pre, v, a) for v, a in pre.items()):
+    if not all(_fits(c, inv, pre, v, a) for v, a in pre.items()):
         return None
     return next(_extensions(g, pre, inv), None)
 
@@ -295,9 +301,9 @@ def _moves(g: Graph, prefix: dict, v, inv, deadline: float | None = None):
     """For each a != v in ascending order, the smallest-image-vector
     automorphism extending ``prefix`` and v -> a, where one exists.  The
     deadline is checked before each search (see ``_check_deadline``)."""
-    d = g.distances().d
+    c = g.pair_colours()
     for a in range(1, g.n + 1):
-        if a == v or not _fits(d, inv, prefix, v, a):
+        if a == v or not _fits(c, inv, prefix, v, a):
             continue
         _check_deadline(deadline)
         phi = next(_extensions(g, {**prefix, v: a}, inv), None)
@@ -393,14 +399,15 @@ def _first_nonidentity_fixing(g: Graph, fixed, inv,
 
 def _twin_masks(g: Graph, inv):
     """twins[v]: for each u != v with v's invariants, the bitmask of the
-    vertices whose distances to v and to u differ, v and u among them."""
-    d = g.distances().d
+    vertices whose pair colours (distance, common neighbours) with v and
+    with u differ, v and u among them."""
+    c = g.pair_colours()
     vertices = g.vertices()
     twins = [()] * (g.n + 1)
     for v in vertices:
-        dv = d[v]
+        cv = c[v]
         twins[v] = tuple(
-            sum(1 << x for x in vertices if dv[x] != d[u][x])
+            sum(1 << x for x in vertices if cv[x] != c[u][x])
             for u in vertices if u != v and inv[u] == inv[v])
     return twins
 
@@ -448,9 +455,10 @@ def find_disjoint_automorphisms(g: Graph, deadline: float | None = None):
     ``_first_nonidentity_fixing``'s, so the result is deterministic.
 
     Only twin-closed subsets reach the search: each v in A needs a twin
-    u in A, u != v, with v's invariants and d(x, v) = d(x, u) for all x
-    outside A.  An automorphism with support exactly A passes u = sigma(v),
-    as d(x, v) = d(sigma x, sigma v) = d(x, u) when sigma fixes x.  The
+    u in A, u != v, with v's invariants and the same pair colour
+    (distance, common neighbours) c(x, v) = c(x, u) for all x outside A.
+    An automorphism with support exactly A passes u = sigma(v), as
+    c(x, v) = c(sigma x, sigma v) = c(x, u) when sigma fixes x.  The
     search still decides every candidate exactly.
 
     ``deadline`` is a ``time.monotonic()`` value, checked once per support

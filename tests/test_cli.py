@@ -4,9 +4,10 @@ import json
 
 import pytest
 
+import qsym.engine
 from qsym.cli import EXIT_ERROR, build_parser, main
 from qsym.graphs import read_graph, write_graph
-from qsym.named import build_named
+from qsym.named import build_named, circulant
 
 
 def run(capsys, *argv):
@@ -138,6 +139,39 @@ def test_certificate_refuses_quantum_graph(capsys):
     code, out, _ = run(capsys, "certificate", "C12(5)")
     assert code == 1
     assert "no commutativity certificate" in out
+
+
+def _count_calls(monkeypatch, module, *names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_certificate_runs_the_pipeline_once(capsys, monkeypatch):
+    calls = _count_calls(monkeypatch, qsym.engine,
+                         "lemma_fixpoint", "automorphism_group")
+    code, out, _ = run(capsys, "certificate", "Petersen")
+    assert code == 2 and "Undecided" in out
+    assert calls == {"lemma_fixpoint": 1, "automorphism_group": 1}
+
+
+def test_certificate_prefers_lemmas_over_the_criterion(capsys, monkeypatch):
+    """Where the cosine criterion decides, the lemmas still get their try
+    and their proof is printed; where they stay open the criterion's is."""
+    code, out, _ = run(capsys, "certificate", "C5")
+    assert code == 0 and "INJECTIVE_F" not in out and "CHOOSE_Q" in out
+    code, out, _ = run(capsys, "certificate", "C5", "--engine", "auto")
+    assert code == 0 and "step INJECTIVE_F" in out
+    monkeypatch.setattr("qsym.cli._load_graph",
+                        lambda _source: circulant(10, 2, 3))
+    calls = _count_calls(monkeypatch, qsym.engine, "lemma_fixpoint")
+    code, out, _ = run(capsys, "certificate", "C10(2,3)")
+    assert code == 0 and "step INJECTIVE_F" in out
+    assert calls == {"lemma_fixpoint": 1}
 
 
 def test_certificate_latex_matches_worked_example(capsys):

@@ -1,5 +1,7 @@
 """Lemma engine: seeding, the four kill rules, fixpoint behaviour, decide."""
 
+import time
+
 import pytest
 
 import qsym.certificate as cm
@@ -25,7 +27,7 @@ from qsym.named import (
     cycle_graph,
     truncated_tetrahedron,
 )
-from qsym.perms import automorphism_group, pair_orbits
+from qsym.perms import DeadlineExceeded, automorphism_group, pair_orbits
 
 
 def _pairs_with(kb, kind, **match):
@@ -257,6 +259,21 @@ def test_decide_timeout_covers_aut_group(monkeypatch):
     monkeypatch.setattr("qsym.engine.lemma_fixpoint", later_stage)
     v = decide(circulant(12, 2), engine="lemmas", timeout=0.0)
     assert v.kind == "Undecided" and v.reason == "timeout"
+
+
+def test_lemma_fixpoint_bounds_the_group_by_its_deadline(monkeypatch):
+    seen = []
+
+    def spy(g, deadline=None):
+        seen.append(deadline)
+        return automorphism_group(g, deadline=deadline)
+
+    monkeypatch.setattr("qsym.engine.automorphism_group", spy)
+    deadline = time.monotonic() + 3600
+    _, closed, _ = lemma_fixpoint(build_named("K2xC6"), deadline=deadline)
+    assert closed and seen == [deadline]
+    with pytest.raises(DeadlineExceeded):
+        lemma_fixpoint(circulant(12, 2), deadline=time.monotonic() - 1)
 
 
 def test_decide_reuses_a_given_group(monkeypatch):

@@ -1,5 +1,6 @@
 """Automorphism machinery: orders, orbits, disjoint pairs, determinism."""
 
+import hashlib
 import itertools
 import time
 
@@ -28,6 +29,7 @@ from qsym.perms import (
     pair_orbits,
     parse_cycles,
 )
+from util import floyd_warshall
 
 
 def test_permutation_basics():
@@ -125,6 +127,52 @@ def test_group_without_deadline_is_the_reference_chain():
 def test_group_past_its_deadline_raises():
     with pytest.raises(DeadlineExceeded):
         automorphism_group(circulant(12, 2), deadline=time.monotonic() - 1)
+
+
+def _circulants(top=16):
+    """Every circulant C_n(S), 5 <= n <= top: 378 graphs for top = 16."""
+    return [circulant(n, *chords)
+            for n in range(5, top + 1)
+            for k in range(n // 2)
+            for chords in itertools.combinations(range(2, n // 2 + 1), k)]
+
+
+# SHA-256 over (name, order, generators) of all 378 circulants, as found
+# by the distance-pruned search that the pair colouring replaced.
+CIRCULANT_GROUPS_SHA256 = \
+    "32820b3c9bf516dfb0b54e42ce4c50ccc03b7cbe1743c3eb9b49179ec66e89fa"
+
+
+def test_circulant_groups_are_pinned():
+    """Pruning may only cut dead branches: every generator, in its order,
+    is the one the distance-pruned chain found."""
+    graphs = _circulants()
+    assert len(graphs) == 378
+    digest = hashlib.sha256()
+    for g in graphs:
+        aut = automorphism_group(g)
+        digest.update(repr((g.label, aut.order,
+                            tuple(map(str, aut.generators)))).encode() + b"\n")
+    assert digest.hexdigest() == CIRCULANT_GROUPS_SHA256
+
+
+def test_pair_colours_are_invariant_and_refine_distance():
+    """c(x, y) names exactly the class of (d(x, y), |N(x) & N(y)|), and
+    every generator keeps it: c(sigma x, sigma y) = c(x, y)."""
+    graphs = _circulants() + [e.build() for e in catalog()]
+    graphs.append(disjoint_copies(path_graph(3), 2))
+    for g in graphs:
+        c, vertices, d = g.pair_colours(), g.vertices(), floyd_warshall(g)
+        pairs = [(x, y) for x in vertices for y in vertices]
+        nbrs = {v: set(g.neighbours(v)) for v in vertices}
+        key = {(x, y): (d[x][y], len(nbrs[x] & nbrs[y])) for x, y in pairs}
+        classes = {}
+        for pair in pairs:
+            classes.setdefault(c[pair[0]][pair[1]], set()).add(key[pair])
+        assert all(len(keys) == 1 for keys in classes.values()), g
+        assert len(classes) == len(set(key.values())), g
+        for gen in automorphism_group(g).generators:
+            assert all(c[gen(x)][gen(y)] == c[x][y] for x, y in pairs), g
 
 
 def test_capability_bound():
@@ -277,11 +325,7 @@ def test_disjoint_pair_is_the_oracle_pair():
     """String-exact against the enumerated group on every circulant
     C_n(S), 5 <= n <= 12, and every catalog graph, whose group order is at
     most 5000: the scan's pruning must not move the tie-break."""
-    graphs = [circulant(n, *chords)
-              for n in range(5, 13)
-              for k in range(n // 2)
-              for chords in itertools.combinations(range(2, n // 2 + 1), k)]
-    graphs += [e.build() for e in catalog()]
+    graphs = _circulants(12) + [e.build() for e in catalog()]
     # The 3-cube less two parallel edges: its group Z2 x Z2 moves all 8
     # vertices, so in two copies three witnesses share the smallest support
     # and the image-vector tie-break decides between them.
