@@ -320,21 +320,36 @@ def _choose_q_right(g, kb, j, l, q, survivors):
         return "survivor set mismatch"
 
 
-def _choose_q_middle(g, kb, j, l, p, q):
-    """q kills u_ij u_kl u_ip when d(j,q) != d(q,p) and l is the only
-    vertex at distance d(l,q) from q, d(j,l) from j and d(p,l) from p."""
+def middle_ring(g, j, l, p):
+    """The vertices at distance d(j,l) from both j and p, l among them, or
+    None when p is no candidate for the middle rule on (j,l).  The ring
+    does not depend on q, so a search over q builds it once."""
     d = g.distances().d
-    dj, dp, dq = d[j], d[p], d[q]
+    dj, dp = d[j], d[p]
     m = dj[l]
     if m == math.inf or dp[l] != m or p == j:
-        return "bad p for the middle rule on (j,l)"
+        return None
+    return [x for x in g.vertices() if dj[x] == m and dp[x] == m]
+
+
+def middle_q_fails(g, ring, j, l, p, q):
+    """Why q cannot kill u_ij u_kl u_ip by the middle rule, given
+    ``ring = middle_ring(g, j, l, p)``; None when it can."""
+    dq = g.distances().d[q]
     if dq[j] == dq[p]:
         return "q does not separate j from p"
     s_dist = dq[l]
-    hits = [x for x in g.vertices()
-            if dq[x] == s_dist and dj[x] == m and dp[x] == m]
-    if hits != [l]:
+    if [x for x in ring if dq[x] == s_dist] != [l]:
         return "l not unique for the middle rule"
+
+
+def _choose_q_middle(g, kb, j, l, p, q):
+    """q kills u_ij u_kl u_ip when d(j,q) != d(q,p) and l is the only
+    vertex at distance d(l,q) from q, d(j,l) from j and d(p,l) from p."""
+    ring = middle_ring(g, j, l, p)
+    if ring is None:
+        return "bad p for the middle rule on (j,l)"
+    return middle_q_fails(g, ring, j, l, p, q)
 
 
 def _cn_mismatch(g, kb, j, l, p, triangle=False):

@@ -114,15 +114,24 @@ def cmd_decide(args) -> int:
     return EXIT_UNDECIDED if verdict.kind == "Undecided" else EXIT_OK
 
 
-def _decide_groebner(g, args) -> int:
+def _complete(g, args, deadline=None):
+    """(relations, degree cap, partial basis, column-pair report) for the
+    --max-degree and --max-steps options, completion bounded by deadline."""
     cap = args.max_degree if args.max_degree is not None \
         else default_degree_cap(g.n)
-    gb = buchberger(quantum_relations(g), max_degree=cap,
-                    max_steps=args.max_steps)
-    pairs = commutation_report(g, gb)
+    rels = quantum_relations(g)
+    gb = buchberger(rels, max_degree=cap, max_steps=args.max_steps,
+                    deadline=deadline)
+    return rels, cap, gb, commutation_report(g, gb)
+
+
+def _decide_groebner(g, args) -> int:
+    _, _, gb, pairs = _complete(g, args,
+                                deadline=time.monotonic() + args.timeout)
     open_pairs = [p for p, ok in pairs.items() if not ok]
     print(f"{g.label or args.graph}: basis {len(gb.basis)}, complete to "
-          f"degree {gb.complete_up_to_degree}, exhausted {gb.exhausted}")
+          f"degree {gb.complete_up_to_degree}, exhausted {gb.exhausted}, "
+          f"truncated {gb.truncated}")
     if not open_pairs:
         print("all generator columns provably commute: the algebra is "
               "commutative, hence NoQuantumSymmetry")
@@ -180,11 +189,7 @@ def cmd_certificate(args) -> int:
 
 def cmd_groebner(args) -> int:
     g = _load_graph(args.graph)
-    cap = args.max_degree if args.max_degree is not None \
-        else default_degree_cap(g.n)
-    rels = quantum_relations(g)
-    gb = buchberger(rels, max_degree=cap, max_steps=args.max_steps)
-    pairs = commutation_report(g, gb)
+    rels, cap, gb, pairs = _complete(g, args)
     commuting = sorted(p for p, ok in pairs.items() if ok)
     lines = [
         f"graph: {g.label or args.graph} (n={g.n})",

@@ -140,9 +140,12 @@ def reduce_candidates(kb: CommutationKB, g: Graph, j, l):
 
 def kill_choose_q_middle(g: Graph, j, l, p):
     """Smallest q for which the middle rule kills u_ij u_kl u_ip, if any."""
-    check = cert_mod.RULES[cert_mod.CHOOSE_Q_MIDDLE].check
+    ring = cert_mod.middle_ring(g, j, l, p)
+    if ring is None:
+        return None
     return next((q for q in g.vertices()
-                 if check(g, None, j, l, p, q) is None), None)
+                 if cert_mod.middle_q_fails(g, ring, j, l, p, q) is None),
+                None)
 
 
 def kill_cn_mismatch(g: Graph, j, l, p) -> bool:

@@ -37,9 +37,13 @@ def find_subword(haystack: Word, needle: Word) -> int:
 
 
 class NcPoly:
-    """Immutable sparse noncommutative polynomial."""
+    """Immutable sparse noncommutative polynomial.
 
-    __slots__ = ("terms",)
+    The leading monomial is computed on first use and cached; nothing may
+    mutate ``terms`` after construction.
+    """
+
+    __slots__ = ("terms", "_lm")
 
     def __init__(self, terms=None):
         clean = {}
@@ -48,6 +52,7 @@ class NcPoly:
             if c:
                 clean[tuple(word)] = c
         object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_lm", None)
 
     # constructors
     @staticmethod
@@ -80,9 +85,11 @@ class NcPoly:
 
     def lm(self) -> Word:
         """Leading monomial under deglex (undefined for the zero polynomial)."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=deglex_key)
+        if self._lm is None:
+            if not self.terms:
+                raise ValueError("zero polynomial has no leading monomial")
+            object.__setattr__(self, "_lm", max(self.terms, key=deglex_key))
+        return self._lm
 
     def lc(self) -> Fraction:
         return self.terms[self.lm()]

@@ -20,7 +20,9 @@ are discarded and recorded, which is what bounds the computation.
 
 from __future__ import annotations
 
+import bisect
 import heapq
+import time
 from dataclasses import dataclass, field
 
 from .freealg import NcPoly, Word, deglex_key, find_subword
@@ -106,7 +108,7 @@ class PartialGB:
     between basis elements has a zero-reducing S-polynomial; reductions to
     zero are proofs of ideal membership regardless of D.  ``exhausted``
     means no ambiguity of any degree remains (a full Groebner basis);
-    ``truncated`` means the step cap was hit.
+    ``truncated`` means the step cap or the deadline was hit.
     """
 
     basis: list
@@ -121,26 +123,58 @@ class PartialGB:
         return [p.lm() for p in self.basis]
 
 
+def _int_coeffs(items) -> list:
+    """(word, coeff) pairs with each integral Fraction turned into an int,
+    so the reduction loop does plain integer arithmetic where it can."""
+    return [(w, c.numerator if c.denominator == 1 else c) for w, c in items]
+
+
 class ReducerIndex:
     """Active monic reducers indexed by the first letter of their leading
-    monomial, so subword searches touch only plausible candidates."""
+    monomial, so subword searches touch only plausible candidates.
+
+    Each bucket lists its slots in ascending order, and ``find_reducer``
+    takes the first match, so the slot order decides which reducer wins.
+    Per slot the index keeps the polynomial, its leading monomial and,
+    while the slot is active, its tail: the other terms as (word, coeff)
+    pairs, integral coefficients as ints.
+    """
 
     def __init__(self, polys=()):
         self.polys: list = []
+        self.lms: list = []
+        self.tails: list = []
         self.alive: list = []
         self.buckets: dict = {}
         for p in polys:
             self.add(p)
 
+    def _store(self, idx: int, p: NcPoly):
+        lm = p.lm()
+        self.polys[idx] = p
+        self.lms[idx] = lm
+        self.tails[idx] = _int_coeffs((w, c) for w, c in p.terms.items()
+                                      if w != lm)
+        self.alive[idx] = True
+
     def add(self, p: NcPoly) -> int:
         idx = len(self.polys)
-        self.polys.append(p)
-        self.alive.append(True)
-        self.buckets.setdefault(p.lm()[0], []).append(idx)
+        for column in (self.polys, self.lms, self.tails, self.alive):
+            column.append(None)
+        self._store(idx, p)
+        self.buckets.setdefault(self.lms[idx][0], []).append(idx)
         return idx
+
+    def replace(self, idx: int, p: NcPoly):
+        """Put p into slot idx and make it active; the slot keeps its place
+        in the order of its (possibly new) bucket."""
+        self.buckets[self.lms[idx][0]].remove(idx)
+        self._store(idx, p)
+        bisect.insort(self.buckets.setdefault(self.lms[idx][0], []), idx)
 
     def deactivate(self, idx: int):
         self.alive[idx] = False
+        self.tails[idx] = None
 
     def active(self):
         return [p for p, a in zip(self.polys, self.alive) if a]
@@ -152,7 +186,7 @@ class ReducerIndex:
             for idx in self.buckets.get(letter, ()):
                 if not self.alive[idx]:
                     continue
-                lm = self.polys[idx].lm()
+                lm = self.lms[idx]
                 if word[pos:pos + len(lm)] == lm:
                     return idx, pos
         return None
@@ -162,14 +196,14 @@ class ReducerIndex:
             for idx in self.buckets.get(letter, ()):
                 if not self.alive[idx] or idx in exclude:
                     continue
-                lm = self.polys[idx].lm()
+                lm = self.lms[idx]
                 if word[pos:pos + len(lm)] == lm:
                     return True
         return False
 
 
 def _reduce_with_index(p: NcPoly, index: ReducerIndex) -> NcPoly:
-    terms = dict(p.terms)
+    terms = dict(_int_coeffs(p.terms.items()))
     # rewriting a word only creates deglex-smaller words, so one descending
     # pass over a lazy worklist visits every word that ever needs attention
     work = []
@@ -187,13 +221,9 @@ def _reduce_with_index(p: NcPoly, index: ReducerIndex) -> NcPoly:
         if hit is None:
             continue
         bi, pos = hit
-        b = index.polys[bi]
-        lm = b.lm()
         del terms[word]
-        left, right = word[:pos], word[pos + len(lm):]
-        for w, c in b.terms.items():
-            if w == lm:
-                continue
+        left, right = word[:pos], word[pos + len(index.lms[bi]):]
+        for w, c in index.tails[bi]:
             key = left + w + right
             val = terms.get(key, 0) - coeff * c
             if val:
@@ -239,29 +269,35 @@ def _interreduce(polys) -> list:
         changed = False
         # ascending leading monomials: small reducers first
         current.sort(key=lambda p: deglex_key(p.lm()))
-        nxt = []
+        # while current[idx] is reduced, slot k < idx holds the reduced
+        # current[k] (inactive if it reduced to zero) and slot k > idx the
+        # original, so reducers are tried earlier elements first
+        index = ReducerIndex(current)
         for idx, p in enumerate(current):
-            others = ReducerIndex(nxt + current[idx + 1:])
-            r = _reduce_with_index(p, others)
+            index.deactivate(idx)
+            r = _reduce_with_index(p, index)
             if r.is_zero:
                 changed = True
                 continue
             r = r.monic()
             if r != p:
                 changed = True
-            nxt.append(r)
-        current = nxt
+            index.replace(idx, r)
+        current = index.active()
     return current
 
 
-def buchberger(gens, max_degree: int, max_steps: int = 200_000) -> PartialGB:
+def buchberger(gens, max_degree: int, max_steps: int = 200_000,
+               deadline: float | None = None) -> PartialGB:
     """Degree-capped completion of the two-sided ideal generated by gens.
 
     Pending ambiguities are processed by (degree, ambiguity word); those
     whose word exceeds ``max_degree`` are discarded and counted.  Redundant
     obstructions whose ambiguity word strictly contains a third leading
     monomial are skipped.  Stops early after ``max_steps`` S-polynomial
-    reductions and reports the highest fully processed degree.
+    reductions, or once ``time.monotonic()`` passes ``deadline`` (checked
+    before each pending ambiguity), and then reports the result as
+    truncated, complete only up to the highest fully processed degree.
     """
     gens = [g for g in gens if not g.is_zero]
     if not gens:
@@ -278,14 +314,14 @@ def buchberger(gens, max_degree: int, max_steps: int = 200_000) -> PartialGB:
 
     def push_obstructions(new_idx):
         nonlocal discarded, counter
-        new_lm = index.polys[new_idx].lm()
+        new_lm = index.lms[new_idx]
         for other in range(len(index.polys)):
             if not index.alive[other]:
                 continue
             if other == new_idx:
                 pair = overlaps(new_lm, new_lm, i=new_idx, j=new_idx)
             else:
-                pair = overlaps(index.polys[other].lm(), new_lm,
+                pair = overlaps(index.lms[other], new_lm,
                                 i=other, j=new_idx)
             for ob in pair:
                 if ob.degree() > max_degree:
@@ -305,7 +341,7 @@ def buchberger(gens, max_degree: int, max_steps: int = 200_000) -> PartialGB:
         for k in range(new_idx):
             if not index.alive[k]:
                 continue
-            if find_subword(index.polys[k].lm(), lm_h) >= 0:
+            if find_subword(index.lms[k], lm_h) >= 0:
                 index.deactivate(k)
                 leftover = _reduce_with_index(index.polys[k], index)
                 if not leftover.is_zero:
@@ -315,7 +351,8 @@ def buchberger(gens, max_degree: int, max_steps: int = 200_000) -> PartialGB:
     steps = 0
     truncated = False
     while heap:
-        if steps >= max_steps:
+        if steps >= max_steps or (deadline is not None
+                                  and time.monotonic() > deadline):
             truncated = True
             break
         deg, _word, _cnt, ob = heapq.heappop(heap)

@@ -190,6 +190,12 @@ def test_decide_with_groebner_engine(capsys):
     assert code == 2 and "not settled" in out
 
 
+def test_decide_with_groebner_engine_honours_timeout(capsys):
+    code, out, _ = run(capsys, "decide", "C5", "--engine", "groebner",
+                       "--max-degree", "3", "--timeout", "0")
+    assert code == 2 and "truncated True" in out
+
+
 def test_show_writes_graph_file(capsys, tmp_path):
     out_path = tmp_path / "g.txt"
     code, _, _ = run(capsys, "show", "TruncK4", "-o", str(out_path))

@@ -1,7 +1,9 @@
 """Buchberger procedure: ambiguities, truncation semantics, cross-oracles."""
 
+import hashlib
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,8 +11,11 @@ import pytest
 from qsym.freealg import NcPoly, deglex_key
 from qsym.groebner import (
     GroebnerError,
+    ReducerIndex,
+    _interreduce,
     buchberger,
     column_pair_commutes,
+    commutation_report,
     commutator,
     commutator_reduces,
     default_degree_cap,
@@ -21,6 +26,7 @@ from qsym.groebner import (
 )
 from qsym.named import (
     build_named,
+    circulant,
     complete_graph,
     cycle_graph,
     edgeless_graph,
@@ -174,6 +180,155 @@ def test_max_steps_truncation_is_reported():
                     max_steps=5)
     assert gb.truncated
     assert gb.complete_up_to_degree <= 6 and not gb.exhausted
+
+
+def test_past_deadline_truncates_before_any_step():
+    start = time.monotonic()
+    gb = buchberger(quantum_relations(cycle_graph(5)), max_degree=3,
+                    deadline=start - 1)
+    assert time.monotonic() - start < 1.0
+    assert gb.truncated and gb.steps == 0 and not gb.exhausted
+    # degree-3 ambiguities are still pending, so completeness stops below
+    assert gb.complete_up_to_degree == 2
+
+
+# SHA-256 of the bases, completion statistics and commuting column pairs of
+# six inputs, as the straightforward completion (leading monomial recomputed
+# on every call, a fresh reducer index per inter-reduced element) gave them
+GROEBNER_OUTPUTS_SHA256 = (
+    "09a14852b9c4f3ec91e75fabf5d4f7bf2c4e132e6a05ed0f41cc15e65cc7f811")
+
+
+def test_groebner_outputs_are_pinned():
+    digest = hashlib.sha256()
+    for name, g, cap in (("K3", complete_graph(3), 4),
+                         ("C4", cycle_graph(4), 4),
+                         ("K4", complete_graph(4), 3),
+                         ("C6", cycle_graph(6), 3),
+                         ("C8(4)", circulant(8, 4), 3),
+                         ("edgeless(3)", edgeless_graph(3), 4)):
+        gb = buchberger(quantum_relations(g), max_degree=cap)
+        commuting = sorted(p for p, ok in commutation_report(g, gb).items()
+                           if ok)
+        digest.update(repr((name, cap, [str(p) for p in gb.basis], gb.steps,
+                            gb.complete_up_to_degree, gb.exhausted,
+                            gb.truncated, gb.discarded_over_cap,
+                            commuting)).encode() + b"\n")
+    assert digest.hexdigest() == GROEBNER_OUTPUTS_SHA256
+
+
+def _ref_lm(p):
+    return max(p.terms, key=deglex_key)
+
+
+def _ref_reduce(p, reducers):
+    """Rewrite the deglex-largest reducible word first, by the monic reducer
+    whose leading monomial occurs leftmost in it, the earliest listed one
+    among those at that offset."""
+    pairs = [(_ref_lm(b), b) for b in reducers]
+    terms = dict(p.terms)
+    while True:
+        hit = None
+        for word in sorted(terms, key=deglex_key, reverse=True):
+            hit = next(((word, pos, lm, b) for pos in range(len(word))
+                        for lm, b in pairs
+                        if word[pos:pos + len(lm)] == lm), None)
+            if hit is not None:
+                break
+        if hit is None:
+            return NcPoly(terms)
+        word, pos, lm, b = hit
+        coeff = terms.pop(word)
+        left, right = word[:pos], word[pos + len(lm):]
+        for w, c in b.terms.items():
+            if w != lm:
+                key = left + w + right
+                terms[key] = terms.get(key, 0) - coeff * c
+                if not terms[key]:
+                    del terms[key]
+
+
+def _ref_interreduce(polys):
+    """Inter-reduction with a fresh reducer list per element: the already
+    reduced elements, then the ones not reached yet."""
+    current = [p.monic() for p in polys if not p.is_zero]
+    changed = True
+    while changed:
+        changed = False
+        current.sort(key=lambda p: deglex_key(_ref_lm(p)))
+        nxt = []
+        for idx, p in enumerate(current):
+            r = _ref_reduce(p, nxt + current[idx + 1:])
+            if r.is_zero:
+                changed = True
+                continue
+            r = r.monic()
+            if r != p:
+                changed = True
+            nxt.append(r)
+        current = nxt
+    return current
+
+
+def _random_polys(rng, letters, count):
+    # no constant terms, so no reduction can produce the unit
+    return [NcPoly({tuple(rng.choice(letters)
+                          for _ in range(rng.randint(1, 3))):
+                    Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                    for _ in range(rng.randint(1, 4))})
+            for _ in range(count)]
+
+
+def _random_ideal_elements(rng, rels, letters, count):
+    # combinations of relation multiples: the relation ideal is proper, so
+    # again no reduction can produce the unit
+    def word():
+        return tuple(rng.choice(letters) for _ in range(rng.randint(0, 1)))
+    return [sum((rng.choice(rels).conjugate_by_words(word(), word())
+                 .scale(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+                 for _ in range(3)), NcPoly.zero())
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_interreduce_matches_a_fresh_reducer_list(seed):
+    rng = random.Random(seed)
+    for g in (cycle_graph(4), complete_graph(3)):
+        letters = [(i, j) for i in g.vertices() for j in g.vertices()]
+        rels = quantum_relations(g)
+        for polys in (rels, _random_polys(rng, letters, 12),
+                      rels + _random_ideal_elements(rng, rels, letters, 4)):
+            got = _interreduce(polys)
+            assert got == _ref_interreduce(polys)
+            for p in got:
+                assert p.lm() == max(p.terms, key=deglex_key)
+                assert all(type(c) is Fraction for c in p.terms.values())
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_replaced_slots_keep_their_place_among_the_reducers(seed):
+    """Driven as an inter-reduction round drives it, the in-place index
+    finds in every short word the reducer that the fresh list (the reduced
+    elements, then the ones not reached yet) puts first."""
+    rng = random.Random(seed)
+    letters = [(1, 1), (1, 2), (2, 1)]
+    words = [w for d in range(1, 4) for w in _words_of_degree(letters, d)]
+    current = sorted((p.monic() for p in _random_polys(rng, letters, 12)
+                      if not p.is_zero), key=lambda p: deglex_key(_ref_lm(p)))
+    index = ReducerIndex(current)
+    nxt = []
+    for idx, p in enumerate(current):
+        index.deactivate(idx)
+        fresh = [(_ref_lm(b), b) for b in nxt + current[idx + 1:]]
+        for word in words:
+            want = next(((b, pos) for pos in range(len(word)) for lm, b in fresh
+                         if word[pos:pos + len(lm)] == lm), None)
+            hit = index.find_reducer(word)
+            assert want == (hit and (index.polys[hit[0]], hit[1])), word
+        r = _ref_reduce(p, nxt + current[idx + 1:])
+        if not r.is_zero:
+            nxt.append(r.monic())
+            index.replace(idx, nxt[-1])
 
 
 # -- dense linear-algebra membership oracle ---------------------------------
