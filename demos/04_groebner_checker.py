@@ -55,7 +55,7 @@ positions = {
 }
 g = build_named("C12(4,5)")
 start = time.monotonic()
-gb = buchberger(quantum_relations(g), max_degree=3, max_steps=2_000_000)
+gb = buchberger(quantum_relations(g), max_degree=3)
 print(f"  basis of {len(gb.basis)} elements in "
       f"{time.monotonic() - start:.0f}s")
 for (i, a, k, b) in [(1, 1, 1, 1), (1, 1, 2, 2), (2, 1, 1, 3)]:

@@ -37,10 +37,6 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_UNDECIDED = 2
 
-ONE_SIDED_CAVEAT = ("note: reductions to zero prove commutation in the "
-                    "quantum automorphism algebra; irreducible commutators "
-                    "prove nothing (the basis is degree-truncated)")
-
 
 def _load_graph(source: str):
     if os.path.exists(source):
@@ -83,8 +79,6 @@ def cmd_show(args) -> int:
 
 def cmd_decide(args) -> int:
     g = _load_graph(args.graph)
-    if args.engine == "groebner":
-        return _decide_groebner(g, args)
     verdict = decide(g, timeout=args.timeout, engine=args.engine)
     payload = {"graph": g.label or args.graph, "verdict": verdict.kind}
     if verdict.kind == "HasQuantumSymmetry":
@@ -112,33 +106,6 @@ def cmd_decide(args) -> int:
         if args.output and verdict.certificate is not None:
             _emit(serialize_certificate(verdict.certificate), args.output)
     return EXIT_UNDECIDED if verdict.kind == "Undecided" else EXIT_OK
-
-
-def _complete(g, args, deadline=None):
-    """(relations, degree cap, partial basis, column-pair report) for the
-    --max-degree and --max-steps options, completion bounded by deadline."""
-    cap = args.max_degree if args.max_degree is not None \
-        else default_degree_cap(g.n)
-    rels = quantum_relations(g)
-    gb = buchberger(rels, max_degree=cap, max_steps=args.max_steps,
-                    deadline=deadline)
-    return rels, cap, gb, commutation_report(g, gb)
-
-
-def _decide_groebner(g, args) -> int:
-    _, _, gb, pairs = _complete(g, args,
-                                deadline=time.monotonic() + args.timeout)
-    open_pairs = [p for p, ok in pairs.items() if not ok]
-    print(f"{g.label or args.graph}: basis {len(gb.basis)}, complete to "
-          f"degree {gb.complete_up_to_degree}, exhausted {gb.exhausted}, "
-          f"truncated {gb.truncated}")
-    if not open_pairs:
-        print("all generator columns provably commute: the algebra is "
-              "commutative, hence NoQuantumSymmetry")
-        return EXIT_OK
-    print(f"{len(open_pairs)} of {len(pairs)} column pairs not settled; "
-          f"{ONE_SIDED_CAVEAT}")
-    return EXIT_UNDECIDED
 
 
 def cmd_certificate(args) -> int:
@@ -189,7 +156,12 @@ def cmd_certificate(args) -> int:
 
 def cmd_groebner(args) -> int:
     g = _load_graph(args.graph)
-    rels, cap, gb, pairs = _complete(g, args)
+    deadline = time.monotonic() + args.timeout
+    cap = args.max_degree if args.max_degree is not None \
+        else default_degree_cap(g.n)
+    rels = quantum_relations(g)
+    gb = buchberger(rels, max_degree=cap, deadline=deadline)
+    pairs = commutation_report(g, gb, deadline=deadline)
     commuting = sorted(p for p, ok in pairs.items() if ok)
     lines = [
         f"graph: {g.label or args.graph} (n={g.n})",
@@ -208,7 +180,9 @@ def cmd_groebner(args) -> int:
         preview = ", ".join(str(p) for p in open_pairs[:8])
         lines.append(f"unsettled column pairs: {preview}"
                      + (" ..." if len(open_pairs) > 8 else ""))
-        lines.append(ONE_SIDED_CAVEAT)
+        lines.append("note: reductions to zero prove commutation in the "
+                     "quantum automorphism algebra; irreducible commutators "
+                     "prove nothing (the basis is degree-truncated)")
     _emit("\n".join(lines), args.output)
     return EXIT_OK if len(commuting) == len(pairs) else EXIT_UNDECIDED
 
@@ -230,8 +204,6 @@ def cmd_report(args) -> int:
 GRAPH = ("graph",), {"help": "catalog name or graph file path"}
 OPTIONAL_GRAPH = ("graph",), {**GRAPH[1], "nargs": "?"}
 TIMEOUT = ("--timeout",), {"type": float, "default": DEFAULT_TIMEOUT}
-MAX_DEGREE = ("--max-degree",), {"type": int, "default": None}
-MAX_STEPS = ("--max-steps",), {"type": int, "default": 200_000}
 OUTPUT = ("--output", "-o"), {"default": None}
 
 
@@ -245,9 +217,8 @@ SUBCOMMANDS = (
     ("show", cmd_show, "print graph statistics; -o writes the graph file",
      (GRAPH, OUTPUT)),
     ("decide", cmd_decide, "decide quantum symmetry",
-     (GRAPH, _choice("--engine", "auto", "lemmas", "groebner"), TIMEOUT,
-      MAX_DEGREE, MAX_STEPS, _choice("--format", "text", "structured"),
-      OUTPUT)),
+     (GRAPH, _choice("--engine", "auto", "lemmas"), TIMEOUT,
+      _choice("--format", "text", "structured"), OUTPUT)),
     ("certificate", cmd_certificate,
      "emit or verify a commutation certificate",
      (OPTIONAL_GRAPH, _choice("--engine", "lemmas", "auto"), TIMEOUT,
@@ -255,7 +226,8 @@ SUBCOMMANDS = (
       (("--verify",), {"default": None, "metavar": "FILE",
                        "help": "re-check a serialized certificate"}))),
     ("groebner", cmd_groebner, "degree-capped Groebner reduction report",
-     (GRAPH, MAX_DEGREE, MAX_STEPS, OUTPUT)),
+     (GRAPH, (("--max-degree",), {"type": int, "default": None}), TIMEOUT,
+      OUTPUT)),
     ("report", cmd_report, "run the full catalog",
      (TIMEOUT, _choice("--format", "text", "structured"), OUTPUT,
       (("--subclass",), {"default": None, "choices": cat.SUBCLASSES}))),

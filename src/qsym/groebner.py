@@ -108,7 +108,7 @@ class PartialGB:
     between basis elements has a zero-reducing S-polynomial; reductions to
     zero are proofs of ideal membership regardless of D.  ``exhausted``
     means no ambiguity of any degree remains (a full Groebner basis);
-    ``truncated`` means the step cap or the deadline was hit.
+    ``truncated`` means the deadline was hit.
     """
 
     basis: list
@@ -121,6 +121,14 @@ class PartialGB:
 
     def basis_leading_monomials(self):
         return [p.lm() for p in self.basis]
+
+
+class _UnitIdeal(Exception):
+    """A reduction reached a nonzero constant: the ideal is everything."""
+
+
+def _past(deadline) -> bool:
+    return deadline is not None and time.monotonic() > deadline
 
 
 def _int_coeffs(items) -> list:
@@ -137,7 +145,7 @@ class ReducerIndex:
     takes the first match, so the slot order decides which reducer wins.
     Per slot the index keeps the polynomial, its leading monomial and,
     while the slot is active, its tail: the other terms as (word, coeff)
-    pairs, integral coefficients as ints.
+    pairs, integral coefficients as ints.  A constant raises _UnitIdeal.
     """
 
     def __init__(self, polys=()):
@@ -151,6 +159,8 @@ class ReducerIndex:
 
     def _store(self, idx: int, p: NcPoly):
         lm = p.lm()
+        if not lm:
+            raise _UnitIdeal
         self.polys[idx] = p
         self.lms[idx] = lm
         self.tails[idx] = _int_coeffs((w, c) for w, c in p.terms.items()
@@ -258,11 +268,16 @@ def normal_form(p: NcPoly, basis) -> NcPoly:
     result is a canonical representative once the basis is closed under the
     ambiguities below its degree.
     """
-    return _reduce_with_index(p, ReducerIndex(basis))
+    try:
+        return _reduce_with_index(p, ReducerIndex(basis))
+    except _UnitIdeal:  # the basis [1]
+        return NcPoly.zero()
 
 
-def _interreduce(polys) -> list:
-    """Repeatedly reduce each element against the others; drop zeros."""
+def _interreduce(polys, deadline: float | None = None) -> list:
+    """Repeatedly reduce each element against the others; drop zeros.
+    Past ``deadline`` (checked before each element) return the set reached
+    so far, which generates the same ideal."""
     current = [p.monic() for p in polys if not p.is_zero]
     changed = True
     while changed:
@@ -274,6 +289,8 @@ def _interreduce(polys) -> list:
         # original, so reducers are tried earlier elements first
         index = ReducerIndex(current)
         for idx, p in enumerate(current):
+            if _past(deadline):
+                return index.active()
             index.deactivate(idx)
             r = _reduce_with_index(p, index)
             if r.is_zero:
@@ -287,17 +304,17 @@ def _interreduce(polys) -> list:
     return current
 
 
-def buchberger(gens, max_degree: int, max_steps: int = 200_000,
+def buchberger(gens, max_degree: int,
                deadline: float | None = None) -> PartialGB:
     """Degree-capped completion of the two-sided ideal generated by gens.
 
     Pending ambiguities are processed by (degree, ambiguity word); those
     whose word exceeds ``max_degree`` are discarded and counted.  Redundant
     obstructions whose ambiguity word strictly contains a third leading
-    monomial are skipped.  Stops early after ``max_steps`` S-polynomial
-    reductions, or once ``time.monotonic()`` passes ``deadline`` (checked
-    before each pending ambiguity), and then reports the result as
-    truncated, complete only up to the highest fully processed degree.
+    monomial are skipped.  Past ``deadline`` (``time.monotonic()``, checked
+    before each pending ambiguity and each inter-reduced element) no new
+    reduction starts; the result is then truncated, complete only up to the
+    highest fully processed degree.  The unit ideal gives the basis [1].
     """
     gens = [g for g in gens if not g.is_zero]
     if not gens:
@@ -307,7 +324,6 @@ def buchberger(gens, max_degree: int, max_steps: int = 200_000,
         raise GroebnerError(
             f"degree cap {max_degree} below generator degree {gen_deg}")
 
-    index = ReducerIndex(_interreduce(gens))
     heap = []
     discarded = 0
     counter = 0
@@ -330,9 +346,6 @@ def buchberger(gens, max_degree: int, max_steps: int = 200_000,
                 counter += 1
                 heapq.heappush(heap, (ob.degree(), ob.word, counter, ob))
 
-    for idx in range(len(index.polys)):
-        push_obstructions(idx)
-
     def add_element(h):
         # deactivate anything whose leading monomial the new one divides,
         # re-reducing the remainder so nothing leaves the ideal
@@ -350,27 +363,37 @@ def buchberger(gens, max_degree: int, max_steps: int = 200_000,
 
     steps = 0
     truncated = False
-    while heap:
-        if steps >= max_steps or (deadline is not None
-                                  and time.monotonic() > deadline):
-            truncated = True
-            break
-        deg, _word, _cnt, ob = heapq.heappop(heap)
-        if not (index.alive[ob.i] and index.alive[ob.j]):
-            continue
-        # containment criterion: the ambiguity factors through a third
-        # active element whose leading monomial sits inside the word
-        if index.reducible_by_other(ob.word, ob.i, ob.j):
-            continue
-        steps += 1
-        s_poly = index.polys[ob.i].conjugate_by_words(ob.left_i, ob.right_i) \
-            - index.polys[ob.j].conjugate_by_words(ob.left_j, ob.right_j)
-        rem = _reduce_with_index(s_poly, index)
-        if rem.is_zero:
-            continue
-        add_element(rem.monic())
+    try:
+        index = ReducerIndex(_interreduce(gens, deadline))
+        if _past(deadline):
+            # equal leading monomials may remain, and overlaps() gives no
+            # obstruction for those, so no degree is certified complete
+            return PartialGB(index.active(), 0, exhausted=False,
+                             truncated=True, max_degree=max_degree)
+        for idx in range(len(index.polys)):
+            push_obstructions(idx)
+        while heap:
+            if _past(deadline):
+                truncated = True
+                break
+            deg, _word, _cnt, ob = heapq.heappop(heap)
+            if not (index.alive[ob.i] and index.alive[ob.j]):
+                continue
+            # containment criterion: the ambiguity factors through a third
+            # active element whose leading monomial sits inside the word
+            if index.reducible_by_other(ob.word, ob.i, ob.j):
+                continue
+            steps += 1
+            p_i, p_j = index.polys[ob.i], index.polys[ob.j]
+            s_poly = p_i.conjugate_by_words(ob.left_i, ob.right_i) \
+                - p_j.conjugate_by_words(ob.left_j, ob.right_j)
+            rem = _reduce_with_index(s_poly, index)
+            if not rem.is_zero:
+                add_element(rem.monic())
+    except _UnitIdeal:
+        return PartialGB([NcPoly.one()], max_degree, exhausted=True,
+                         steps=steps, max_degree=max_degree)
 
-    final = _interreduce(index.active())
     if truncated:
         pending = min((item[0] for item in heap), default=max_degree + 1)
         complete = min(max_degree, pending - 1)
@@ -378,6 +401,9 @@ def buchberger(gens, max_degree: int, max_steps: int = 200_000,
     else:
         complete = max_degree
         exhausted = discarded == 0
+    final = _interreduce(index.active(), deadline)
+    if _past(deadline):  # keep the completeness the loop established
+        final, truncated = index.active(), True
     return PartialGB(basis=final, complete_up_to_degree=complete,
                      exhausted=exhausted, truncated=truncated, steps=steps,
                      discarded_over_cap=discarded, max_degree=max_degree)
@@ -450,10 +476,9 @@ def column_pair_commutes(g: Graph, gb: PartialGB, j: int, l: int) -> bool:
                for i in g.vertices() for k in g.vertices())
 
 
-def commutation_report(g: Graph, gb: PartialGB):
-    """Which unordered column pairs provably commute in the algebra."""
-    pairs = {}
-    for j in g.vertices():
-        for l in range(j, g.n + 1):
-            pairs[(j, l)] = column_pair_commutes(g, gb, j, l)
-    return pairs
+def commutation_report(g: Graph, gb: PartialGB,
+                       deadline: float | None = None):
+    """Which unordered column pairs provably commute in the algebra; past
+    ``deadline`` (checked before each pair) the rest stay False."""
+    return {(j, l): not _past(deadline) and column_pair_commutes(g, gb, j, l)
+            for j in g.vertices() for l in range(j, g.n + 1)}

@@ -1,6 +1,10 @@
 """CLI contract: subcommands, exit codes, file round trips."""
 
 import json
+import re
+import shlex
+import time
+from pathlib import Path
 
 import pytest
 
@@ -71,7 +75,10 @@ def test_usage_error_exit_1(capsys):
                  ("certificate", "C5", "--engine", "groebner"),
                  ("show", "C5", "--timeout", "1"),
                  ("groebner", "K3", "--engine", "auto"),
-                 ("report", "--max-degree", "3")):
+                 ("report", "--max-degree", "3"),
+                 ("decide", "C5", "--engine", "groebner"),
+                 ("decide", "C5", "--max-degree", "3"),
+                 ("groebner", "K3", "--max-steps", "5")):
         code, _, err = run(capsys, *argv)
         assert code == EXIT_ERROR and "usage:" in err, argv
     code, out, _ = run(capsys, "decide", "--help")
@@ -89,13 +96,28 @@ def test_each_subcommand_declares_only_the_options_it_reads():
     assert declared == {
         "list": [],
         "show": ["--output"],
-        "decide": ["--engine", "--format", "--max-degree", "--max-steps",
-                   "--output", "--timeout"],
+        "decide": ["--engine", "--format", "--output", "--timeout"],
         "certificate": ["--engine", "--format", "--output", "--timeout",
                         "--verify"],
-        "groebner": ["--max-degree", "--max-steps", "--output"],
+        "groebner": ["--max-degree", "--output", "--timeout"],
         "report": ["--format", "--output", "--subclass", "--timeout"],
     }
+
+
+def test_readme_command_lines_parse():
+    """Every qsym command in README's "Command line" block names only
+    subcommands, options and choices that the parser accepts."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    block = re.search(r"## Command line\n\n```sh\n(.*?)```", readme,
+                      re.S).group(1)
+    commands = [part.strip() for line in block.splitlines()
+                for part in line.split("&&")]
+    assert len(commands) >= 10
+    for command in commands:
+        argv = shlex.split(command, comments=True)
+        assert argv[0] == "qsym", command
+        build_parser().parse_args(argv[1:])
 
 
 def test_graph_file_roundtrip(tmp_path):
@@ -181,18 +203,22 @@ def test_certificate_latex_matches_worked_example(capsys):
     assert "1 & 4 & 3 & $\\{1\\}$" in out
 
 
-def test_decide_with_groebner_engine(capsys):
-    code, out, _ = run(capsys, "decide", "K3", "--engine", "groebner",
-                       "--max-degree", "4")
+def test_groebner_exit_codes(capsys):
+    code, out, _ = run(capsys, "groebner", "K3", "--max-degree", "4")
     assert code == 0 and "NoQuantumSymmetry" in out
-    code, out, _ = run(capsys, "decide", "C4", "--engine", "groebner",
-                       "--max-degree", "4")
-    assert code == 2 and "not settled" in out
+    code, out, _ = run(capsys, "groebner", "C4", "--max-degree", "4")
+    assert code == 2 and "unsettled" in out
 
 
-def test_decide_with_groebner_engine_honours_timeout(capsys):
-    code, out, _ = run(capsys, "decide", "C5", "--engine", "groebner",
-                       "--max-degree", "3", "--timeout", "0")
+def test_groebner_honours_timeout(capsys):
+    code, out, _ = run(capsys, "groebner", "C5", "--max-degree", "3",
+                       "--timeout", "0")
+    assert code == 2 and "truncated True" in out
+    # the 312 relations alone take seconds to inter-reduce
+    start = time.monotonic()
+    code, out, _ = run(capsys, "groebner", "C12(4,5)", "--max-degree", "3",
+                       "--timeout", "0")
+    assert time.monotonic() - start < 1.0
     assert code == 2 and "truncated True" in out
 
 

@@ -5,9 +5,11 @@ import itertools
 import random
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+import qsym.groebner as groebner_module
 from qsym.freealg import NcPoly, deglex_key
 from qsym.groebner import (
     GroebnerError,
@@ -175,11 +177,38 @@ def test_default_degree_caps():
     assert default_degree_cap(12) == 3
 
 
-def test_max_steps_truncation_is_reported():
+def _clock_passing_after(monkeypatch, reads):
+    """Make qsym.groebner's clock read 0 for ``reads`` reads, 2 after."""
+    count = itertools.count(1)
+    monkeypatch.setattr(groebner_module, "time", SimpleNamespace(
+        monotonic=lambda: 0.0 if next(count) <= reads else 2.0))
+
+
+def test_deadline_truncates_mid_run(monkeypatch):
+    """C4 at cap 6 reads the clock 78 times in the first inter-reduction
+    and once after it, then once per pending ambiguity: the 100th read
+    falls in the loop."""
+    runs = []
+    for _ in range(2):
+        _clock_passing_after(monkeypatch, 100)
+        runs.append(buchberger(quantum_relations(cycle_graph(4)),
+                               max_degree=6, deadline=1.0))
+    for gb in runs:
+        assert gb.truncated and gb.steps > 0 and not gb.exhausted
+        assert gb.complete_up_to_degree < 6
+    assert runs[0].steps == runs[1].steps
+
+
+def test_deadline_in_final_interreduction_keeps_the_loop_result(monkeypatch):
+    full = buchberger(quantum_relations(cycle_graph(4)), max_degree=6)
+    # reads 149..220 are the final inter-reduction's
+    _clock_passing_after(monkeypatch, 180)
     gb = buchberger(quantum_relations(cycle_graph(4)), max_degree=6,
-                    max_steps=5)
+                    deadline=1.0)
     assert gb.truncated
-    assert gb.complete_up_to_degree <= 6 and not gb.exhausted
+    assert (gb.steps, gb.complete_up_to_degree, gb.exhausted) \
+        == (full.steps, full.complete_up_to_degree, full.exhausted)
+    assert all(normal_form(p, gb.basis).is_zero for p in full.basis)
 
 
 def test_past_deadline_truncates_before_any_step():
@@ -188,8 +217,30 @@ def test_past_deadline_truncates_before_any_step():
                     deadline=start - 1)
     assert time.monotonic() - start < 1.0
     assert gb.truncated and gb.steps == 0 and not gb.exhausted
-    # degree-3 ambiguities are still pending, so completeness stops below
-    assert gb.complete_up_to_degree == 2
+    # the cut inter-reduction may leave equal leading monomials, whose
+    # ambiguities overlaps() does not list, so no degree is certified
+    assert gb.complete_up_to_degree == 0
+
+
+def test_past_deadline_settles_no_column_pair():
+    g = complete_graph(3)
+    gb = buchberger(quantum_relations(g), max_degree=4)
+    assert all(commutation_report(g, gb).values())
+    report = commutation_report(g, gb, deadline=time.monotonic() - 1)
+    assert len(report) == 6 and not any(report.values())
+
+
+def test_unit_ideal_gives_the_basis_one():
+    one, two = NcPoly.one(), NcPoly.constant(2)
+    x, y = u(1, 1), u(1, 2)
+    # the first inter-reduction reaches 1; the second pair reaches it in
+    # the loop, from the S-polynomial of the overlap x*y*x
+    for gens, steps in (([x - one, x - two], 0),
+                        ([x * y - one, y * x - two], 1)):
+        gb = buchberger(gens, 3)
+        assert gb.basis == [one] and gb.exhausted and not gb.truncated
+        assert gb.steps == steps
+        assert normal_form(y * x + one, gb.basis).is_zero
 
 
 # SHA-256 of the bases, completion statistics and commuting column pairs of
