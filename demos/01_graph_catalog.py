@@ -28,8 +28,8 @@ print()
 print("metric structure of the hexagonal prism K2[]C6:")
 g = build_named("K2xC6")
 d = g.distances()
-print(f"  d(1,10) = {d[1, 10]}; vertices at distance 4 from 1: "
-      f"{[v for v in g.vertices() if d[1, v] == 4]}")
+print(f"  d(1,10) = {d[1][10]}; vertices at distance 4 from 1: "
+      f"{[v for v in g.vertices() if d[1][v] == 4]}")
 print(f"  |CN(1,3)| = {len(common_neighbours(g, 1, 3))}, "
       f"|CN(3,10)| = {len(common_neighbours(g, 3, 10))}")
 

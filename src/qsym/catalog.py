@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .engine import DEFAULT_TIMEOUT, decide
 from .graphs import Graph
-from .named import build_named
+from .named import build_named, canonical_name
 from .perms import automorphism_group, is_vertex_transitive
 
 SUBCLASSES = ("disconnected", "product", "circulant", "semicirculant",
@@ -139,9 +139,10 @@ def twelve_vertex_entries():
 
 
 def entry_by_name(name: str) -> CatalogEntry:
-    key = name.upper().replace(" ", "")
+    """The entry for a name or alias, resolved as ``build_named`` does."""
+    key = canonical_name(name)
     for e in _ENTRIES:
-        if e.name.upper().replace(" ", "") == key:
+        if e.name == key:
             return e
     raise KeyError(f"no catalog entry named {name!r}")
 

@@ -71,10 +71,14 @@ class ProofStep:
         return serialize_step(self)
 
 
-def step(kind, **fields) -> ProofStep:
-    unknown = set(fields) - set(RULES[kind].fields)
-    if unknown:
-        raise ValueError(f"{kind} does not take fields {unknown}")
+def step(kind, /, **fields) -> ProofStep:
+    """A step of ``kind`` with exactly the fields its rule takes."""
+    rule = RULES.get(kind)
+    if rule is None:
+        raise ValueError(f"unknown step kind {kind!r}")
+    if fields.keys() != set(rule.fields):
+        raise ValueError(f"{kind} takes the fields {rule.fields}, "
+                         f"not {tuple(fields)}")
     return ProofStep(kind, fields)
 
 
@@ -157,19 +161,13 @@ def parse_certificate(text: str) -> Certificate:
         if not ln.startswith("step "):
             continue
         kind, *tokens = ln[5:].split()
-        rule = RULES.get(kind)
-        if rule is None:
-            raise ValueError(f"unknown step kind {kind!r}")
         fields = {}
         for tok in tokens:
             key, eq, raw = tok.partition("=")
             if not eq or key in fields:
                 raise ValueError(f"malformed field {tok!r} in {kind}")
             fields[key] = _parse_value(key, raw, g.n)
-        if sorted(fields) != sorted(rule.fields):
-            raise ValueError(f"{kind} takes the fields {rule.fields}, "
-                             f"not {tuple(fields)}")
-        steps.append(ProofStep(kind, fields))
+        steps.append(step(kind, **fields))
     return Certificate(verdict=verdict, n=g.n, edges=tuple(g.edges()),
                        steps=tuple(steps))
 
@@ -264,7 +262,7 @@ class CommutationKB:
 def narrowed(g, cand, j, q):
     """The members of ``cand`` as far from q as j is; with every vertex as
     ``cand`` and q = l, that is P0 for (j,l)."""
-    dq = g.distances().d[q]
+    dq = g.distances()[q]
     dqj = dq[j]
     return frozenset([p for p in cand if dq[p] == dqj])
 
@@ -304,14 +302,14 @@ def _one_common_neighbour_gen(g, kb, j, l, q):
 
 
 def _unique_at_distance(g, kb, j, l, m):
-    if g.distances()[j, l] != m or m == math.inf:
+    if g.distances()[j][l] != m or m == math.inf:
         return "d(j,l) != m"
     if narrowed(g, g.vertices(), j, l) != frozenset((j,)):
         return "j is not the unique vertex at distance m from l"
 
 
 def _choose_q_right(g, kb, j, l, q, survivors):
-    if g.distances()[j, l] == math.inf:
+    if g.distances()[j][l] == math.inf:
         return "(j,l) disconnected"
     if not kb.knows_commute(l, q):
         return "commute({l,q}) not yet established"
@@ -324,7 +322,7 @@ def middle_ring(g, j, l, p):
     """The vertices at distance d(j,l) from both j and p, l among them, or
     None when p is no candidate for the middle rule on (j,l).  The ring
     does not depend on q, so a search over q builds it once."""
-    d = g.distances().d
+    d = g.distances()
     dj, dp = d[j], d[p]
     m = dj[l]
     if m == math.inf or dp[l] != m or p == j:
@@ -335,7 +333,7 @@ def middle_ring(g, j, l, p):
 def middle_q_fails(g, ring, j, l, p, q):
     """Why q cannot kill u_ij u_kl u_ip by the middle rule, given
     ``ring = middle_ring(g, j, l, p)``; None when it can."""
-    dq = g.distances().d[q]
+    dq = g.distances()[q]
     if dq[j] == dq[p]:
         return "q does not separate j from p"
     s_dist = dq[l]
@@ -367,13 +365,13 @@ def _triangle_mismatch(g, kb, j, l, p):
 def _monomial_zero(g, kb, j, l, p, q):
     if not kb.knows_commute(l, q):
         return "commute({l,q}) not yet established"
-    dq = g.distances().d[q]
+    dq = g.distances()[q]
     if dq[p] == dq[j]:
         return "d(p,q) = d(j,q)"
 
 
 def _adj_commute_close(g, kb, j, l):
-    if g.distances()[j, l] == math.inf:
+    if g.distances()[j][l] == math.inf:
         return "(j,l) disconnected"
     left = kb.survivors(j, l) - {j} - kb.killed.get((j, l), set())
     if left:

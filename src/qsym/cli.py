@@ -16,7 +16,6 @@ import time
 from . import catalog as cat
 from .certificate import (
     INJECTIVE_F,
-    VERDICT_HAS,
     parse_certificate,
     render_certificate,
     serialize_certificate,
@@ -134,7 +133,7 @@ def cmd_certificate(args) -> int:
               "commutativity certificate exists (witness: "
               f"{verdict.witness[0]} and {verdict.witness[1]})")
         return EXIT_ERROR
-    if args.engine == "lemmas" and verdict.kind == "NoQuantumSymmetry" \
+    if verdict.kind == "NoQuantumSymmetry" \
             and verdict.certificate.steps[0].kind == INJECTIVE_F:
         # the criterion settled it before the lemmas ran: try them in the
         # time left, and keep the criterion's proof if they stay open
@@ -162,7 +161,9 @@ def cmd_groebner(args) -> int:
     rels = quantum_relations(g)
     gb = buchberger(rels, max_degree=cap, deadline=deadline)
     pairs = commutation_report(g, gb, deadline=deadline)
-    commuting = sorted(p for p, ok in pairs.items() if ok)
+    commuting = [p for p, ok in pairs.items() if ok]
+    open_pairs = [p for p, ok in pairs.items() if ok is False]
+    untried = len(pairs) - len(commuting) - len(open_pairs)
     lines = [
         f"graph: {g.label or args.graph} (n={g.n})",
         f"relations: {len(rels)}",
@@ -172,11 +173,12 @@ def cmd_groebner(args) -> int:
         f"steps {gb.steps}, discarded over cap {gb.discarded_over_cap})",
         f"column pairs provably commuting: {len(commuting)} / {len(pairs)}",
     ]
-    if len(commuting) == len(pairs):
+    if untried:
+        lines.append(f"column pairs untried at the deadline: {untried}")
+    elif not open_pairs:
         lines.append("the algebra is commutative at this cap: "
                      "NoQuantumSymmetry")
-    else:
-        open_pairs = sorted(p for p, ok in pairs.items() if not ok)
+    if open_pairs:
         preview = ", ".join(str(p) for p in open_pairs[:8])
         lines.append(f"unsettled column pairs: {preview}"
                      + (" ..." if len(open_pairs) > 8 else ""))
@@ -221,8 +223,8 @@ SUBCOMMANDS = (
       _choice("--format", "text", "structured"), OUTPUT)),
     ("certificate", cmd_certificate,
      "emit or verify a commutation certificate",
-     (OPTIONAL_GRAPH, _choice("--engine", "lemmas", "auto"), TIMEOUT,
-      _choice("--format", "text", "md", "latex"), OUTPUT,
+     (OPTIONAL_GRAPH, TIMEOUT, _choice("--format", "text", "md", "latex"),
+      OUTPUT,
       (("--verify",), {"default": None, "metavar": "FILE",
                        "help": "re-check a serialized certificate"}))),
     ("groebner", cmd_groebner, "degree-capped Groebner reduction report",

@@ -163,7 +163,7 @@ def kill_monomial_zero(kb: CommutationKB, g: Graph, j, l, p):
 
 def prove_pair(kb: CommutationKB, g: Graph, j, l) -> bool:
     """Try to establish commute({j,l}); partial kills are kept either way."""
-    m = g.distances()[j, l]
+    m = g.distances()[j][l]
     if m == math.inf:
         raise EngineError(f"({j},{l}) lie in different components")
     if kb.knows_commute(j, l):
@@ -240,7 +240,7 @@ def lemma_fixpoint(g: Graph, aut: AutGroup | None = None,
             by_dist = {}
             for l in g.vertices():
                 if l != j0:
-                    by_dist.setdefault(d[j0, l], []).append(l)
+                    by_dist.setdefault(d[j0][l], []).append(l)
             for m in sorted(by_dist, key=float):
                 if m == math.inf:
                     continue

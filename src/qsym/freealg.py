@@ -21,10 +21,6 @@ def deglex_key(word: Word):
     return (len(word), word)
 
 
-def word_degree(word: Word) -> int:
-    return len(word)
-
-
 def find_subword(haystack: Word, needle: Word) -> int:
     """Leftmost offset where needle occurs as a contiguous subword, else -1."""
     nh, nn = len(haystack), len(needle)

@@ -156,8 +156,9 @@ class Graph:
 
     # -- metric structure -------------------------------------------------
 
-    def distances(self) -> "DistanceMatrix":
-        """All-pairs hop counts by BFS from every vertex; INFINITE across components."""
+    def distances(self) -> tuple:
+        """All-pairs hop counts d[i][j], 1-based rows, by BFS from every
+        vertex; INFINITE across components."""
         if self._dist is not None:
             return self._dist
         n = self.n
@@ -181,9 +182,9 @@ class Graph:
                         nxt.append(u)
                         w ^= low
                 frontier = nxt
-        dm = DistanceMatrix(n, tuple(tuple(row) for row in d))
-        object.__setattr__(self, "_dist", dm)
-        return dm
+        d = tuple(map(tuple, d))
+        object.__setattr__(self, "_dist", d)
+        return d
 
     def pair_colours(self) -> tuple:
         """c[x][y], 1-based: a small int per class of the ordered pair's
@@ -192,7 +193,7 @@ class Graph:
         it preserves the colour; and the colour refines distance."""
         if self._colours is not None:
             return self._colours
-        d, rows, n = self.distances().d, self.rows, self.n
+        d, rows, n = self.distances(), self.rows, self.n
         ids = {}
         c = [[-1] * (n + 1) for _ in range(n + 1)]
         for x in self.vertices():
@@ -204,23 +205,8 @@ class Graph:
         object.__setattr__(self, "_colours", colours)
         return colours
 
-    def dist(self, i, j):
-        return self.distances().d[i][j]
-
     def is_connected(self) -> bool:
-        return all(self.dist(1, v) != INFINITE for v in self.vertices())
-
-
-@dataclass(frozen=True)
-class DistanceMatrix:
-    """Hop-count matrix, 1-based; entry INFINITE marks a disconnected pair."""
-
-    n: int
-    d: tuple
-
-    def __getitem__(self, pair):
-        i, j = pair
-        return self.d[i][j]
+        return INFINITE not in self.distances()[1][1:]
 
 
 # -- constructors ---------------------------------------------------------
@@ -276,7 +262,20 @@ def disjoint_copies(g: Graph, m: int) -> Graph:
 
 def direct_product(g: Graph, h: Graph) -> Graph:
     """(a,b) ~ (c,d) iff a ~ c and b ~ d; vertex (a,b) becomes (a-1)*n_h + b."""
-    return _product(g, h, lambda ac, bd: ac and bd, "x")
+    n = h.n
+
+    def lab(a, b):
+        return (a - 1) * n + b
+
+    edges = []
+    for a in g.vertices():
+        for b in h.vertices():
+            for c in g.vertices():
+                for d in h.vertices():
+                    if lab(c, d) > lab(a, b) and g.adjacent(a, c) \
+                            and h.adjacent(b, d):
+                        edges.append((lab(a, b), lab(c, d)))
+    return Graph(g.n * h.n, edges, label=_product_label(g, h, "x"))
 
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:
@@ -297,24 +296,6 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
                     edges.append((lab(a, b), lab(c, b)))
     label = _product_label(g, h, "[]")
     return Graph(g.n * h.n, edges, label=label)
-
-
-def _product(g, h, rule, symbol):
-    n = h.n
-
-    def lab(a, b):
-        return (a - 1) * n + b
-
-    edges = []
-    for a in g.vertices():
-        for b in h.vertices():
-            for c in g.vertices():
-                for d in h.vertices():
-                    if lab(c, d) <= lab(a, b):
-                        continue
-                    if rule(g.adjacent(a, c), h.adjacent(b, d)):
-                        edges.append((lab(a, b), lab(c, d)))
-    return Graph(g.n * h.n, edges, label=_product_label(g, h, symbol))
 
 
 def _product_label(g, h, symbol):
@@ -345,7 +326,7 @@ def distance_k_graph(g: Graph, k: int) -> Graph:
         raise GraphError(f"need k >= 1, got {k}")
     d = g.distances()
     edges = [(i, j) for i in g.vertices() for j in range(i + 1, g.n + 1)
-             if d[i, j] == k]
+             if d[i][j] == k]
     label = f"dist{k}({g.label})" if g.label else ""
     return Graph(g.n, edges, label=label)
 
@@ -374,13 +355,13 @@ def has_quadrangle(g: Graph) -> bool:
 # -- analytic criteria -----------------------------------------------------
 
 
-def injective_f_check(spec: CirculantSpec, tol=INJECTIVITY_TOL):
+def injective_f_check(spec: CirculantSpec):
     """Cosine-sum injectivity test for circulant graphs.
 
     Evaluates f(s) = sum_i cos(2 k_i s pi / n) over s = 1..n//2 with
     k_0 = 1 and the listed chords; if n != 4 and all values are pairwise
-    distinct (gap > tol), the graph has no quantum symmetries.  Returns
-    (injective, values).
+    distinct (gap > INJECTIVITY_TOL), the graph has no quantum symmetries.
+    Returns (injective, values).
     """
     if spec.n == 4:
         raise GraphError("the injectivity criterion excludes n = 4")
@@ -388,7 +369,7 @@ def injective_f_check(spec: CirculantSpec, tol=INJECTIVITY_TOL):
     values = []
     for s in range(1, spec.n // 2 + 1):
         values.append(sum(math.cos(2.0 * k * s * math.pi / spec.n) for k in ks))
-    injective = all(abs(a - b) > tol
+    injective = all(abs(a - b) > INJECTIVITY_TOL
                     for a, b in combinations(values, 2))
     return injective, values
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import bisect
 import heapq
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .freealg import NcPoly, Word, deglex_key, find_subword
 from .graphs import Graph
@@ -118,9 +118,6 @@ class PartialGB:
     steps: int = 0
     discarded_over_cap: int = 0
     max_degree: int = 0
-
-    def basis_leading_monomials(self):
-        return [p.lm() for p in self.basis]
 
 
 class _UnitIdeal(Exception):
@@ -464,21 +461,13 @@ def commutator_reduces(g: Graph, gb: PartialGB, a, b) -> bool:
     return normal_form(commutator(a, b), gb.basis).is_zero
 
 
-def verify_identity(g: Graph, gb: PartialGB, lhs: NcPoly, rhs: NcPoly) -> bool:
-    """True iff lhs - rhs reduces to zero over the partial basis; a proof
-    of the identity in the quantum automorphism algebra, one-sided as ever."""
-    return normal_form(lhs - rhs, gb.basis).is_zero
-
-
-def column_pair_commutes(g: Graph, gb: PartialGB, j: int, l: int) -> bool:
-    """True iff u[i,j] and u[k,l] provably commute for all rows i, k."""
-    return all(commutator_reduces(g, gb, (i, j), (k, l))
-               for i in g.vertices() for k in g.vertices())
-
-
 def commutation_report(g: Graph, gb: PartialGB,
                        deadline: float | None = None):
-    """Which unordered column pairs provably commute in the algebra; past
-    ``deadline`` (checked before each pair) the rest stay False."""
-    return {(j, l): not _past(deadline) and column_pair_commutes(g, gb, j, l)
+    """For each unordered column pair (j, l): True iff u[i,j] and u[k,l]
+    provably commute for all rows i, k, False if some commutator stays
+    irreducible.  Past ``deadline`` (checked before each pair) the pairs
+    left untried map to None."""
+    return {(j, l): None if _past(deadline) else all(
+                commutator_reduces(g, gb, (i, j), (k, l))
+                for i in g.vertices() for k in g.vertices())
             for j in g.vertices() for l in range(j, g.n + 1)}

@@ -192,15 +192,16 @@ _BUILDERS = {
 }
 
 _ALIASES = {
-    "L(CUBE)": "Cuboctahedron",
-    "ICOSAHEDRAL GRAPH": "Icosahedron",
-    "TRUNC(K4)": "TruncK4",
-    "ANTIP(TRUNC(K4))": "Antip(TruncK4)",
+    "L(Cube)": "Cuboctahedron",
+    "Icosahedral graph": "Icosahedron",
+    "Trunc(K4)": "TruncK4",
+    "Antip(Trunc(K4))": "Antip(TruncK4)",
     "C12+": "C12(6)",
-    "K2XC6+": "K2xC6(3)",
+    "K2xC6+": "K2xC6(3)",
 }
 
-_CANONICAL = {name.upper().replace(" ", ""): name for name in _BUILDERS}
+_RESOLVE = {spelling.upper().replace(" ", ""): name for spelling, name
+            in [*zip(_BUILDERS, _BUILDERS), *_ALIASES.items()]}
 
 
 def catalog_names():
@@ -208,11 +209,15 @@ def catalog_names():
     return list(_BUILDERS)
 
 
+def canonical_name(name: str) -> str | None:
+    """The catalog spelling of a name or alias, ignoring case and spaces;
+    None for a name the catalog does not know."""
+    return _RESOLVE.get(name.upper().replace(" ", ""))
+
+
 def build_named(name: str) -> Graph:
-    """Look up a catalog graph by its ASCII alias (case-insensitive)."""
-    key = name.upper().replace(" ", "")
-    key = _ALIASES.get(key, key)
-    key = _CANONICAL.get(key.upper().replace(" ", ""), key)
-    if key not in _BUILDERS:
+    """Build a catalog graph from its name or alias (see canonical_name)."""
+    key = canonical_name(name)
+    if key is None:
         raise GraphError(f"unknown catalog graph {name!r} (see `qsym list`)")
     return _BUILDERS[key]()

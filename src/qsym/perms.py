@@ -373,7 +373,7 @@ def pair_orbits(g: Graph, group: AutGroup) -> PairOrbits:
         pair = frozenset((i, j))
         if not any(pair in orbit for orbit in orbits):
             orbits.append(frozenset(group.orbit(pair, act_on_pair)))
-            dists.append(d[i, j])
+            dists.append(d[i][j])
     return PairOrbits(orbits=tuple(orbits), distance=tuple(dists))
 
 

@@ -380,7 +380,7 @@ def test_criterion_9_property_suites_always_runnable():
         g = e.build()
         fw = floyd_warshall(g)
         d = g.distances()
-        if any(d[i, j] != fw[i][j] for i in g.vertices()
+        if any(d[i][j] != fw[i][j] for i in g.vertices()
                for j in g.vertices()):
             problems.append(f"distance oracle: {e.name}")
     rng = random.Random(9)

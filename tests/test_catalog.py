@@ -13,6 +13,7 @@ from qsym.catalog import (
     twelve_vertex_entries,
 )
 from qsym.graphs import complement
+from qsym.named import _ALIASES, build_named
 from qsym.perms import automorphism_group, is_vertex_transitive
 
 from util import is_isomorphic
@@ -59,6 +60,17 @@ def test_entry_lookup():
     assert not semi.expected_has_qsym and semi.expected_aut_order == 12
     with pytest.raises(KeyError):
         entry_by_name("C13")
+
+
+def test_aliases_resolve_alike_for_graphs_and_entries():
+    """``build_named`` and ``entry_by_name`` share one resolver: every
+    alias, in any case and spacing, names its entry's graph."""
+    for alias, name in _ALIASES.items():
+        for spelling in (alias, alias.upper(), alias.lower(),
+                         " ".join(alias), alias.replace(" ", "")):
+            assert entry_by_name(spelling) is entry_by_name(name), spelling
+            g, h = build_named(spelling), build_named(name)
+            assert (g, g.label) == (h, h.label), spelling
 
 
 def test_catalog_is_complement_free():

@@ -10,6 +10,7 @@ from qsym.certificate import (
     parse_certificate,
     render_certificate,
     serialize_certificate,
+    serialize_step,
     step,
     verify_certificate,
 )
@@ -194,6 +195,26 @@ def test_parse_rejects_unknown_and_missing_fields():
                 "step CHOOSE_Q_MIDDLE j=1 l=2 p=3\n",
                 "step ADJ_COMMUTE_CLOSE j=1 l=2 j=1\n"):
         with pytest.raises(ValueError):
+            parse_certificate(text.replace("step QUADRANGLE_FREE\n", bad))
+
+
+def test_step_takes_exactly_its_rule_fields():
+    """A step missing a field used to pass ``step`` and then crash
+    ``serialize_step`` with a KeyError."""
+    assert serialize_step(step(cm.CN_MISMATCH, j=1, l=2, p=3)) \
+        == "CN_MISMATCH j=1 l=2 p=3"
+    for fields in ({"j": 1, "l": 2}, {"j": 1, "l": 2, "p": 3, "q": 4}):
+        with pytest.raises(ValueError, match="takes the fields"):
+            step(cm.CN_MISMATCH, **fields)
+    with pytest.raises(ValueError, match="takes the fields"):
+        step(cm.QUADRANGLE_FREE, kind=3)
+    with pytest.raises(ValueError, match="unknown step kind"):
+        step("BOGUS")
+    g, cert = _lemma_certificate("C5")
+    text = serialize_certificate(cert)
+    for bad, message in (("step QUADRANGLE_FREE kind=3\n", "takes the fields"),
+                         ("step BOGUS j=1\n", "unknown step kind")):
+        with pytest.raises(ValueError, match=message):
             parse_certificate(text.replace("step QUADRANGLE_FREE\n", bad))
 
 

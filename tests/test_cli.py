@@ -5,10 +5,12 @@ import re
 import shlex
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import qsym.engine
+import qsym.groebner
 from qsym.cli import EXIT_ERROR, build_parser, main
 from qsym.graphs import read_graph, write_graph
 from qsym.named import build_named, circulant
@@ -73,6 +75,7 @@ def test_usage_error_exit_1(capsys):
                  ("decide", "C5", "--engine", "nope"),
                  ("decide", "C5", "--format", "xml"),
                  ("certificate", "C5", "--engine", "groebner"),
+                 ("certificate", "C5", "--engine", "auto"),
                  ("show", "C5", "--timeout", "1"),
                  ("groebner", "K3", "--engine", "auto"),
                  ("report", "--max-degree", "3"),
@@ -97,8 +100,7 @@ def test_each_subcommand_declares_only_the_options_it_reads():
         "list": [],
         "show": ["--output"],
         "decide": ["--engine", "--format", "--output", "--timeout"],
-        "certificate": ["--engine", "--format", "--output", "--timeout",
-                        "--verify"],
+        "certificate": ["--format", "--output", "--timeout", "--verify"],
         "groebner": ["--max-degree", "--output", "--timeout"],
         "report": ["--format", "--output", "--subclass", "--timeout"],
     }
@@ -181,13 +183,17 @@ def test_certificate_runs_the_pipeline_once(capsys, monkeypatch):
     assert calls == {"lemma_fixpoint": 1, "automorphism_group": 1}
 
 
-def test_certificate_prefers_lemmas_over_the_criterion(capsys, monkeypatch):
+def test_certificate_prefers_lemmas_over_the_criterion(capsys, monkeypatch,
+                                                      tmp_path):
     """Where the cosine criterion decides, the lemmas still get their try
-    and their proof is printed; where they stay open the criterion's is."""
+    and their proof is printed; where they stay open the criterion's is.
+    ``decide -o`` still writes the criterion's proof."""
     code, out, _ = run(capsys, "certificate", "C5")
     assert code == 0 and "INJECTIVE_F" not in out and "CHOOSE_Q" in out
-    code, out, _ = run(capsys, "certificate", "C5", "--engine", "auto")
-    assert code == 0 and "step INJECTIVE_F" in out
+    out_path = tmp_path / "c5.cert"
+    code, _, _ = run(capsys, "decide", "C5", "-o", str(out_path))
+    assert code == 0
+    assert "step INJECTIVE_F" in out_path.read_text(encoding="utf-8")
     monkeypatch.setattr("qsym.cli._load_graph",
                         lambda _source: circulant(10, 2, 3))
     calls = _count_calls(monkeypatch, qsym.engine, "lemma_fixpoint")
@@ -220,6 +226,32 @@ def test_groebner_honours_timeout(capsys):
                        "--timeout", "0")
     assert time.monotonic() - start < 1.0
     assert code == 2 and "truncated True" in out
+
+
+def test_groebner_cut_report_counts_untried_pairs(capsys, monkeypatch):
+    """A report the deadline cuts after its first column pair says how
+    many pairs went untried, exits 2, and never reads as a finished one:
+    no commutative conclusion for K3, no bare caveat for C4."""
+    reduces, late = qsym.groebner.commutator_reduces, [0.0]
+
+    def reduces_then_expire(*args):
+        late[0] = 1e9  # every later clock read is past the deadline
+        return reduces(*args)
+
+    monkeypatch.setattr(qsym.groebner, "commutator_reduces",
+                        reduces_then_expire)
+    monkeypatch.setattr(qsym.groebner, "time", SimpleNamespace(
+        monotonic=lambda: time.monotonic() + late[0]))
+    code, out, _ = run(capsys, "groebner", "K3", "--max-degree", "4")
+    assert code == 2 and "truncated False" in out
+    assert "provably commuting: 1 / 6" in out
+    assert "column pairs untried at the deadline: 5" in out
+    assert "NoQuantumSymmetry" not in out and "prove nothing" not in out
+    late[0] = 0.0
+    code, out, _ = run(capsys, "groebner", "C4", "--max-degree", "4")
+    assert code == 2
+    assert "column pairs untried at the deadline: 9" in out
+    assert "unsettled column pairs: (1, 1)\n" in out
 
 
 def test_show_writes_graph_file(capsys, tmp_path):

@@ -99,7 +99,7 @@ def test_reduce_candidates_without_usable_q_is_p0():
     kb = CommutationKB(g)
     d = g.distances()
     survivors = reduce_candidates(kb, g, 1, 7)
-    assert survivors == {p for p in g.vertices() if d[p, 7] == d[1, 7]}
+    assert survivors == {p for p in g.vertices() if d[p][7] == d[1][7]}
     assert not _pairs_with(kb, cm.CHOOSE_Q_RIGHT)
 
 

@@ -173,7 +173,7 @@ def test_line_graphs():
     assert line_graph(complete_graph(2)).n == 1
     cubo = line_graph(cube_graph())
     assert cubo.n == 12 and all(cubo.degree(v) == 4 for v in cubo.vertices())
-    assert max(cubo.dist(1, v) for v in cubo.vertices()) == 3
+    assert max(cubo.distances()[1][1:]) == 3
     lc62 = line_graph(circulant(6, 2))
     assert lc62.n == 12 and all(lc62.degree(v) == 6 for v in lc62.vertices())
     with pytest.raises(GraphError):
@@ -213,11 +213,11 @@ def test_distance_k():
 def test_distances():
     g = build_named("K2xC6")
     d = g.distances()
-    assert d[1, 10] == 4
-    assert [v for v in g.vertices() if d[1, v] == 4] == [10]
-    assert cycle_graph(12).dist(1, 7) == 6
+    assert d[1][10] == 4
+    assert [v for v in g.vertices() if d[1][v] == 4] == [10]
+    assert cycle_graph(12).distances()[1][7] == 6
     two_k6 = disjoint_copies(complete_graph(6), 2)
-    assert two_k6.dist(1, 7) == INFINITE
+    assert two_k6.distances()[1][7] == INFINITE
 
 
 def test_common_neighbours():

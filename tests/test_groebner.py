@@ -16,7 +16,6 @@ from qsym.groebner import (
     ReducerIndex,
     _interreduce,
     buchberger,
-    column_pair_commutes,
     commutation_report,
     commutator,
     commutator_reduces,
@@ -24,7 +23,6 @@ from qsym.groebner import (
     normal_form,
     overlaps,
     quantum_relations,
-    verify_identity,
 )
 from qsym.named import (
     build_named,
@@ -104,7 +102,7 @@ def test_normal_form_is_idempotent():
 def test_partial_gb_invariants():
     for graph, cap in [(complete_graph(3), 4), (cycle_graph(4), 5)]:
         gb = buchberger(quantum_relations(graph), max_degree=cap)
-        lms = gb.basis_leading_monomials()
+        lms = [p.lm() for p in gb.basis]
         # inter-reduced: no leading monomial contains another as a subword
         from qsym.freealg import find_subword
         for a, b in itertools.permutations(range(len(lms)), 2):
@@ -160,7 +158,7 @@ def test_c4_keeps_an_irreducible_commutator():
     g = cycle_graph(4)
     gb = buchberger(quantum_relations(g), max_degree=6)
     assert not commutator_reduces(g, gb, (1, 1), (2, 2))
-    assert not column_pair_commutes(g, gb, 1, 2)
+    assert commutation_report(g, gb)[(1, 2)] is False
 
 
 def test_verify_identity_trivial_cases():
@@ -168,8 +166,8 @@ def test_verify_identity_trivial_cases():
     rels = quantum_relations(g)
     gb = buchberger(rels, max_degree=4)
     p = u(1, 2) * u(2, 1)
-    assert verify_identity(g, gb, p, p)
-    assert verify_identity(g, gb, rels[0], NcPoly.zero())
+    assert normal_form(p - p, gb.basis).is_zero
+    assert normal_form(rels[0] - NcPoly.zero(), gb.basis).is_zero
 
 
 def test_default_degree_caps():
@@ -227,7 +225,24 @@ def test_past_deadline_settles_no_column_pair():
     gb = buchberger(quantum_relations(g), max_degree=4)
     assert all(commutation_report(g, gb).values())
     report = commutation_report(g, gb, deadline=time.monotonic() - 1)
-    assert len(report) == 6 and not any(report.values())
+    assert len(report) == 6
+    assert all(ok is None for ok in report.values())
+
+
+def test_cut_report_keeps_tried_pairs_and_marks_the_rest_none(monkeypatch):
+    """The deadline is read once per pair: past it after two reads, the
+    first two pairs keep their verdict (True for K3, False for C4) and
+    the untried ones map to None, not to False."""
+    for g in (complete_graph(3), cycle_graph(4)):
+        gb = buchberger(quantum_relations(g), max_degree=4)
+        full = commutation_report(g, gb)
+        _clock_passing_after(monkeypatch, 2)
+        cut = commutation_report(g, gb, deadline=1.0)
+        assert list(cut) == list(full)
+        pairs = list(full)
+        assert [cut[p] for p in pairs[:2]] == [full[p] for p in pairs[:2]]
+        assert all(isinstance(full[p], bool) for p in pairs)
+        assert all(cut[p] is None for p in pairs[2:])
 
 
 def test_unit_ideal_gives_the_basis_one():

@@ -37,7 +37,7 @@ def find_isomorphism(g: Graph, h: Graph):
     dg, dh = g.distances(), h.distances()
 
     def profile(graph, dist, v):
-        return (graph.degree(v), tuple(sorted(dist.d[v][1:], key=repr)))
+        return (graph.degree(v), tuple(sorted(dist[v][1:], key=repr)))
 
     pg = {v: profile(g, dg, v) for v in g.vertices()}
     ph = {v: profile(h, dh, v) for v in h.vertices()}
@@ -52,7 +52,7 @@ def find_isomorphism(g: Graph, h: Graph):
         for b in h.vertices():
             if b in used or pg[v] != ph[b]:
                 continue
-            if any(dg[v, u] != dh[b, assigned[u]] for u in assigned):
+            if any(dg[v][u] != dh[b][assigned[u]] for u in assigned):
                 continue
             assigned[v] = b
             used.add(b)
