@@ -7,8 +7,8 @@ from qsym import (
     build_circulant,
     common_neighbours,
     has_quadrangle,
-    injective_f_check,
 )
+from qsym.graphs import cosine_sums
 from qsym.named import build_named, catalog_names
 
 print("=" * 70)
@@ -39,10 +39,10 @@ for name in ("TruncK4", "C12(2)", "Cuboctahedron"):
     print(f"  {name:14s} has quadrangle: {has_quadrangle(build_named(name))}")
 
 print()
-print("cosine-sum injectivity for circulants (no quantum symmetry when "
-      "injective and n != 4):")
+print("the paper's cosine sums for circulants (decide reads the exact "
+      "spectrum instead):")
 for chords in ((), (3,), (6,), (2,)):
-    injective, values = injective_f_check(CirculantSpec(12, chords))
+    injective, values = cosine_sums(CirculantSpec(12, chords))
     label = f"C12{chords if chords else ''}"
     print(f"  {label:10s} injective={injective}  "
           f"values={[round(v, 2) for v in values]}")

@@ -4,8 +4,8 @@ A graph has quantum symmetries when the universal algebra generated by a
 magic unitary commuting with its adjacency matrix is noncommutative; this
 strictly extends the classical automorphism group.  The package decides
 the question for small graphs three ways: disjoint-automorphism witnesses
-(sufficient for quantum symmetry), a cosine-sum injectivity criterion for
-circulants (sufficient for its absence), and a lemma-saturation engine
+(sufficient for quantum symmetry), an exact eigenvalue-injectivity
+criterion for circulants (sufficient for its absence), and a lemma engine
 that emits independently verifiable commutation certificates.  A
 degree-bounded noncommutative Groebner basis over the defining relations
 provides a second, purely algebraic commutation checker.

@@ -4,8 +4,9 @@ The decision pipeline mirrors how these questions are settled by hand:
 
 1. look for two non-trivial automorphisms with disjoint supports; their
    existence forces quantum symmetry, and the pair itself is the witness;
-2. for circulant graphs, try the cosine-sum injectivity criterion, which
-   rules quantum symmetry out wholesale;
+2. for circulant graphs, test exactly whether the adjacency eigenvalues
+   lambda_1..lambda_{n//2} are pairwise distinct, which rules quantum
+   symmetry out wholesale;
 3. otherwise grow a monotone knowledge base of commutation facts about
    the generators u_ij by saturating a small set of lemma rules, and stop
    once one base column per vertex orbit commutes with everything (that
@@ -309,14 +310,11 @@ def _decide(g: Graph, deadline: float, engine: str, aut: AutGroup | None):
             return HasQuantumSymmetry(witness=pair, certificate=cert)
 
         spec = g.circulant
-        if spec is not None and spec.n != 4:
-            injective, values = injective_f_check(spec)
-            if injective:
-                cert = Certificate.for_graph(
-                    g, cert_mod.VERDICT_NONE,
-                    [step(cert_mod.INJECTIVE_F, n=spec.n, chords=spec.chords,
-                          values=tuple(values))])
-                return NoQuantumSymmetry(certificate=cert)
+        if spec is not None and spec.n != 4 and injective_f_check(spec)[0]:
+            cert = Certificate.for_graph(
+                g, cert_mod.VERDICT_NONE,
+                [step(cert_mod.INJECTIVE_F, n=spec.n, chords=spec.chords)])
+            return NoQuantumSymmetry(certificate=cert)
 
     if not g.is_connected():
         return Undecided(reason="disconnected graph without a disjoint "

@@ -16,9 +16,6 @@ from itertools import combinations
 
 INFINITE = math.inf
 
-# minimal pairwise gap for the cosine-sum injectivity test
-INJECTIVITY_TOL = 1e-6
-
 
 class GraphError(ValueError):
     """Invalid construction data or an operation outside its domain."""
@@ -356,12 +353,55 @@ def has_quadrangle(g: Graph) -> bool:
 
 
 def injective_f_check(spec: CirculantSpec):
-    """Cosine-sum injectivity test for circulant graphs.
+    """Exact eigenvalue-injectivity test for circulant graphs.
 
-    Evaluates f(s) = sum_i cos(2 k_i s pi / n) over s = 1..n//2 with
-    k_0 = 1 and the listed chords; if n != 4 and all values are pairwise
-    distinct (gap > INJECTIVITY_TOL), the graph has no quantum symmetries.
-    Returns (injective, values).
+    C_n(S) has the eigenvalues lambda_s = sum of cos(2 pi x s / n) over the
+    connection set S.  If n != 4 and lambda_1..lambda_{n//2} are pairwise
+    distinct, it has no quantum symmetries.  For a circulant A, p(A) = 0
+    iff p(A) e_1 = 0, and lambda_0 is simple (the cycle connects the
+    graph), so that holds iff the integer vectors e_1, A e_1, ...,
+    A^{n//2} e_1 are linearly independent.  Returns (injective, number of
+    distinct eigenvalues).
+    """
+    n = spec.n
+    if n == 4:
+        raise GraphError("the injectivity criterion excludes n = 4")
+    offsets = {1, n - 1}.union(*({k, n - k} for k in spec.chords))
+    walks, krylov = [1] + [0] * (n - 1), []
+    for _ in range(n // 2 + 1):
+        krylov.append(walks)
+        walks = [sum(walks[(r - x) % n] for x in offsets) for r in range(n)]
+    rank = _integer_rank(krylov)
+    return rank == n // 2 + 1, rank
+
+
+def _integer_rank(vectors) -> int:
+    """Rank of integer vectors by fraction-free elimination; each reduced
+    vector is divided by the gcd of its entries to keep the numbers small."""
+    echelon = []  # (pivot column, vector), zero at every earlier pivot
+    for v in vectors:
+        for col, row in echelon:
+            c = v[col]
+            if c:
+                v = [row[col] * x - c * y for x, y in zip(v, row)]
+                g = math.gcd(*v)
+                v = [x // g for x in v] if g else v
+        if any(v):
+            echelon.append((next(k for k, x in enumerate(v) if x), v))
+    return len(echelon)
+
+
+# minimal pairwise gap for the cosine sums to count as injective
+INJECTIVITY_TOL = 1e-6
+
+
+def cosine_sums(spec: CirculantSpec):
+    """The source paper's cosine sums; they reproduce its printed table.
+
+    f(s) = sum_i cos(2 k_i s pi / n), s = 1..n//2, with k_0 = 1 and the
+    listed chords, is lambda_s / 2 except that it counts a chord n/2
+    twice, so no verdict reads it (C6(3) = K3,3 has injective f and
+    quantum symmetry).  Returns (pairwise gap > INJECTIVITY_TOL, values).
     """
     if spec.n == 4:
         raise GraphError("the injectivity criterion excludes n = 4")

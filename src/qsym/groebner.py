@@ -75,28 +75,15 @@ def overlaps(m1: Word, m2: Word, i: int = 0, j: int = 1) -> list:
             if m2[-k:] == m1[:k]:
                 w = m2 + m1[k:]
                 out.append(Obstruction(w, i, m2[:-k], (), j, (), m1[k:]))
-    # containments
-    if (i, m1) != (j, m2):
-        if len(m2) < len(m1):
-            off = 0
-            while True:
-                pos = find_subword(m1[off:], m2)
-                if pos < 0:
-                    break
-                pos += off
-                out.append(Obstruction(m1, i, (), (), j, m1[:pos],
-                                       m1[pos + len(m2):]))
-                off = pos + 1
-        elif len(m1) < len(m2):
-            off = 0
-            while True:
-                pos = find_subword(m2[off:], m1)
-                if pos < 0:
-                    break
-                pos += off
-                out.append(Obstruction(m2, i, m2[:pos], m2[pos + len(m1):],
-                                       j, (), ()))
-                off = pos + 1
+    # containments, one per position of the shorter monomial in the longer
+    if len(m2) < len(m1):
+        k = len(m2)
+        out += [Obstruction(m1, i, (), (), j, m1[:p], m1[p + k:])
+                for p in range(len(m1) - k + 1) if m1[p:p + k] == m2]
+    elif len(m1) < len(m2):
+        k = len(m1)
+        out += [Obstruction(m2, i, m2[:p], m2[p + k:], j, (), ())
+                for p in range(len(m2) - k + 1) if m2[p:p + k] == m1]
     return out
 
 
@@ -117,7 +104,6 @@ class PartialGB:
     truncated: bool = False
     steps: int = 0
     discarded_over_cap: int = 0
-    max_degree: int = 0
 
 
 class _UnitIdeal(Exception):
@@ -186,40 +172,34 @@ class ReducerIndex:
     def active(self):
         return [p for p, a in zip(self.polys, self.alive) if a]
 
-    def find_reducer(self, word):
+    def find_reducer(self, word, skip=()):
         """(index, offset) of the leftmost occurrence of any active leading
-        monomial inside ``word``, or None."""
+        monomial inside ``word``, the slots in ``skip`` aside, or None."""
         for pos, letter in enumerate(word):
             for idx in self.buckets.get(letter, ()):
-                if not self.alive[idx]:
+                if not self.alive[idx] or idx in skip:
                     continue
                 lm = self.lms[idx]
                 if word[pos:pos + len(lm)] == lm:
                     return idx, pos
         return None
 
-    def reducible_by_other(self, word, *exclude):
-        for pos, letter in enumerate(word):
-            for idx in self.buckets.get(letter, ()):
-                if not self.alive[idx] or idx in exclude:
-                    continue
-                lm = self.lms[idx]
-                if word[pos:pos + len(lm)] == lm:
-                    return True
-        return False
+
+def _largest_first(word) -> tuple:
+    """Min-heap key that pops the deglex-largest word first: within one
+    length, negating every letter reverses the lexicographic order."""
+    return -len(word), tuple((-a, -b) for a, b in word), word
 
 
 def _reduce_with_index(p: NcPoly, index: ReducerIndex) -> NcPoly:
     terms = dict(_int_coeffs(p.terms.items()))
     # rewriting a word only creates deglex-smaller words, so one descending
     # pass over a lazy worklist visits every word that ever needs attention
-    work = []
-    for word in terms:
-        heapq.heappush(work, (-len(word), _NegLex(word)))
+    work = [_largest_first(word) for word in terms]
+    heapq.heapify(work)
     queued = set(terms)
     while work:
-        _, neg = heapq.heappop(work)
-        word = neg.word
+        word = heapq.heappop(work)[2]
         queued.discard(word)
         coeff = terms.get(word)
         if not coeff:
@@ -236,26 +216,11 @@ def _reduce_with_index(p: NcPoly, index: ReducerIndex) -> NcPoly:
             if val:
                 terms[key] = val
                 if key not in queued:
-                    heapq.heappush(work, (-len(key), _NegLex(key)))
+                    heapq.heappush(work, _largest_first(key))
                     queued.add(key)
             else:
                 terms.pop(key, None)
     return NcPoly(terms)
-
-
-class _NegLex:
-    """Wrapper inverting lexicographic order inside the min-heap."""
-
-    __slots__ = ("word",)
-
-    def __init__(self, word):
-        self.word = word
-
-    def __lt__(self, other):
-        return self.word > other.word
-
-    def __eq__(self, other):
-        return self.word == other.word
 
 
 def normal_form(p: NcPoly, basis) -> NcPoly:
@@ -315,7 +280,7 @@ def buchberger(gens, max_degree: int,
     """
     gens = [g for g in gens if not g.is_zero]
     if not gens:
-        return PartialGB([], max_degree, exhausted=True, max_degree=max_degree)
+        return PartialGB([], max_degree, exhausted=True)
     gen_deg = max(g.degree() for g in gens)
     if max_degree < gen_deg:
         raise GroebnerError(
@@ -366,7 +331,7 @@ def buchberger(gens, max_degree: int,
             # equal leading monomials may remain, and overlaps() gives no
             # obstruction for those, so no degree is certified complete
             return PartialGB(index.active(), 0, exhausted=False,
-                             truncated=True, max_degree=max_degree)
+                             truncated=True)
         for idx in range(len(index.polys)):
             push_obstructions(idx)
         while heap:
@@ -378,7 +343,7 @@ def buchberger(gens, max_degree: int,
                 continue
             # containment criterion: the ambiguity factors through a third
             # active element whose leading monomial sits inside the word
-            if index.reducible_by_other(ob.word, ob.i, ob.j):
+            if index.find_reducer(ob.word, skip=(ob.i, ob.j)) is not None:
                 continue
             steps += 1
             p_i, p_j = index.polys[ob.i], index.polys[ob.j]
@@ -389,7 +354,7 @@ def buchberger(gens, max_degree: int,
                 add_element(rem.monic())
     except _UnitIdeal:
         return PartialGB([NcPoly.one()], max_degree, exhausted=True,
-                         steps=steps, max_degree=max_degree)
+                         steps=steps)
 
     if truncated:
         pending = min((item[0] for item in heap), default=max_degree + 1)
@@ -403,7 +368,7 @@ def buchberger(gens, max_degree: int,
         final, truncated = index.active(), True
     return PartialGB(basis=final, complete_up_to_degree=complete,
                      exhausted=exhausted, truncated=truncated, steps=steps,
-                     discarded_over_cap=discarded, max_degree=max_degree)
+                     discarded_over_cap=discarded)
 
 
 # -- quantum-symmetry relations ---------------------------------------------
@@ -454,7 +419,7 @@ def commutator(a, b) -> NcPoly:
     return pa * pb - pb * pa
 
 
-def commutator_reduces(g: Graph, gb: PartialGB, a, b) -> bool:
+def commutator_reduces(gb: PartialGB, a, b) -> bool:
     """True iff u_a u_b - u_b u_a reduces to zero: a proof that the two
     generators commute in the quantum automorphism algebra.  False proves
     nothing (the basis is degree-truncated)."""
@@ -468,6 +433,6 @@ def commutation_report(g: Graph, gb: PartialGB,
     irreducible.  Past ``deadline`` (checked before each pair) the pairs
     left untried map to None."""
     return {(j, l): None if _past(deadline) else all(
-                commutator_reduces(g, gb, (i, j), (k, l))
+                commutator_reduces(gb, (i, j), (k, l))
                 for i in g.vertices() for k in g.vertices())
             for j in g.vertices() for l in range(j, g.n + 1)}

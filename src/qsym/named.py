@@ -19,7 +19,6 @@ from .graphs import (
     cartesian_product,
     direct_product,
     disjoint_copies,
-    line_graph,
 )
 
 

@@ -1,8 +1,9 @@
 """Independent re-implementation of the certificate semantics.
 
 Used as the ground truth for the mutation fuzzer: it replays a
-certificate from the raw edge list alone, with Floyd-Warshall distances
-and direct set computations, sharing no code with the library verifier.
+certificate from the raw edge list alone, with Floyd-Warshall distances,
+direct set computations and circulant eigenvalues compared exactly in
+Z[x]/Phi_n, sharing no code with the library verifier.
 A mutation is a genuine counterfeit only if this replayer rejects it;
 the fuzzer then demands the library verifier reject it too.
 """
@@ -11,6 +12,42 @@ import math
 from itertools import combinations
 
 import qsym.certificate as cm
+
+
+def polydivmod(num, den):
+    """Quotient and remainder of integer polynomials, coefficients lowest
+    degree first, by a monic ``den``."""
+    num, k = list(num), len(den) - 1
+    quot = [0] * max(0, len(num) - k)
+    for i in reversed(range(len(quot))):
+        quot[i] = c = num[i + k]
+        for j, d in enumerate(den):
+            num[i + j] -= c * d
+    return quot, tuple(num[:k])
+
+
+def cyclotomic(n):
+    """Phi_n: x^n - 1 divided by Phi_d for every proper divisor d of n."""
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            poly = polydivmod(poly, cyclotomic(d))[0]
+    return poly
+
+
+def spectrum_injective(n, offsets):
+    """True iff lambda_1..lambda_{n//2} are pairwise distinct, where
+    lambda_s = sum of zeta^(x s) over the offsets x and zeta is a primitive
+    n-th root of unity.  Each lambda_s is compared as its residue modulo
+    Phi_n, which is unique because Z[zeta] = Z[x]/Phi_n."""
+    phi = cyclotomic(n)
+    residues = set()
+    for s in range(1, n // 2 + 1):
+        lam = [0] * n
+        for x in offsets:
+            lam[x * s % n] += 1
+        residues.add(polydivmod(lam, phi)[1])
+    return len(residues) == n // 2
 
 
 class IndependentReplayer:
@@ -182,16 +219,7 @@ class IndependentReplayer:
                             if i < j and (j - i) % s.n in offsets}
                     if want != self.edge_set:
                         return False
-                    ks = (1,) + tuple(s.chords)
-                    vals = [sum(math.cos(2 * kk * t * math.pi / s.n)
-                                for kk in ks)
-                            for t in range(1, s.n // 2 + 1)]
-                    if any(abs(a - b) <= 1e-6
-                           for a, b in combinations(vals, 2)):
-                        return False
-                    if len(vals) != len(s.values) or any(
-                            abs(a - b) > 1e-9
-                            for a, b in zip(vals, s.values)):
+                    if not spectrum_injective(s.n, offsets):
                         return False
                     if cert.verdict != cm.VERDICT_NONE:
                         return False

@@ -145,9 +145,30 @@ def test_forged_witness_rejected():
 def test_forged_injectivity_rejected():
     g = circulant(12, 2)  # cosine sums collide for this one
     cert = Certificate.for_graph(
-        g, cm.VERDICT_NONE,
-        [step(cm.INJECTIVE_F, n=12, chords=(2,), values=(0.0,) * 6)])
+        g, cm.VERDICT_NONE, [step(cm.INJECTIVE_F, n=12, chords=(2,))])
     assert not verify_certificate(g, cert)
+
+
+def test_injectivity_certificate_for_k33_rejected_by_both_verifiers():
+    """C6(3) = K3,3 has quantum symmetry, so no proof of its absence may
+    verify; the paper's cosine sums call it injective, its spectrum is not."""
+    g = circulant(6, 3)
+    assert decide(g).kind == "HasQuantumSymmetry"
+    cert = Certificate.for_graph(
+        g, cm.VERDICT_NONE, [step(cm.INJECTIVE_F, n=6, chords=(3,))])
+    result = verify_certificate(g, cert)
+    assert not result and "not injective" in result.message
+    assert not IndependentReplayer(g.n, g.edges()).accepts(cert)
+    text = serialize_certificate(cert)
+    assert "step INJECTIVE_F n=6 chords=3\n" in text
+
+
+def test_injectivity_step_with_values_field_is_refused():
+    text = serialize_certificate(decide(circulant(12, 3)).certificate)
+    assert "step INJECTIVE_F n=12 chords=3\n" in text
+    old = "chords=3 values=0.8660254037844387,-0.5,6.123233995736766e-17"
+    with pytest.raises(ValueError, match="takes the fields"):
+        parse_certificate(text.replace("chords=3", old))
 
 
 def test_malformed_step_fields_do_not_crash():

@@ -15,6 +15,7 @@ from qsym.graphs import (
     cartesian_product,
     common_neighbours,
     complement,
+    cosine_sums,
     direct_product,
     disjoint_copies,
     distance_k_graph,
@@ -36,9 +37,11 @@ from qsym.named import (
     line_graph_c6_2,
     truncated_tetrahedron,
 )
-from qsym.perms import is_automorphism, parse_cycles
+from qsym.perms import find_disjoint_automorphisms, is_automorphism, parse_cycles
 
-from util import is_isomorphic
+from replayer import spectrum_injective
+
+from util import circulants, is_isomorphic
 
 
 def test_graph_invariants_enforced():
@@ -258,7 +261,7 @@ PAPER_F_TABLE = {
 
 def test_injective_f_values_match_reported_table():
     for chords, expected in PAPER_F_TABLE.items():
-        injective, values = injective_f_check(CirculantSpec(12, chords))
+        injective, values = cosine_sums(CirculantSpec(12, chords))
         assert injective
         assert len(values) == 6
         for got, want in zip(values, expected):
@@ -267,8 +270,38 @@ def test_injective_f_values_match_reported_table():
 
 def test_injective_f_fails_where_hand_proofs_were_needed():
     for chords in [(2,), (4,), (2, 6), (3, 6), (4, 6)]:
-        injective, _ = injective_f_check(CirculantSpec(12, chords))
+        injective, _ = cosine_sums(CirculantSpec(12, chords))
         assert not injective
+    with pytest.raises(GraphError):
+        cosine_sums(CirculantSpec(4))
+
+
+def test_injective_f_check_is_exact_on_small_circulants():
+    """The spectrum test agrees with the replayer's Z[x]/Phi_n test on all
+    378 circulants with 5 <= n <= 16, and no injective one has a disjoint
+    automorphism pair (which would force quantum symmetry)."""
+    injective = []
+    for g in circulants():
+        verdict, distinct = injective_f_check(g.circulant)
+        offsets = {(v - 1) % g.n for v in g.neighbours(1)}
+        assert verdict == spectrum_injective(g.n, offsets), g.label
+        assert verdict == (distinct == g.n // 2 + 1), g.label
+        if verdict:
+            injective.append(g)
+    assert len(injective) == 207
+    for g in injective:
+        assert find_disjoint_automorphisms(g) is None, g.label
+
+
+def test_injective_f_check_counts_chord_n_over_2_once():
+    # C6(3) = K3,3 has spectrum {3, 0, -3}; the cosine sums count chord 3
+    # twice and come out injective, yet K3,3 has quantum symmetry
+    assert injective_f_check(CirculantSpec(6, (3,))) == (False, 3)
+    assert cosine_sums(CirculantSpec(6, (3,)))[0]
+    # C12(6): lambda_3 = lambda_6 = -1; C12(3,6) is injective after all
+    assert injective_f_check(CirculantSpec(12, (6,))) == (False, 6)
+    assert injective_f_check(CirculantSpec(12, (3, 6))) == (True, 7)
+    assert injective_f_check(CirculantSpec(5)) == (True, 3)
     with pytest.raises(GraphError):
         injective_f_check(CirculantSpec(4))
 

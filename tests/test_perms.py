@@ -29,7 +29,7 @@ from qsym.perms import (
     pair_orbits,
     parse_cycles,
 )
-from util import floyd_warshall
+from util import circulants, floyd_warshall
 
 
 def test_permutation_basics():
@@ -129,14 +129,6 @@ def test_group_past_its_deadline_raises():
         automorphism_group(circulant(12, 2), deadline=time.monotonic() - 1)
 
 
-def _circulants(top=16):
-    """Every circulant C_n(S), 5 <= n <= top: 378 graphs for top = 16."""
-    return [circulant(n, *chords)
-            for n in range(5, top + 1)
-            for k in range(n // 2)
-            for chords in itertools.combinations(range(2, n // 2 + 1), k)]
-
-
 # SHA-256 over (name, order, generators) of all 378 circulants, as found
 # by the distance-pruned search that the pair colouring replaced.
 CIRCULANT_GROUPS_SHA256 = \
@@ -146,7 +138,7 @@ CIRCULANT_GROUPS_SHA256 = \
 def test_circulant_groups_are_pinned():
     """Pruning may only cut dead branches: every generator, in its order,
     is the one the distance-pruned chain found."""
-    graphs = _circulants()
+    graphs = circulants()
     assert len(graphs) == 378
     digest = hashlib.sha256()
     for g in graphs:
@@ -159,7 +151,7 @@ def test_circulant_groups_are_pinned():
 def test_pair_colours_are_invariant_and_refine_distance():
     """c(x, y) names exactly the class of (d(x, y), |N(x) & N(y)|), and
     every generator keeps it: c(sigma x, sigma y) = c(x, y)."""
-    graphs = _circulants() + [e.build() for e in catalog()]
+    graphs = circulants() + [e.build() for e in catalog()]
     graphs.append(disjoint_copies(path_graph(3), 2))
     for g in graphs:
         c, vertices, d = g.pair_colours(), g.vertices(), floyd_warshall(g)
@@ -326,7 +318,7 @@ def test_disjoint_pair_is_the_oracle_pair():
     """String-exact against the enumerated group on every circulant
     C_n(S), 5 <= n <= 12, and every catalog graph, whose group order is at
     most 5000: the scan's pruning must not move the tie-break."""
-    graphs = _circulants(12) + [e.build() for e in catalog()]
+    graphs = circulants(12) + [e.build() for e in catalog()]
     # The 3-cube less two parallel edges: its group Z2 x Z2 moves all 8
     # vertices, so in two copies three witnesses share the smallest support
     # and the image-vector tie-break decides between them.

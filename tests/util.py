@@ -1,9 +1,19 @@
 """Shared test oracles, independent of the code paths they check."""
 
+import itertools
 import math
 import random
 
 from qsym.graphs import Graph
+from qsym.named import circulant
+
+
+def circulants(top=16):
+    """Every circulant C_n(S), 5 <= n <= top: 378 graphs for top = 16."""
+    return [circulant(n, *chords)
+            for n in range(5, top + 1)
+            for k in range(n // 2)
+            for chords in itertools.combinations(range(2, n // 2 + 1), k)]
 
 
 def floyd_warshall(g: Graph):
