@@ -39,12 +39,9 @@ from .perms import is_automorphism, parse_cycles
 QUADRANGLE_FREE = "QUADRANGLE_FREE"
 ONE_COMMON_NEIGHBOUR = "ONE_COMMON_NEIGHBOUR"
 ONE_COMMON_NEIGHBOUR_GEN = "ONE_COMMON_NEIGHBOUR_GEN"
-UNIQUE_AT_DISTANCE = "UNIQUE_AT_DISTANCE"
+UNIQUE_IN_COLOUR = "UNIQUE_IN_COLOUR"
 CHOOSE_Q_RIGHT = "CHOOSE_Q_RIGHT"
 CHOOSE_Q_MIDDLE = "CHOOSE_Q_MIDDLE"
-TRIANGLE_MISMATCH = "TRIANGLE_MISMATCH"
-CN_MISMATCH = "CN_MISMATCH"
-MONOMIAL_ZERO = "MONOMIAL_ZERO"
 AUT_TRANSFER = "AUT_TRANSFER"
 ADJ_COMMUTE_CLOSE = "ADJ_COMMUTE_CLOSE"
 VERTEX_TRANSIT = "VERTEX_TRANSIT"
@@ -105,6 +102,8 @@ class Certificate:
 
 # -- serialization ---------------------------------------------------------
 
+HEADER = "qsym-certificate v2"
+
 
 def _ser_value(key, value):
     if key in ("phi", "sigma", "tau"):
@@ -112,8 +111,6 @@ def _ser_value(key, value):
         return str(value).replace(" ", ",")
     if key in ("survivors", "chords", "bases"):
         return ",".join(str(v) for v in value) or "-"
-    if key == "m" and value == math.inf:
-        return "inf"
     return str(value)
 
 
@@ -124,8 +121,6 @@ def _parse_value(key, text, n):
         if text == "-":
             return ()
         return tuple(int(v) for v in text.split(","))
-    if key == "m":
-        return math.inf if text == "inf" else int(text)
     return int(text)
 
 
@@ -137,7 +132,7 @@ def serialize_step(s: ProofStep) -> str:
 
 
 def serialize_certificate(cert: Certificate) -> str:
-    lines = ["qsym-certificate v1", f"verdict {cert.verdict}", f"graph p {cert.n}"]
+    lines = [HEADER, f"verdict {cert.verdict}", f"graph p {cert.n}"]
     lines.extend(f"graph e {i} {j}" for i, j in cert.edges)
     lines.extend("step " + serialize_step(s) for s in cert.steps)
     return "\n".join(lines) + "\n"
@@ -145,7 +140,11 @@ def serialize_certificate(cert: Certificate) -> str:
 
 def parse_certificate(text: str) -> Certificate:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "qsym-certificate v1":
+    if lines and lines[0] == "qsym-certificate v1":
+        raise ValueError("qsym-certificate v1 is retired: its rules compared "
+                         "distances, v2 compares pair colours; re-run "
+                         "`qsym certificate` on the graph")
+    if not lines or lines[0] != HEADER:
         raise ValueError("not a qsym certificate (missing header)")
     if len(lines) < 2 or not lines[1].startswith("verdict "):
         raise ValueError("missing verdict line")
@@ -198,8 +197,8 @@ class CommutationKB:
         return j == l or frozenset((j, l)) in self.commute
 
     def survivors(self, j, l) -> frozenset:
-        """Candidates for (j,l): P0 = {p : d(p,l) = d(j,l)} until a
-        candidate reduction narrows it."""
+        """Candidates for (j,l): P0 = {p : c(p,l) = c(j,l)}, c the pair
+        colour, until a candidate reduction narrows it."""
         cand = self.candidates.get((j, l))
         if cand is None:
             cand = self.candidates[(j, l)] = narrowed(
@@ -256,14 +255,22 @@ class CommutationKB:
 # returns None when the step is justified, else the reason it is not.  The
 # engine calls checks as search predicates, where rejection is the common
 # case, so a reason that only restates the step's fields names them.
+#
+# The candidate and middle rules rest on one fact: u_ij u_kl = 0 whenever
+# the pairs (i,k) and (j,l) differ in colour, c = ``g.pair_colours()``,
+# the class of (distance, number of common neighbours).  Both parts are
+# constant on each class of the coherent closure, and every quantum
+# orbital lies inside one such class (Lupini, Mancinska and Roberson,
+# "Nonlocal games and quantum permutation groups", JFA 2020).  A step
+# names vertices only; a verifier recomputes the colours from the graph.
 
 
 def narrowed(g, cand, j, q):
-    """The members of ``cand`` as far from q as j is; with every vertex as
-    ``cand`` and q = l, that is P0 for (j,l)."""
-    dq = g.distances()[q]
-    dqj = dq[j]
-    return frozenset([p for p in cand if dq[p] == dqj])
+    """The members of ``cand`` whose colour with q is that of j; with every
+    vertex as ``cand`` and q = l, that is P0 for (j,l)."""
+    cq = g.pair_colours()[q]
+    cqj = cq[j]
+    return frozenset([p for p in cand if cq[p] == cqj])
 
 
 def _triple_condition(g, i, k):
@@ -300,11 +307,11 @@ def _one_common_neighbour_gen(g, kb, j, l, q):
             return f"adjacent pair ({a},{b}) breaks the global side condition"
 
 
-def _unique_at_distance(g, kb, j, l, m):
-    if g.distances()[j][l] != m or m == math.inf:
-        return "d(j,l) != m"
+def _unique_in_colour(g, kb, j, l):
+    if g.distances()[j][l] == math.inf:
+        return "(j,l) disconnected"
     if narrowed(g, g.vertices(), j, l) != frozenset((j,)):
-        return "j is not the unique vertex at distance m from l"
+        return "j is not the only vertex with its colour to l"
 
 
 def _choose_q_right(g, kb, j, l, q, survivors):
@@ -318,55 +325,35 @@ def _choose_q_right(g, kb, j, l, q, survivors):
 
 
 def middle_ring(g, j, l, p):
-    """The vertices at distance d(j,l) from both j and p, l among them, or
-    None when p is no candidate for the middle rule on (j,l).  The ring
+    """The vertices with the colour c(j,l) to both j and p, l among them,
+    or None when p is no candidate for the middle rule on (j,l).  The ring
     does not depend on q, so a search over q builds it once."""
-    d = g.distances()
-    dj, dp = d[j], d[p]
-    m = dj[l]
-    if m == math.inf or dp[l] != m or p == j:
+    c = g.pair_colours()
+    cj, cp = c[j], c[p]
+    k = cj[l]
+    if g.distances()[j][l] == math.inf or cp[l] != k or p == j:
         return None
-    return [x for x in g.vertices() if dj[x] == m and dp[x] == m]
+    return [x for x in g.vertices() if cj[x] == k and cp[x] == k]
 
 
 def middle_q_fails(g, ring, j, l, p, q):
     """Why q cannot kill u_ij u_kl u_ip by the middle rule, given
     ``ring = middle_ring(g, j, l, p)``; None when it can."""
-    dq = g.distances()[q]
-    if dq[j] == dq[p]:
+    cq = g.pair_colours()[q]
+    if cq[j] == cq[p]:
         return "q does not separate j from p"
-    s_dist = dq[l]
-    if [x for x in ring if dq[x] == s_dist] != [l]:
+    cql = cq[l]
+    if [x for x in ring if cq[x] == cql] != [l]:
         return "l not unique for the middle rule"
 
 
 def _choose_q_middle(g, kb, j, l, p, q):
-    """q kills u_ij u_kl u_ip when d(j,q) != d(q,p) and l is the only
-    vertex at distance d(l,q) from q, d(j,l) from j and d(p,l) from p."""
+    """q kills u_ij u_kl u_ip when c(j,q) != c(q,p) and l is the only
+    vertex with colour c(l,q) to q, c(j,l) to j and c(p,l) to p."""
     ring = middle_ring(g, j, l, p)
     if ring is None:
         return "bad p for the middle rule on (j,l)"
     return middle_q_fails(g, ring, j, l, p, q)
-
-
-def _cn_mismatch(g, kb, j, l, p, triangle=False):
-    a, b = len(common_neighbours(g, j, l)), len(common_neighbours(g, l, p))
-    if a == b:
-        return "|CN(j,l)| = |CN(l,p)|"
-    if triangle and 0 not in (a, b):
-        return "triangle variant needs one empty CN set"
-
-
-def _triangle_mismatch(g, kb, j, l, p):
-    return _cn_mismatch(g, kb, j, l, p, triangle=True)
-
-
-def _monomial_zero(g, kb, j, l, p, q):
-    if not kb.knows_commute(l, q):
-        return "commute({l,q}) not yet established"
-    dq = g.distances()[q]
-    if dq[p] == dq[j]:
-        return "d(p,q) = d(j,q)"
 
 
 def _adj_commute_close(g, kb, j, l):
@@ -440,14 +427,10 @@ RULES = {
     ONE_COMMON_NEIGHBOUR: Rule((), _one_common_neighbour, _KB._commute_edges),
     ONE_COMMON_NEIGHBOUR_GEN: Rule(("j", "l", "q"), _one_common_neighbour_gen,
                                    _KB._commute),
-    UNIQUE_AT_DISTANCE: Rule(("j", "l", "m"), _unique_at_distance,
-                             _KB._commute),
+    UNIQUE_IN_COLOUR: Rule(("j", "l"), _unique_in_colour, _KB._commute),
     CHOOSE_Q_RIGHT: Rule(("j", "l", "q", "survivors"), _choose_q_right,
                          _KB._narrow),
     CHOOSE_Q_MIDDLE: Rule(("j", "l", "p", "q"), _choose_q_middle, _KB._kill),
-    TRIANGLE_MISMATCH: Rule(("j", "l", "p"), _triangle_mismatch, _KB._kill),
-    CN_MISMATCH: Rule(("j", "l", "p"), _cn_mismatch, _KB._kill),
-    MONOMIAL_ZERO: Rule(("j", "l", "p", "q"), _monomial_zero, _KB._kill),
     AUT_TRANSFER: Rule(("j1", "l1", "j2", "l2", "phi"), _aut_transfer,
                        _KB._transfer),
     ADJ_COMMUTE_CLOSE: Rule(("j", "l"), _adj_commute_close, _KB._commute),

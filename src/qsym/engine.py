@@ -96,8 +96,9 @@ def seed_kb(g: Graph, use_global_seeds: bool = True) -> CommutationKB:
     individual adjacent pairs can be seeded through the generalized
     one-common-neighbour rule, provided every adjacent pair with a unique
     common neighbour satisfies its triple condition (pairs with a different
-    common-neighbour count are harmless: the mismatch already kills the
-    mixed products).  Diagonal pairs {j,j} always commute and stay implicit.
+    common-neighbour count are harmless: they differ in pair colour, so the
+    mixed products vanish).  Diagonal pairs {j,j} always commute and stay
+    implicit.
 
     ``use_global_seeds=False`` starts from an empty knowledge base, which
     forces pairwise derivations even where a whole-graph lemma applies;
@@ -122,9 +123,10 @@ def seed_kb(g: Graph, use_global_seeds: bool = True) -> CommutationKB:
 def reduce_candidates(kb: CommutationKB, g: Graph, j, l):
     """Shrink the survivor set for (j,l) with every usable column q.
 
-    Starting from P0 = {p : d(p,l) = d(j,l)}, each q whose column commutes
-    with column l restricts the survivors to {p : d(p,q) = d(j,q)}.  Only
-    strictly shrinking applications are recorded.  j itself always survives.
+    Starting from P0 = {p : c(p,l) = c(j,l)}, c the pair colour, each q
+    whose column commutes with column l restricts the survivors to
+    {p : c(p,q) = c(j,q)}.  Only strictly shrinking applications are
+    recorded.  j itself always survives.
     """
     cand = kb.survivors(j, l)
     for q in g.vertices():
@@ -149,47 +151,22 @@ def kill_choose_q_middle(g: Graph, j, l, p):
                 None)
 
 
-def kill_cn_mismatch(g: Graph, j, l, p) -> bool:
-    """True iff the common-neighbour counts of (j,l) and (l,p) differ."""
-    check = cert_mod.RULES[cert_mod.CN_MISMATCH].check
-    return check(g, None, j, l, p) is None
-
-
-def kill_monomial_zero(kb: CommutationKB, g: Graph, j, l, p):
-    """Smallest q with d(p,q) != d(j,q) whose column commutes with l."""
-    check = cert_mod.RULES[cert_mod.MONOMIAL_ZERO].check
-    return next((q for q in g.vertices()
-                 if check(g, kb, j, l, p, q) is None), None)
-
-
 def prove_pair(kb: CommutationKB, g: Graph, j, l) -> bool:
     """Try to establish commute({j,l}); partial kills are kept either way."""
-    m = g.distances()[j][l]
-    if m == math.inf:
+    if g.distances()[j][l] == math.inf:
         raise EngineError(f"({j},{l}) lie in different components")
     if kb.knows_commute(j, l):
         return True
     if (j, l) not in kb.candidates and _propose(
-            kb, cert_mod.UNIQUE_AT_DISTANCE, j=j, l=l, m=m):
+            kb, cert_mod.UNIQUE_IN_COLOUR, j=j, l=l):
         return True
 
     cand = reduce_candidates(kb, g, j, l)
     killed = kb.killed.get((j, l), set())
-    for p in sorted(cand - {j}):
-        if p in killed:
-            continue
+    for p in sorted(cand - {j} - killed):
         q = kill_choose_q_middle(g, j, l, p)
         if q is not None:
             kb.apply(step(cert_mod.CHOOSE_Q_MIDDLE, j=j, l=l, p=p, q=q))
-            continue
-        if kill_cn_mismatch(g, j, l, p):
-            if not _propose(kb, cert_mod.TRIANGLE_MISMATCH, j=j, l=l, p=p):
-                kb.apply(step(cert_mod.CN_MISMATCH, j=j, l=l, p=p))
-            continue
-        q = kill_monomial_zero(kb, g, j, l, p)
-        if q is not None:
-            kb.apply(step(cert_mod.MONOMIAL_ZERO, j=j, l=l, p=p, q=q))
-
     return _propose(kb, cert_mod.ADJ_COMMUTE_CLOSE, j=j, l=l)
 
 

@@ -305,8 +305,6 @@ def _mutate_once(rng, cert):
                            else vals | {member}))
         if not new:
             return None
-    elif key == "m":
-        new = old + rng.choice((-1, 1))
     else:
         new = rng.randrange(1, n + 1)
         if new == old:

@@ -12,7 +12,7 @@ from qsym.catalog import (
     run_report,
     twelve_vertex_entries,
 )
-from qsym.graphs import complement
+from qsym.graphs import complement, injective_f_check
 from qsym.named import _ALIASES, build_named
 from qsym.perms import automorphism_group, is_vertex_transitive
 
@@ -60,6 +60,17 @@ def test_entry_lookup():
     assert not semi.expected_has_qsym and semi.expected_aut_order == 12
     with pytest.raises(KeyError):
         entry_by_name("C13")
+
+
+def test_injective_f_rows_pass_the_exact_criterion_except_c12_6():
+    """The proof-kind column records the published argument.  For C12(6)
+    that argument counts chord 6 twice; its true spectrum has
+    lambda_3 = lambda_6 = -1, and the lemmas prove the row instead."""
+    rows = {e.name: injective_f_check(e.build().circulant)
+            for e in twelve_vertex_entries()
+            if e.paper_proof_kind == "injective_f"}
+    assert rows.pop("C12(6)") == (False, 6)
+    assert rows and all(ok for ok, _ in rows.values()), rows
 
 
 def test_aliases_resolve_alike_for_graphs_and_entries():

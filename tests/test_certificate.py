@@ -75,7 +75,12 @@ def test_render_markdown_groups_tables():
     g, cert = _lemma_certificate("K2xC6")
     md = render_certificate(cert, "md")
     assert "| j | l | p | q |" in md and "| j | l | q | P |" in md
-    assert "| 1 | 7 | 2 | {1,8} |" in md  # the published reduction row
+    assert "| 1 | 4 | 2 | {1,8} |" in md
+    assert "| 1 | 7 | 8 | 3 |" in md  # (1,7) now closes by kills alone
+    # the published reduction row still holds once commute{7,2} is known
+    kb = cm.CommutationKB(g)
+    kb.commute.add(frozenset((7, 2)))
+    assert cm.RULES[cm.CHOOSE_Q_RIGHT].check(g, kb, 1, 7, 2, (1, 8)) is None
 
 
 def test_render_empty_certificate_is_header_only():
@@ -203,9 +208,16 @@ def test_unknown_verdict_is_rejected():
 
 def test_parse_rejects_truncated_text():
     with pytest.raises(ValueError):
-        parse_certificate("qsym-certificate v1\n")
+        parse_certificate("qsym-certificate v2\n")
     with pytest.raises(ValueError):
         parse_certificate("")
+
+
+def test_parse_refuses_a_v1_certificate_by_name():
+    text = serialize_certificate(_lemma_certificate("C5")[1])
+    assert text.startswith("qsym-certificate v2\n")
+    with pytest.raises(ValueError, match="v1"):
+        parse_certificate(text.replace("v2", "v1", 1))
 
 
 def test_parse_rejects_unknown_and_missing_fields():
@@ -222,11 +234,11 @@ def test_parse_rejects_unknown_and_missing_fields():
 def test_step_takes_exactly_its_rule_fields():
     """A step missing a field used to pass ``step`` and then crash
     ``serialize_step`` with a KeyError."""
-    assert serialize_step(step(cm.CN_MISMATCH, j=1, l=2, p=3)) \
-        == "CN_MISMATCH j=1 l=2 p=3"
-    for fields in ({"j": 1, "l": 2}, {"j": 1, "l": 2, "p": 3, "q": 4}):
+    assert serialize_step(step(cm.ONE_COMMON_NEIGHBOUR_GEN, j=1, l=2, q=3)) \
+        == "ONE_COMMON_NEIGHBOUR_GEN j=1 l=2 q=3"
+    for fields in ({"j": 1, "l": 2}, {"j": 1, "l": 2, "q": 3, "p": 4}):
         with pytest.raises(ValueError, match="takes the fields"):
-            step(cm.CN_MISMATCH, **fields)
+            step(cm.ONE_COMMON_NEIGHBOUR_GEN, **fields)
     with pytest.raises(ValueError, match="takes the fields"):
         step(cm.QUADRANGLE_FREE, kind=3)
     with pytest.raises(ValueError, match="unknown step kind"):

@@ -154,9 +154,18 @@ def test_certificate_verify_detects_tampering(capsys, tmp_path):
 
 def test_certificate_verify_truncated_file_exit_1(capsys, tmp_path):
     cert_path = tmp_path / "header_only.cert"
-    cert_path.write_text("qsym-certificate v1\n", encoding="utf-8")
+    cert_path.write_text("qsym-certificate v2\n", encoding="utf-8")
     code, _, err = run(capsys, "certificate", "--verify", str(cert_path))
     assert code == EXIT_ERROR and "missing verdict line" in err
+
+
+def test_certificate_verify_v1_file_exit_1(capsys, tmp_path):
+    out_path = tmp_path / "c5.cert"
+    assert run(capsys, "decide", "C5", "-o", str(out_path))[0] == 0
+    text = out_path.read_text(encoding="utf-8")
+    out_path.write_text(text.replace("v2", "v1", 1), encoding="utf-8")
+    code, _, err = run(capsys, "certificate", "--verify", str(out_path))
+    assert code == EXIT_ERROR and "v1" in err
 
 
 def test_certificate_refuses_quantum_graph(capsys):
@@ -196,10 +205,17 @@ def test_certificate_prefers_lemmas_over_the_criterion(capsys, monkeypatch,
     assert "step INJECTIVE_F" in out_path.read_text(encoding="utf-8")
     monkeypatch.setattr("qsym.cli._load_graph",
                         lambda _source: circulant(10, 2, 3))
-    calls = _count_calls(monkeypatch, qsym.engine, "lemma_fixpoint")
+    calls = []
+
+    def stays_open(g, *_args, **_kwargs):
+        # the colour rules close C10(2,3); keep it open to reach the fallback
+        calls.append(g)
+        return qsym.engine.CommutationKB(g), False, False
+
+    monkeypatch.setattr(qsym.engine, "lemma_fixpoint", stays_open)
     code, out, _ = run(capsys, "certificate", "C10(2,3)")
     assert code == 0 and "step INJECTIVE_F" in out
-    assert calls == {"lemma_fixpoint": 1}
+    assert len(calls) == 1
 
 
 def test_certificate_latex_matches_worked_example(capsys):

@@ -1,4 +1,5 @@
-"""Lemma engine: seeding, the four kill rules, fixpoint behaviour, decide."""
+"""Lemma engine: seeding, candidate reduction, the middle rule, fixpoint
+behaviour, decide."""
 
 import time
 
@@ -8,17 +9,16 @@ import qsym.certificate as cm
 from qsym.engine import (
     CommutationKB,
     EngineError,
+    _commutativity_certificate,
     decide,
     kill_choose_q_middle,
-    kill_cn_mismatch,
-    kill_monomial_zero,
     lemma_fixpoint,
     prove_pair,
     reduce_candidates,
     seed_kb,
 )
 from qsym.certificate import verify_certificate
-from qsym.graphs import disjoint_copies
+from qsym.graphs import disjoint_copies, injective_f_check
 from qsym.named import (
     build_named,
     circulant,
@@ -27,7 +27,15 @@ from qsym.named import (
     cycle_graph,
     truncated_tetrahedron,
 )
-from qsym.perms import DeadlineExceeded, automorphism_group, pair_orbits
+from qsym.perms import (
+    DeadlineExceeded,
+    automorphism_group,
+    find_disjoint_automorphisms,
+    pair_orbits,
+)
+
+from replayer import IndependentReplayer
+from util import circulants
 
 
 def _pairs_with(kb, kind, **match):
@@ -106,41 +114,28 @@ def test_reduce_candidates_without_usable_q_is_p0():
 def test_kill_choose_q_middle_examples():
     assert kill_choose_q_middle(cycle_graph(5), 1, 2, 3) == 1
     g = build_named("K2xC6")
-    assert kill_choose_q_middle(g, 1, 3, 5) == 2
-    assert kill_choose_q_middle(g, 1, 3, 8) == 6
-    # the hand proof needed the common-neighbour corollary for p = 10
+    assert kill_choose_q_middle(g, 1, 3, 5) == 1
+    # |CN(3,8)| = 0 and |CN(3,10)| = 2 differ from |CN(1,3)| = 1, so the
+    # colour of (l,p) differs from that of (j,l): no candidate for any q
+    assert kill_choose_q_middle(g, 1, 3, 8) is None
     assert kill_choose_q_middle(g, 1, 3, 10) is None
 
 
-def test_kill_cn_mismatch_examples():
+def test_p0_excludes_common_neighbour_mismatches():
+    """The hand proofs killed these p by the common-neighbour corollary;
+    the pair colour leaves them out of P0 from the start."""
     g = build_named("K2xC6")
-    assert kill_cn_mismatch(g, 1, 3, 10)
+    assert 10 not in CommutationKB(g).survivors(1, 3)
     h = circulant(12, 4, 6)
-    assert kill_cn_mismatch(h, 1, 4, 6)
-    assert not kill_cn_mismatch(g, 1, 3, 5)  # |CN(1,3)| = |CN(3,5)| = 1
+    assert 6 not in CommutationKB(h).survivors(1, 4)
+    assert 5 in CommutationKB(g).survivors(1, 3)  # |CN(1,3)| = |CN(3,5)| = 1
 
 
-def test_kill_monomial_zero_examples():
-    g = circulant(12, 2)
-    kb = CommutationKB(g)
-    kb.commute.add(frozenset((7, 4)))
-    assert kill_monomial_zero(kb, g, 1, 7, 2) == 4
-
-    h = circulant(12, 2, 6)
-    kb2 = CommutationKB(h)
-    kb2.commute.add(frozenset((5, 2)))
-    assert kill_monomial_zero(kb2, h, 1, 5, 9) == 2
-
-    empty = CommutationKB(g)
-    assert kill_monomial_zero(empty, g, 1, 7, 2) is None
-
-
-def test_prove_pair_unique_at_distance():
+def test_prove_pair_unique_in_colour():
     g = build_named("K2xC6")
     kb = CommutationKB(g)
     assert prove_pair(kb, g, 1, 10)
-    assert kb.log[-1].kind == cm.UNIQUE_AT_DISTANCE
-    assert kb.log[-1].m == 4
+    assert [str(s) for s in kb.log] == ["UNIQUE_IN_COLOUR j=1 l=10"]
 
 
 def test_prove_pair_c5_adjacent():
@@ -303,3 +298,44 @@ def test_decide_disconnected():
     from qsym.named import edgeless_graph
     v = decide(edgeless_graph(2))
     assert v.kind == "Undecided"
+
+
+def test_lemmas_close_exactly_the_circulants_without_a_disjoint_pair():
+    """On the 378 circulants C_n(S), 5 <= n <= 16, the colour rules close
+    every graph with no disjoint automorphism pair and no other; closing
+    one with a pair would prove a falsehood.  Every injective circulant is
+    among the closed, and each closed proof with n <= 12 replays."""
+    graphs = circulants()
+    closed, still_open = [], []
+    for g in graphs:
+        v = decide(g, engine="lemmas")
+        (closed if v.kind == "NoQuantumSymmetry" else still_open).append(
+            (g, v.certificate))
+    assert (len(closed), len(still_open)) == (285, 93)
+    assert all(find_disjoint_automorphisms(g) for g, _ in still_open)
+    assert not any(find_disjoint_automorphisms(g) for g, _ in closed)
+    injective = {g for g in graphs if injective_f_check(g.circulant)[0]}
+    assert len(injective) == 207 and injective <= {g for g, _ in closed}
+    small = [(g, cert) for g, cert in closed if g.n <= 12]
+    assert len(small) == 54
+    for g, cert in small:
+        assert IndependentReplayer(g.n, g.edges()).accepts(cert), g.label
+
+
+def test_a_colouring_finer_than_the_pair_colour_is_caught():
+    """Only a colouring constant on quantum orbitals is sound.  Fed the
+    discrete one, the rules close K3,3 = C6(3), which has quantum symmetry;
+    both verifiers recompute the colours and reject the proof."""
+    fresh = circulant(6, 3)
+    assert find_disjoint_automorphisms(fresh) is not None
+    aut = automorphism_group(fresh)
+    g = circulant(6, 3)
+    discrete = tuple(tuple((min(x, y), max(x, y)) for y in range(g.n + 1))
+                     for x in range(g.n + 1))
+    object.__setattr__(g, "_colours", discrete)
+    kb, closed, _ = lemma_fixpoint(g, aut)
+    assert closed
+    reps = [orbit[0] for orbit in aut.vertex_orbits()]
+    cert = _commutativity_certificate(g, aut, kb, reps)
+    assert not verify_certificate(fresh, cert)
+    assert not IndependentReplayer(fresh.n, fresh.edges()).accepts(cert)
