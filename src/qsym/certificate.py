@@ -68,14 +68,20 @@ class ProofStep:
         return serialize_step(self)
 
 
-def step(kind, /, **fields) -> ProofStep:
-    """A step of ``kind`` with exactly the fields its rule takes."""
+def _check_kind(kind, keys) -> None:
+    """Raise ``ValueError`` unless ``kind`` is a rule and ``keys`` exactly
+    its fields."""
     rule = RULES.get(kind)
     if rule is None:
         raise ValueError(f"unknown step kind {kind!r}")
-    if fields.keys() != set(rule.fields):
+    if keys != set(rule.fields):
         raise ValueError(f"{kind} takes the fields {rule.fields}, "
-                         f"not {tuple(fields)}")
+                         f"not {tuple(keys)}")
+
+
+def step(kind, /, **fields) -> ProofStep:
+    """A step of ``kind`` with exactly the fields its rule takes."""
+    _check_kind(kind, fields.keys())
     return ProofStep(kind, fields)
 
 
@@ -90,7 +96,7 @@ class Certificate:
 
     @staticmethod
     def for_graph(g: Graph, verdict: str, steps) -> "Certificate":
-        return Certificate(verdict=verdict, n=g.n, edges=tuple(g.edges()),
+        return Certificate(verdict=verdict, n=g.n, edges=g.edges(),
                            steps=tuple(steps))
 
     def graph(self) -> Graph:
@@ -105,18 +111,28 @@ class Certificate:
 HEADER = "qsym-certificate v2"
 
 
-def _ser_value(key, value):
+def _ser_value(key, value, cycles):
+    """A field's text; ``cycles`` maps each permutation already written in
+    this certificate to its text, so each is printed once."""
     if key in ("phi", "sigma", "tau"):
-        # compact cycle notation, no spaces: (1,7)(3,9,5)
-        return str(value).replace(" ", ",")
+        text = cycles.get(value)
+        if text is None:
+            # compact cycle notation, no spaces: (1,7)(3,9,5)
+            text = cycles[value] = str(value).replace(" ", ",")
+        return text
     if key in ("survivors", "chords", "bases"):
         return ",".join(str(v) for v in value) or "-"
     return str(value)
 
 
-def _parse_value(key, text, n):
+def _parse_value(key, text, n, perms):
+    """A field's value; ``perms`` maps each cycle text already read in this
+    certificate to its Permutation, so each text is parsed once."""
     if key in ("phi", "sigma", "tau"):
-        return parse_cycles(text, n)
+        perm = perms.get(text)
+        if perm is None:
+            perm = perms[text] = parse_cycles(text, n)
+        return perm
     if key in ("survivors", "chords", "bases"):
         if text == "-":
             return ()
@@ -124,17 +140,22 @@ def _parse_value(key, text, n):
     return int(text)
 
 
-def serialize_step(s: ProofStep) -> str:
+def _serialize_step(s: ProofStep, cycles) -> str:
     parts = [s.kind]
     for key in RULES[s.kind].fields:
-        parts.append(f"{key}={_ser_value(key, s.fields[key])}")
+        parts.append(f"{key}={_ser_value(key, s.fields[key], cycles)}")
     return " ".join(parts)
+
+
+def serialize_step(s: ProofStep) -> str:
+    return _serialize_step(s, {})
 
 
 def serialize_certificate(cert: Certificate) -> str:
     lines = [HEADER, f"verdict {cert.verdict}", f"graph p {cert.n}"]
     lines.extend(f"graph e {i} {j}" for i, j in cert.edges)
-    lines.extend("step " + serialize_step(s) for s in cert.steps)
+    cycles = {}
+    lines.extend("step " + _serialize_step(s, cycles) for s in cert.steps)
     return "\n".join(lines) + "\n"
 
 
@@ -151,6 +172,8 @@ def parse_certificate(text: str) -> Certificate:
     verdict = lines[1].split(None, 1)[1]
     graph_lines = [ln[6:] for ln in lines if ln.startswith("graph ")]
     g = read_graph("\n".join(graph_lines))
+    n = g.n
+    perms = {}
     steps = []
     for ln in lines:
         if not ln.startswith("step "):
@@ -163,10 +186,10 @@ def parse_certificate(text: str) -> Certificate:
                 raise ValueError(f"malformed field {tok!r} in {kind}")
             fields[key] = raw
         # kind and field set first, so a retired field is named as such
-        fields = step(kind, **fields).fields
-        steps.append(ProofStep(kind, {key: _parse_value(key, raw, g.n)
+        _check_kind(kind, fields.keys())
+        steps.append(ProofStep(kind, {key: _parse_value(key, raw, n, perms)
                                       for key, raw in fields.items()}))
-    return Certificate(verdict=verdict, n=g.n, edges=tuple(g.edges()),
+    return Certificate(verdict=verdict, n=n, edges=g.edges(),
                        steps=tuple(steps))
 
 

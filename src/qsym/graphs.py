@@ -85,8 +85,8 @@ class SemicirculantSpec:
 class Graph:
     """Immutable simple undirected graph on vertices 1..n."""
 
-    __slots__ = ("n", "rows", "label", "circulant", "_dist", "_colours",
-                 "_hash")
+    __slots__ = ("n", "rows", "label", "circulant", "_edges", "_dist",
+                 "_colours", "_hash")
 
     def __init__(self, n, edges, label="", circulant=None):
         if n < 1:
@@ -103,6 +103,7 @@ class Graph:
         object.__setattr__(self, "rows", tuple(rows))
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "circulant", circulant)
+        object.__setattr__(self, "_edges", None)
         object.__setattr__(self, "_dist", None)
         object.__setattr__(self, "_colours", None)
         object.__setattr__(self, "_hash", None)
@@ -137,9 +138,14 @@ class Graph:
     def degree(self, i) -> int:
         return self.rows[i].bit_count()
 
-    def edges(self):
-        return [(i, j) for i in self.vertices() for j in range(i + 1, self.n + 1)
-                if self.adjacent(i, j)]
+    def edges(self) -> tuple:
+        """The edges (i, j), i < j, in lexicographic order, as a cached
+        tuple."""
+        if self._edges is None:
+            object.__setattr__(self, "_edges", tuple(
+                (i, j) for i in self.vertices()
+                for j in range(i + 1, self.n + 1) if self.adjacent(i, j)))
+        return self._edges
 
     def num_edges(self) -> int:
         return sum(self.degree(i) for i in self.vertices()) // 2
@@ -229,7 +235,7 @@ def build_semicirculant(spec: SemicirculantSpec) -> Graph:
     """
     base = build_circulant(spec.base)
     n = spec.base.n
-    edges = base.edges()
+    edges = list(base.edges())
     for i in range(1, n + 1, 2):
         for l in spec.plus_chords:
             j = (i - 1 + l) % n + 1

@@ -147,18 +147,15 @@ def parse_cycles(text: str, n: int) -> Permutation:
 
 
 def is_automorphism(g: Graph, perm: Permutation) -> bool:
-    """Independent re-check: perm maps the neighbourhood of every vertex
-    onto the neighbourhood of its image, so it preserves every pair."""
+    """Independent re-check: perm maps every edge of g to an edge.  That
+    suffices because a Permutation is a bijection of 1..n: it maps the
+    finite edge set injectively into itself, hence onto it, so non-edges
+    go to non-edges as well and every pair keeps its adjacency."""
     if perm.n != g.n:
         return False
     img, rows = perm.img, g.rows
-    for i in g.vertices():
-        row, image = rows[i], 0
-        while row:
-            low = row & -row
-            image |= 1 << img[low.bit_length() - 1]
-            row ^= low
-        if image != rows[img[i]]:
+    for i, j in g.edges():
+        if not rows[img[i]] >> img[j] & 1:
             return False
     return True
 
@@ -363,7 +360,9 @@ class PairOrbits:
 
 def act_on_pair(gen: Permutation, pair: frozenset) -> frozenset:
     """The image of an unordered pair, as an ``AutGroup.orbit`` action."""
-    return frozenset(map(gen.img.__getitem__, pair))
+    i, j = pair
+    img = gen.img
+    return frozenset((img[i], img[j]))
 
 
 def pair_orbits(g: Graph, group: AutGroup) -> PairOrbits:

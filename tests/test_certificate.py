@@ -1,5 +1,6 @@
 """Certificates: serialization, independent verification, rendering."""
 
+import collections
 import inspect
 
 import pytest
@@ -17,7 +18,7 @@ from qsym.certificate import (
 from qsym.engine import decide, lemma_fixpoint, _commutativity_certificate
 from qsym.graphs import Graph
 from qsym.named import build_named, circulant, cycle_graph
-from qsym.perms import automorphism_group
+from qsym.perms import automorphism_group, is_automorphism, parse_cycles
 
 from replayer import IndependentReplayer
 
@@ -128,6 +129,35 @@ def test_premise_cited_before_derivation_is_rejected():
                             tuple([moved] + steps))
     result = verify_certificate(g, reordered)
     assert not result
+
+
+def test_forged_copy_of_a_shared_permutation_is_rejected():
+    """Parsing reads each distinct cycle text once per certificate.  A
+    forgery of one occurrence of a phi that several steps share must
+    still be read as written and rejected at its own step, while the
+    untouched occurrences keep their permutation."""
+    g, cert = _lemma_certificate("K2xC6")
+    lines = serialize_certificate(cert).splitlines(keepends=True)
+    where = collections.defaultdict(list)
+    for idx, ln in enumerate(lines):
+        for tok in ln.split():
+            if tok.startswith("phi="):
+                where[tok[4:]].append(idx)
+    shared, at = next((t, idx) for t, idx in where.items() if len(idx) >= 2)
+    forged = "(1,2)"
+    assert not is_automorphism(g, parse_cycles(forged, g.n))
+    lines[at[-1]] = lines[at[-1]].replace(f"phi={shared}", f"phi={forged}")
+    back = parse_certificate("".join(lines))
+    first_step = lines.index(next(ln for ln in lines if ln.startswith("step ")))
+    forged_step = at[-1] - first_step
+    phis = [back.steps[idx - first_step].phi for idx in at]
+    assert phis[:-1] == [parse_cycles(shared, g.n)] * (len(at) - 1)
+    assert phis[-1] == parse_cycles(forged, g.n)
+    result = verify_certificate(g, back)
+    assert not result and result.step_index == forged_step
+    assert "phi is not an automorphism" in result.message
+    assert IndependentReplayer(g.n, g.edges()).accepts(cert)
+    assert not IndependentReplayer(g.n, g.edges()).accepts(back)
 
 
 def test_truncated_certificate_is_rejected():

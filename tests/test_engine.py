@@ -1,6 +1,7 @@
 """Lemma engine: seeding, candidate reduction, the middle rule, fixpoint
 behaviour, decide."""
 
+import hashlib
 import time
 
 import pytest
@@ -17,7 +18,11 @@ from qsym.engine import (
     reduce_candidates,
     seed_kb,
 )
-from qsym.certificate import verify_certificate
+from qsym.certificate import (
+    parse_certificate,
+    serialize_certificate,
+    verify_certificate,
+)
 from qsym.graphs import disjoint_copies, injective_f_check
 from qsym.named import (
     build_named,
@@ -300,11 +305,18 @@ def test_decide_disconnected():
     assert v.kind == "Undecided"
 
 
+# SHA-256 over the texts of the 285 closed circulant certificates, in
+# ``circulants()`` order.
+CLOSED_CIRCULANT_CERTIFICATES_SHA256 = \
+    "da6f02d917a8eb9684026dc75c39cb9ed97bb6a475e0eae660b3fa4ac6151ee4"
+
+
 def test_lemmas_close_exactly_the_circulants_without_a_disjoint_pair():
     """On the 378 circulants C_n(S), 5 <= n <= 16, the colour rules close
     every graph with no disjoint automorphism pair and no other; closing
     one with a pair would prove a falsehood.  Every injective circulant is
-    among the closed, and each closed proof with n <= 12 replays."""
+    among the closed, and each closed proof with n <= 12 replays.  The
+    certificate texts are pinned, and each reads back to itself."""
     graphs = circulants()
     closed, still_open = [], []
     for g in graphs:
@@ -320,6 +332,11 @@ def test_lemmas_close_exactly_the_circulants_without_a_disjoint_pair():
     assert len(small) == 54
     for g, cert in small:
         assert IndependentReplayer(g.n, g.edges()).accepts(cert), g.label
+    texts = [serialize_certificate(cert) for _, cert in closed]
+    for (g, _), text in zip(closed, texts):
+        assert serialize_certificate(parse_certificate(text)) == text, g.label
+    digest = hashlib.sha256("".join(texts).encode()).hexdigest()
+    assert digest == CLOSED_CIRCULANT_CERTIFICATES_SHA256
 
 
 def test_a_colouring_finer_than_the_pair_colour_is_caught():

@@ -98,7 +98,7 @@ def test_semicirculant_plus_edges_form_the_documented_matching():
 
 def test_semicirculant_even_anchored_variant_is_the_same_up_to_rotation():
     g = build_named("C12(5+)")
-    even_extra = [(i, (i + 4) % 12 + 1) for i in range(2, 13, 2)]
+    even_extra = tuple((i, (i + 4) % 12 + 1) for i in range(2, 13, 2))
     even = Graph(12, cycle_graph(12).edges() + even_extra)
     rot = {v: v % 12 + 1 for v in range(1, 13)}
     rotated = Graph(12, [(rot[i], rot[j]) for i, j in even.edges()])
@@ -310,7 +310,7 @@ def test_text_format_roundtrip():
     g = build_named("C12(3+,6)")
     assert read_graph(write_graph(g)) == Graph(12, g.edges())
     parsed = read_graph("# comment\np 3\ne 1 2\ne 2 3 # trailing\n")
-    assert parsed.edges() == [(1, 2), (2, 3)]
+    assert parsed.edges() == ((1, 2), (2, 3))
     for bad in ["e 1 2\np 3", "p 3\ne 1", "p 3\nq 1 2", "p 3\ne 1 x", ""]:
         with pytest.raises(GraphError):
             read_graph(bad)

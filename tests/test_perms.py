@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import random
 import time
 
 import pytest
@@ -66,6 +67,66 @@ def test_generators_preserve_adjacency():
         aut = automorphism_group(g)
         for gen in aut.generators:
             assert is_automorphism(g, gen)
+
+
+def _preserves_adjacency(g, perm):
+    """The definition: perm acts on 1..n and keeps adjacency for every
+    vertex pair, edge or not."""
+    return perm.n == g.n and all(
+        g.adjacent(i, j) == g.adjacent(perm(i), perm(j))
+        for i, j in itertools.combinations(g.vertices(), 2))
+
+
+def test_is_automorphism_matches_its_definition():
+    """The edge-image check against the pair-by-pair definition, on group
+    elements, on those composed with a transposition and on shuffles."""
+    rng = random.Random(12)
+    verdicts = []
+    for name in ("C12", "C12(5)", "Icosahedron", "K2xC6(2)", "C12(3+,6)",
+                 "C12(4,5)", "3C4"):
+        g = build_named(name)
+        gens = automorphism_group(g).generators
+        for _ in range(40):
+            phi = Permutation.identity(g.n)
+            for _ in range(rng.randrange(4)):
+                phi = rng.choice(gens) * phi
+            a, b = rng.sample(range(1, g.n + 1), 2)
+            swap = parse_cycles(f"({a} {b})", g.n)
+            shuffle = Permutation(rng.sample(range(1, g.n + 1), g.n))
+            for perm in (phi, swap * phi, shuffle):
+                verdict = is_automorphism(g, perm)
+                assert verdict == _preserves_adjacency(g, perm), (name, perm)
+                verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
+
+
+def test_is_automorphism_edge_cases():
+    """Every permutation of an edgeless graph is an automorphism; a
+    permutation of another degree never is; preserving degrees is not
+    enough, and neither is keeping all edges but one."""
+    rng = random.Random(5)
+    empty = edgeless_graph(6)
+    for _ in range(20):
+        perm = Permutation(rng.sample(range(1, 7), 6))
+        assert is_automorphism(empty, perm) and \
+            _preserves_adjacency(empty, perm)
+    c5 = cycle_graph(5)
+    for n in (4, 6):
+        assert not is_automorphism(c5, Permutation.identity(n))
+    path = path_graph(5)  # degrees 1, 2, 2, 2, 1
+    swap = parse_cycles("(2 3)", 5)
+    assert [path.degree(swap(v)) for v in path.vertices()] \
+        == [path.degree(v) for v in path.vertices()]
+    assert not is_automorphism(path, swap)
+    assert not _preserves_adjacency(path, swap)
+    assert is_automorphism(path, parse_cycles("(1 5)(2 4)", 5))
+    # swapping an end of one matching edge with the isolated vertex 7
+    # breaks that edge alone, whichever edge it is
+    matching = Graph(7, [(1, 2), (3, 4), (5, 6)])
+    for i, j in matching.edges():
+        swap = parse_cycles(f"({j} 7)", 7)
+        assert not is_automorphism(matching, swap)
+        assert not _preserves_adjacency(matching, swap)
 
 
 def test_elements_closure_matches_order():
