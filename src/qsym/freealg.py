@@ -6,11 +6,18 @@ total degree first, then the label sequence left to right with (i, j)
 ordered naturally.  Deglex is multiplicative and well-founded per degree,
 which is what keeps degree-bounded Groebner truncation meaningful.
 
-No floating point enters this module.
+Each polynomial also has an integer form, computed on first use and
+cached: ``(den, {word: int})``, where ``den`` is the lcm of the coefficient
+denominators and every coefficient is multiplied by it.  The Groebner
+reduction reads its reducers from that form, so it runs in integer
+arithmetic and converts back to Fractions only in its result.
+
+No floating point enters this module: a float coefficient is a TypeError.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -32,23 +39,32 @@ def find_subword(haystack: Word, needle: Word) -> int:
     return -1
 
 
+def _exact(coeff) -> Fraction:
+    if isinstance(coeff, float):
+        raise TypeError(f"float coefficient {coeff!r}: coefficients must be "
+                        "exact")
+    return Fraction(coeff)
+
+
 class NcPoly:
     """Immutable sparse noncommutative polynomial.
 
-    The leading monomial is computed on first use and cached; nothing may
-    mutate ``terms`` after construction.
+    The leading monomial and the integer form are computed on first use and
+    cached; nothing may mutate ``terms`` after construction.
     """
 
-    __slots__ = ("terms", "_lm")
+    __slots__ = ("terms", "_lm", "_int")
 
     def __init__(self, terms=None):
         clean = {}
         for word, coeff in (terms or {}).items():
-            c = Fraction(coeff)
-            if c:
-                clean[tuple(word)] = c
+            if type(coeff) is not Fraction:
+                coeff = _exact(coeff)
+            if coeff:
+                clean[tuple(word)] = coeff
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_lm", None)
+        object.__setattr__(self, "_int", None)
 
     # constructors
     @staticmethod
@@ -87,6 +103,16 @@ class NcPoly:
             object.__setattr__(self, "_lm", max(self.terms, key=deglex_key))
         return self._lm
 
+    def int_form(self) -> tuple:
+        """(den, {word: int}): every coefficient times den, the lcm of the
+        coefficient denominators (1 for the zero polynomial)."""
+        if self._int is None:
+            den = math.lcm(*(c.denominator for c in self.terms.values()))
+            object.__setattr__(self, "_int", (den, {
+                w: c.numerator * (den // c.denominator)
+                for w, c in self.terms.items()}))
+        return self._int
+
     def lc(self) -> Fraction:
         return self.terms[self.lm()]
 
@@ -113,7 +139,7 @@ class NcPoly:
         return NcPoly({w: -c for w, c in self.terms.items()})
 
     def scale(self, c) -> "NcPoly":
-        c = Fraction(c)
+        c = _exact(c)
         return NcPoly({w: v * c for w, v in self.terms.items()})
 
     def __mul__(self, other: "NcPoly") -> "NcPoly":
@@ -191,7 +217,11 @@ def parse_poly(text: str) -> NcPoly:
             if m:
                 word.append((int(m.group(1)), int(m.group(2))))
             elif _COEFF.match(factor):
-                coeff *= Fraction(factor)
+                try:
+                    coeff *= Fraction(factor)
+                except ZeroDivisionError:
+                    raise ValueError(f"zero denominator in {factor!r} "
+                                     f"in {text!r}") from None
             else:
                 raise ValueError(f"bad factor {factor!r} in {text!r}")
         total = total + NcPoly.monomial(tuple(word), coeff)

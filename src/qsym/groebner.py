@@ -24,6 +24,8 @@ import bisect
 import heapq
 import time
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd
 
 from .freealg import NcPoly, Word, deglex_key, find_subword
 from .graphs import Graph
@@ -114,26 +116,22 @@ def _past(deadline) -> bool:
     return deadline is not None and time.monotonic() > deadline
 
 
-def _int_coeffs(items) -> list:
-    """(word, coeff) pairs with each integral Fraction turned into an int,
-    so the reduction loop does plain integer arithmetic where it can."""
-    return [(w, c.numerator if c.denominator == 1 else c) for w, c in items]
-
-
 class ReducerIndex:
-    """Active monic reducers indexed by the first letter of their leading
+    """Active reducers indexed by the first letter of their leading
     monomial, so subword searches touch only plausible candidates.
 
     Each bucket lists its slots in ascending order, and ``find_reducer``
     takes the first match, so the slot order decides which reducer wins.
-    Per slot the index keeps the polynomial, its leading monomial and,
-    while the slot is active, its tail: the other terms as (word, coeff)
-    pairs, integral coefficients as ints.  A constant raises _UnitIdeal.
+    Per slot the index keeps the polynomial and its leading monomial, and
+    from the polynomial's cached integer form its integer leading
+    coefficient and, while the slot is active, its tail: the other terms
+    as (word, int) pairs.  A constant raises _UnitIdeal.
     """
 
     def __init__(self, polys=()):
         self.polys: list = []
         self.lms: list = []
+        self.lcs: list = []
         self.tails: list = []
         self.alive: list = []
         self.buckets: dict = {}
@@ -144,15 +142,17 @@ class ReducerIndex:
         lm = p.lm()
         if not lm:
             raise _UnitIdeal
+        ints = p.int_form()[1]
         self.polys[idx] = p
         self.lms[idx] = lm
-        self.tails[idx] = _int_coeffs((w, c) for w, c in p.terms.items()
-                                      if w != lm)
+        self.lcs[idx] = ints[lm]
+        self.tails[idx] = [(w, c) for w, c in ints.items() if w != lm]
         self.alive[idx] = True
 
     def add(self, p: NcPoly) -> int:
         idx = len(self.polys)
-        for column in (self.polys, self.lms, self.tails, self.alive):
+        for column in (self.polys, self.lms, self.lcs, self.tails,
+                       self.alive):
             column.append(None)
         self._store(idx, p)
         self.buckets.setdefault(self.lms[idx][0], []).append(idx)
@@ -192,7 +192,10 @@ def _largest_first(word) -> tuple:
 
 
 def _reduce_with_index(p: NcPoly, index: ReducerIndex) -> NcPoly:
-    terms = dict(_int_coeffs(p.terms.items()))
+    # fraction-free: the terms are ints over the common denominator den, and
+    # terms/den is at every step the rational polynomial being reduced
+    den, terms = p.int_form()
+    terms = dict(terms)
     # rewriting a word only creates deglex-smaller words, so one descending
     # pass over a lazy worklist visits every word that ever needs attention
     work = [_largest_first(word) for word in terms]
@@ -209,6 +212,16 @@ def _reduce_with_index(p: NcPoly, index: ReducerIndex) -> NcPoly:
             continue
         bi, pos = hit
         del terms[word]
+        # cancel coeff*word against lc*lm: scale everything by lc/g, then
+        # subtract (coeff/g) times the reducer's tail
+        lc = index.lcs[bi]
+        g = gcd(coeff, lc)
+        scale = lc // g
+        if scale != 1:
+            for w in terms:
+                terms[w] *= scale
+            den *= scale
+        coeff //= g
         left, right = word[:pos], word[pos + len(index.lms[bi]):]
         for w, c in index.tails[bi]:
             key = left + w + right
@@ -220,13 +233,17 @@ def _reduce_with_index(p: NcPoly, index: ReducerIndex) -> NcPoly:
                     queued.add(key)
             else:
                 terms.pop(key, None)
-    return NcPoly(terms)
+    if den == 1:
+        return NcPoly(terms)
+    return NcPoly({w: Fraction(c, den) for w, c in terms.items()})
 
 
 def normal_form(p: NcPoly, basis) -> NcPoly:
     """Reduce until no term contains any basis leading monomial as a subword.
 
-    Basis elements must be monic.  Terms are rewritten largest first; the
+    Terms are rewritten largest first, each by the reducer whose leading
+    monomial occurs leftmost in it, in integer arithmetic over one common
+    denominator, so any nonzero leading coefficient is exact.  The
     result is a canonical representative once the basis is closed under the
     ambiguities below its degree.
     """

@@ -60,9 +60,33 @@ def test_parse_and_print():
     assert parse_poly(str(p)) == p
     assert parse_poly("-u[1,1]") == -u(1, 1)
     assert parse_poly("2*3*u[1,1]") == u(1, 1).scale(6)
-    for bad in ("", "u[1]", "u[1,2]**2", "1.5*u[1,1]", "+"):
+    for bad in ("", "u[1]", "u[1,2]**2", "1.5*u[1,1]", "+", "3/0*u[1,1]",
+                "u[1,1] - 0/0"):
         with pytest.raises(ValueError):
             parse_poly(bad)
+
+
+def test_float_coefficients_are_rejected():
+    for terms in ({(): 0.1}, {((1, 1),): 1.0}, {((1, 2),): -0.0}):
+        with pytest.raises(TypeError):
+            NcPoly(terms)
+    with pytest.raises(TypeError):
+        NcPoly.monomial(((1, 1),), 2.5)
+    with pytest.raises(TypeError):
+        u(1, 1).scale(0.5)
+    assert NcPoly({(): 1, ((1, 1),): Fraction(1, 2)}).terms == {
+        (): Fraction(1), ((1, 1),): Fraction(1, 2)}
+
+
+def test_int_form_is_cached_and_clears_denominators():
+    p = parse_poly("1/2*u[1,1]*u[1,2] - 2/3*u[2,2] + 3")
+    den, ints = p.int_form()
+    assert den == 6
+    assert ints == {((1, 1), (1, 2)): 3, ((2, 2),): -4, (): 18}
+    assert all(type(c) is int for c in ints.values())
+    assert p.int_form() is p.int_form()
+    assert u(1, 1).int_form() == (1, {((1, 1),): 1})
+    assert NcPoly.zero().int_form() == (1, {})
 
 
 def test_str_sign_handling():

@@ -134,6 +134,17 @@ def test_normal_form_examples():
     assert normal_form(u(1, 1) * u(1, 2), gb.basis).is_zero
 
 
+def test_normal_form_on_a_non_monic_basis():
+    # x = 1/2 modulo 2x - 1, and x*x = x/3 = 1/9 modulo 3x - 1
+    x, one = u(1, 1), NcPoly.one()
+    assert normal_form(x, [x.scale(2) - one]) == NcPoly.constant(
+        Fraction(1, 2))
+    assert normal_form(x * x, [x.scale(3) - one]) == NcPoly.constant(
+        Fraction(1, 9))
+    assert normal_form(x * x, [x.scale(-3) + one]) == NcPoly.constant(
+        Fraction(1, 9))
+
+
 def test_normal_form_is_idempotent():
     gb = buchberger(quantum_relations(cycle_graph(4)), max_degree=4)
     rng = random.Random(5)

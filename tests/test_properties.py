@@ -12,6 +12,7 @@ from qsym.engine import lemma_fixpoint
 from qsym.freealg import NcPoly
 from qsym.graphs import Graph, complement
 from qsym.groebner import buchberger, normal_form, quantum_relations
+from qsym.named import cycle_graph
 from qsym.perms import automorphism_group, is_automorphism, pair_orbits
 
 from util import floyd_warshall, random_graph
@@ -118,3 +119,56 @@ def test_normal_form_idempotent_randomized():
         p = NcPoly(terms)
         once = normal_form(p, gb.basis)
         assert normal_form(once, gb.basis) == once
+
+
+def _fraction_normal_form(p, basis):
+    """Reduce in Fraction arithmetic: rewrite the deglex-largest reducible
+    word first, by the first basis element in list order whose leading
+    monomial occurs in it (at its leftmost occurrence), divided by its
+    leading coefficient."""
+    def key(word):
+        return len(word), word
+    reducers = [(max(b.terms, key=key), b) for b in basis]
+    terms = dict(p.terms)
+    while True:
+        hit = None
+        for word in sorted(terms, key=key, reverse=True):
+            hit = next(((word, pos, lm, b) for lm, b in reducers
+                        for pos in range(len(word))
+                        if word[pos:pos + len(lm)] == lm), None)
+            if hit is not None:
+                break
+        if hit is None:
+            return NcPoly(terms)
+        word, pos, lm, b = hit
+        factor = terms.pop(word) / b.terms[lm]
+        left, right = word[:pos], word[pos + len(lm):]
+        for w, c in b.terms.items():
+            if w != lm:
+                key_w = left + w + right
+                val = terms.get(key_w, Fraction(0)) - factor * c
+                if val:
+                    terms[key_w] = val
+                else:
+                    terms.pop(key_w, None)
+
+
+def test_integer_reduction_matches_fraction_reduction():
+    # the C5 basis at degree 3 has coefficients with denominators 2, 3, 6
+    # and 9, so the integer reduction has to carry a common denominator
+    gb = buchberger(quantum_relations(cycle_graph(5)), max_degree=3)
+    denominators = {c.denominator for b in gb.basis for c in b.terms.values()}
+    assert {2, 3, 6, 9} <= denominators
+    rng = random.Random(113)
+    letters = [(i, j) for i in range(1, 6) for j in range(1, 6)]
+    fractional = 0
+    for _ in range(40):
+        p = NcPoly({tuple(rng.choice(letters)
+                          for _ in range(rng.randint(0, 3))):
+                    Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                    for _ in range(rng.randint(1, 3))})
+        got = normal_form(p, gb.basis)
+        assert got == _fraction_normal_form(p, gb.basis), p
+        assert all(type(c) is Fraction for c in got.terms.values())
+        fractional += any(c.denominator > 1 for c in got.terms.values())
+    assert fractional >= 20
