@@ -25,7 +25,7 @@ import heapq
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .freealg import NcPoly, Word, deglex_key, find_subword
 from .graphs import Graph
@@ -185,25 +185,23 @@ class ReducerIndex:
         return None
 
 
-def _largest_first(word) -> tuple:
-    """Min-heap key that pops the deglex-largest word first: within one
-    length, negating every letter reverses the lexicographic order."""
-    return -len(word), tuple((-a, -b) for a, b in word), word
-
-
-def _reduce_with_index(p: NcPoly, index: ReducerIndex) -> NcPoly:
+def _reduce_with_index(den: int, terms: dict, index: ReducerIndex) -> tuple:
     # fraction-free: the terms are ints over the common denominator den, and
-    # terms/den is at every step the rational polynomial being reduced
-    den, terms = p.int_form()
+    # terms/den is at every step the rational polynomial being reduced.  The
+    # index fixes how each reducible word is rewritten (by its leftmost
+    # find_reducer hit), so the result is a linear function of the input and
+    # does not depend on the starting den: Fraction(c, den) of the returned
+    # (den, terms) is the same canonical polynomial for any common
+    # denominator the caller starts from.
     terms = dict(terms)
     # rewriting a word only creates deglex-smaller words, so one descending
-    # pass over a lazy worklist visits every word that ever needs attention
-    work = [_largest_first(word) for word in terms]
-    heapq.heapify(work)
-    queued = set(terms)
+    # pass over a worklist sorted by (len(w), w) visits every word that ever
+    # needs attention.  A created word already in terms is smaller than the
+    # word being rewritten, hence not yet popped; any other is looked up in
+    # the list before it is inserted, so no word is queued twice
+    work = sorted((len(w), w) for w in terms)
     while work:
-        word = heapq.heappop(work)[2]
-        queued.discard(word)
+        word = work.pop()[1]
         coeff = terms.get(word)
         if not coeff:
             continue
@@ -225,17 +223,47 @@ def _reduce_with_index(p: NcPoly, index: ReducerIndex) -> NcPoly:
         left, right = word[:pos], word[pos + len(index.lms[bi]):]
         for w, c in index.tails[bi]:
             key = left + w + right
-            val = terms.get(key, 0) - coeff * c
-            if val:
-                terms[key] = val
-                if key not in queued:
-                    heapq.heappush(work, _largest_first(key))
-                    queued.add(key)
+            val = terms.get(key)
+            if val is None:
+                item = (len(key), key)
+                at = bisect.bisect_left(work, item)
+                if at == len(work) or work[at] != item:
+                    work.insert(at, item)
+                terms[key] = -coeff * c
             else:
-                terms.pop(key, None)
-    if den == 1:
-        return NcPoly(terms)
-    return NcPoly({w: Fraction(c, den) for w, c in terms.items()})
+                val -= coeff * c
+                if val:
+                    terms[key] = val
+                else:
+                    del terms[key]
+    return den, terms
+
+
+def _monic(terms: dict) -> NcPoly:
+    """The monic polynomial proportional to the nonzero integer terms."""
+    lc = terms[max(terms, key=deglex_key)]
+    return NcPoly({w: Fraction(c, lc) for w, c in terms.items()})
+
+
+def _s_polynomial(p_i: NcPoly, p_j: NcPoly, ob: Obstruction) -> tuple:
+    """left_i*p_i*right_i - left_j*p_j*right_j in integer form (den, terms),
+    over the lcm of the two polynomials' denominators, for any leading
+    coefficients."""
+    den_i, ints_i = p_i.int_form()
+    den_j, ints_j = p_j.int_form()
+    den = lcm(den_i, den_j)
+    a, b = den // den_i, den // den_j
+    left, right = ob.left_i, ob.right_i
+    terms = {left + w + right: a * c for w, c in ints_i.items()}
+    left, right = ob.left_j, ob.right_j
+    for w, c in ints_j.items():
+        key = left + w + right
+        val = terms.get(key, 0) - b * c
+        if val:
+            terms[key] = val
+        else:
+            del terms[key]
+    return den, terms
 
 
 def normal_form(p: NcPoly, basis) -> NcPoly:
@@ -243,21 +271,26 @@ def normal_form(p: NcPoly, basis) -> NcPoly:
 
     Terms are rewritten largest first, each by the reducer whose leading
     monomial occurs leftmost in it, in integer arithmetic over one common
-    denominator, so any nonzero leading coefficient is exact.  The
-    result is a canonical representative once the basis is closed under the
-    ambiguities below its degree.
+    denominator, so any nonzero leading coefficient is exact.  Zero basis
+    elements generate nothing and are ignored.  The result is a canonical
+    representative once the basis is closed under the ambiguities below its
+    degree.
     """
     try:
-        return _reduce_with_index(p, ReducerIndex(basis))
+        index = ReducerIndex(b for b in basis if not b.is_zero)
+        den, terms = _reduce_with_index(*p.int_form(), index)
     except _UnitIdeal:  # the basis [1]
         return NcPoly.zero()
+    if den == 1:
+        return NcPoly(terms)
+    return NcPoly({w: Fraction(c, den) for w, c in terms.items()})
 
 
 def _interreduce(polys, deadline: float | None = None) -> list:
     """Repeatedly reduce each element against the others; drop zeros.
     Past ``deadline`` (checked before each element) return the set reached
     so far, which generates the same ideal."""
-    current = [p.monic() for p in polys if not p.is_zero]
+    current = [_monic(p.int_form()[1]) for p in polys if not p.is_zero]
     changed = True
     while changed:
         changed = False
@@ -271,11 +304,11 @@ def _interreduce(polys, deadline: float | None = None) -> list:
             if _past(deadline):
                 return index.active()
             index.deactivate(idx)
-            r = _reduce_with_index(p, index)
-            if r.is_zero:
+            terms = _reduce_with_index(*p.int_form(), index)[1]
+            if not terms:
                 changed = True
                 continue
-            r = r.monic()
+            r = _monic(terms)
             if r != p:
                 changed = True
             index.replace(idx, r)
@@ -335,9 +368,10 @@ def buchberger(gens, max_degree: int,
                 continue
             if find_subword(index.lms[k], lm_h) >= 0:
                 index.deactivate(k)
-                leftover = _reduce_with_index(index.polys[k], index)
-                if not leftover.is_zero:
-                    add_element(leftover.monic())
+                leftover = _reduce_with_index(*index.polys[k].int_form(),
+                                              index)[1]
+                if leftover:
+                    add_element(_monic(leftover))
         push_obstructions(new_idx)
 
     steps = 0
@@ -363,12 +397,10 @@ def buchberger(gens, max_degree: int,
             if index.find_reducer(ob.word, skip=(ob.i, ob.j)) is not None:
                 continue
             steps += 1
-            p_i, p_j = index.polys[ob.i], index.polys[ob.j]
-            s_poly = p_i.conjugate_by_words(ob.left_i, ob.right_i) \
-                - p_j.conjugate_by_words(ob.left_j, ob.right_j)
-            rem = _reduce_with_index(s_poly, index)
-            if not rem.is_zero:
-                add_element(rem.monic())
+            s_poly = _s_polynomial(index.polys[ob.i], index.polys[ob.j], ob)
+            rem = _reduce_with_index(*s_poly, index)[1]
+            if rem:
+                add_element(_monic(rem))
     except _UnitIdeal:
         return PartialGB([NcPoly.one()], max_degree, exhausted=True,
                          steps=steps)

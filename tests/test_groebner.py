@@ -1,5 +1,6 @@
 """Buchberger procedure: ambiguities, truncation semantics, cross-oracles."""
 
+import functools
 import hashlib
 import itertools
 import random
@@ -16,6 +17,7 @@ from qsym.groebner import (
     Obstruction,
     ReducerIndex,
     _interreduce,
+    _s_polynomial,
     buchberger,
     commutation_report,
     commutator,
@@ -143,6 +145,11 @@ def test_normal_form_on_a_non_monic_basis():
         Fraction(1, 9))
     assert normal_form(x * x, [x.scale(-3) + one]) == NcPoly.constant(
         Fraction(1, 9))
+
+
+def test_normal_form_ignores_zero_basis_elements():
+    x, one = u(1, 1), NcPoly.one()
+    assert normal_form(x * x, [NcPoly.zero(), x - one]) == one
 
 
 def test_normal_form_is_idempotent():
@@ -324,6 +331,13 @@ GROEBNER_OUTPUTS_SHA256 = (
     "09a14852b9c4f3ec91e75fabf5d4f7bf2c4e132e6a05ed0f41cc15e65cc7f811")
 
 
+def _output_record(name, g, cap, gb):
+    commuting = sorted(p for p, ok in commutation_report(g, gb).items() if ok)
+    return repr((name, cap, [str(p) for p in gb.basis], gb.steps,
+                 gb.complete_up_to_degree, gb.exhausted, gb.truncated,
+                 gb.discarded_over_cap, commuting)).encode() + b"\n"
+
+
 def test_groebner_outputs_are_pinned():
     digest = hashlib.sha256()
     for name, g, cap in (("K3", complete_graph(3), 4),
@@ -333,13 +347,43 @@ def test_groebner_outputs_are_pinned():
                          ("C8(4)", circulant(8, 4), 3),
                          ("edgeless(3)", edgeless_graph(3), 4)):
         gb = buchberger(quantum_relations(g), max_degree=cap)
-        commuting = sorted(p for p, ok in commutation_report(g, gb).items()
-                           if ok)
-        digest.update(repr((name, cap, [str(p) for p in gb.basis], gb.steps,
-                            gb.complete_up_to_degree, gb.exhausted,
-                            gb.truncated, gb.discarded_over_cap,
-                            commuting)).encode() + b"\n")
+        digest.update(_output_record(name, g, cap, gb))
     assert digest.hexdigest() == GROEBNER_OUTPUTS_SHA256
+
+
+@pytest.fixture(scope="module")
+def c5_basis():
+    return buchberger(quantum_relations(cycle_graph(5)), max_degree=3)
+
+
+def test_c5_outputs_are_pinned(c5_basis):
+    """C5 at cap 3 is the input whose reductions rescale their terms most
+    often (over a thousand times), so it pins the fraction-free path."""
+    record = _output_record("C5", cycle_graph(5), 3, c5_basis)
+    assert hashlib.sha256(record).hexdigest() == (
+        "b60ae8d26a55afe417ad501bccefda436c0df2363e32272e2642601d885b3497")
+
+
+def test_integer_s_polynomial_matches_its_definition(c5_basis):
+    x, y, one = u(1, 1), u(1, 2), NcPoly.one()
+    non_monic = [(x * y * x).scale(2) - y.scale(3) + one.scale(Fraction(1, 2)),
+                 (y * x).scale(Fraction(4, 3)) - x]
+    assert {p.int_form()[0] for p in c5_basis.basis} >= {2, 3, 6, 9}
+    checked = []
+    for basis in (c5_basis.basis, non_monic):
+        checked.append(0)
+        for i, j in itertools.combinations_with_replacement(
+                range(len(basis)), 2):
+            p_i, p_j = basis[i], basis[j]
+            for ob in overlaps(p_i.lm(), p_j.lm(), i=i, j=j):
+                den, terms = _s_polynomial(p_i, p_j, ob)
+                want = p_i.conjugate_by_words(ob.left_i, ob.right_i) \
+                    - p_j.conjugate_by_words(ob.left_j, ob.right_j)
+                got = NcPoly({w: Fraction(c, den) for w, c in terms.items()})
+                assert got == want, (i, j, ob)
+                assert all(type(c) is int and c for c in terms.values())
+                checked[-1] += 1
+    assert checked == [268, 3]
 
 
 def _ref_lm(p):
@@ -511,6 +555,19 @@ class SpanOracle:
         _, lead = self._reduce(vec)
         return lead is None
 
+    def snapshot(self):
+        return {lead: dict(row) for lead, row in self.pivots.items()}
+
+
+@functools.cache
+def edgeless_span_oracle(n):
+    """The degree-4 SpanOracle of the edgeless graph's relations on n
+    vertices.  For n = 3 the build takes seconds, so each test run builds
+    it once and the tests that read it share it: contains() leaves the
+    pivots as they are, which each reader asserts."""
+    letters = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    return SpanOracle(quantum_relations(edgeless_graph(n)), letters, 4)
+
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_membership_agrees_with_dense_oracle(n):
@@ -518,7 +575,8 @@ def test_membership_agrees_with_dense_oracle(n):
     rels = quantum_relations(g)
     gb = buchberger(rels, max_degree=4)
     letters = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-    oracle = SpanOracle(rels, letters, 4)
+    oracle = edgeless_span_oracle(n)
+    pivots = oracle.snapshot()
     rng = random.Random(n)
     tests = [commutator(a, b) for a, b in itertools.combinations(letters, 2)]
     for _ in range(25):
@@ -533,3 +591,4 @@ def test_membership_agrees_with_dense_oracle(n):
         tests.append(NcPoly(terms))
     for p in tests:
         assert normal_form(p, gb.basis).is_zero == oracle.contains(p)
+    assert oracle.pivots == pivots
