@@ -125,6 +125,14 @@ def _ser_value(key, value, cycles):
     return str(value)
 
 
+def _decimal(text):
+    """The integer that ``text`` writes in ASCII decimal digits; ``int``
+    alone would also read ``1_0`` and ``+3``, which do not write back."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def _parse_value(key, text, n, perms):
     """A field's value; ``perms`` maps each cycle text already read in this
     certificate to its Permutation, so each text is parsed once."""
@@ -136,8 +144,8 @@ def _parse_value(key, text, n, perms):
     if key in ("survivors", "chords", "bases"):
         if text == "-":
             return ()
-        return tuple(int(v) for v in text.split(","))
-    return int(text)
+        return tuple(map(_decimal, text.split(",")))
+    return _decimal(text)
 
 
 def _serialize_step(s: ProofStep, cycles) -> str:
@@ -160,6 +168,9 @@ def serialize_certificate(cert: Certificate) -> str:
 
 
 def parse_certificate(text: str) -> Certificate:
+    """The certificate that ``text`` serializes.  Every line after the
+    header and the verdict must be a ``graph`` or a ``step`` record, else
+    ``ValueError`` names it."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if lines and lines[0] == "qsym-certificate v1":
         raise ValueError("qsym-certificate v1 is retired: its rules compared "
@@ -170,15 +181,20 @@ def parse_certificate(text: str) -> Certificate:
     if len(lines) < 2 or not lines[1].startswith("verdict "):
         raise ValueError("missing verdict line")
     verdict = lines[1].split(None, 1)[1]
-    graph_lines = [ln[6:] for ln in lines if ln.startswith("graph ")]
+    graph_lines, step_lines = [], []
+    for ln in lines[2:]:
+        if ln.startswith("graph "):
+            graph_lines.append(ln[6:])
+        elif ln.startswith("step "):
+            step_lines.append(ln[5:])
+        else:
+            raise ValueError(f"not a graph or step record: {ln!r}")
     g = read_graph("\n".join(graph_lines))
     n = g.n
     perms = {}
     steps = []
-    for ln in lines:
-        if not ln.startswith("step "):
-            continue
-        kind, *tokens = ln[5:].split()
+    for ln in step_lines:
+        kind, *tokens = ln.split()
         fields = {}
         for tok in tokens:
             key, eq, raw = tok.partition("=")
@@ -483,20 +499,45 @@ def _fail(idx, msg):
     return VerificationResult(False, idx, msg)
 
 
+# fields that name a vertex, and fields that list vertices; ``n`` and
+# ``chords`` of INJECTIVE_F do not
+VERTEX_FIELDS = frozenset(("j", "l", "p", "q", "j1", "l1", "j2", "l2",
+                           "base", "v"))
+VERTEX_LIST_FIELDS = frozenset(("survivors", "bases"))
+
+
+def _vertex_out_of_range(s: ProofStep, vertices: frozenset):
+    """Why a field of ``s`` names something outside ``vertices``, 1..n,
+    else None.  The checks index rows by vertex, and Python would read
+    row[-1] as row[n]."""
+    for key, value in s.fields.items():
+        if key in VERTEX_FIELDS:
+            if value not in vertices:
+                break
+        elif key in VERTEX_LIST_FIELDS and not vertices.issuperset(value):
+            break
+    else:
+        return None
+    return f"{key}={value} is outside the vertices 1..{len(vertices)}"
+
+
 def verify_certificate(g: Graph, cert: Certificate) -> VerificationResult:
-    """Replay the log through the rule table: each step's check against the
-    graph and the facts accepted before it, then its effect.  Never raises
-    on bad input; reports the first failing step instead."""
+    """Replay the log through the rule table: each step's vertices checked
+    to lie in 1..n, its check against the graph and the facts accepted
+    before it, then its effect.  Never raises on bad input; reports the
+    first failing step instead."""
     if not cert.matches(g):
         return _fail(-1, "certificate is bound to a different graph")
     kb = CommutationKB(g)
+    vertices = frozenset(g.vertices())
     last = len(cert.steps) - 1
     for idx, s in enumerate(cert.steps):
         try:
             rule = RULES.get(s.kind)
             if rule is None:
                 return _fail(idx, f"unknown step kind {s.kind}")
-            why = rule.check(g, kb, **s.fields)
+            why = (_vertex_out_of_range(s, vertices)
+                   or rule.check(g, kb, **s.fields))
             if why is None and rule.final and idx != last:
                 why = "conclusion must be the final step"
             if why is None and rule.verdict not in (None, cert.verdict):

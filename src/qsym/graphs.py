@@ -5,7 +5,7 @@ the catalog) works over this representation.  Vertices are addressed 1..n
 so that certificates can cite the same vertex numbers that appear in the
 hand proofs for these graphs.  Adjacency is stored as one bitmask per
 vertex, which keeps neighbourhood queries and the backtracking searches
-cheap at the scales we care about (n <= 16).
+cheap.
 """
 
 from __future__ import annotations

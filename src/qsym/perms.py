@@ -22,7 +22,7 @@ colour with every vertex outside the subset.  That is necessary: if sigma
 fixes the outside pointwise and moves v to u, then c(x, v) =
 c(sigma x, sigma v) = c(x, u) for every outside x, and u, being moved as
 well, lies inside.  The chain and the scan check a ``time.monotonic()``
-deadline before every search.
+deadline at every node of every search.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ ENUMERATION_CAP = 2_000_000
 
 
 class CapabilityError(RuntimeError):
-    """The request is beyond the supported problem size."""
+    """An element enumeration would exceed its cap."""
 
 
 class DeadlineExceeded(RuntimeError):
@@ -128,21 +128,28 @@ class Permutation:
 
 
 def parse_cycles(text: str, n: int) -> Permutation:
-    """Parse cycle notation like ``(1 7)(3 9 5)``; ``()`` is the identity."""
+    """Parse cycle notation like ``(1 7)(3 9 5)``; ``()`` is the identity.
+    The cycles must be disjoint: ``(1 2)(2 1)`` is refused, not read as a
+    product."""
     img = list(range(n + 1))
     body = text.strip()
     if body in ("()", "id", ""):
         return Permutation.identity(n)
     if not (body.startswith("(") and body.endswith(")")):
         raise ValueError(f"bad cycle notation: {text!r}")
+    moved = []
     for chunk in body[1:-1].split(")("):
-        cyc = [int(tok) for tok in chunk.replace(",", " ").split()]
-        if len(cyc) < 2 or len(set(cyc)) != len(cyc):
+        toks = chunk.replace(",", " ").split()
+        if len(toks) < 2 or not all(t.isascii() and t.isdigit() for t in toks):
             raise ValueError(f"bad cycle {chunk!r}")
+        cyc = [int(tok) for tok in toks]
         for v, w in zip(cyc, cyc[1:] + cyc[:1]):
             if not 1 <= v <= n:
                 raise ValueError(f"vertex {v} outside 1..{n}")
             img[v] = w
+        moved += cyc
+    if len(set(moved)) != len(moved):
+        raise ValueError(f"the cycles of {text!r} repeat a vertex")
     return Permutation(img[1:])
 
 
@@ -187,12 +194,15 @@ def _check_deadline(deadline: float | None) -> None:
         raise DeadlineExceeded("automorphism search ran past its deadline")
 
 
-def _extensions(g: Graph, pre: dict, inv):
+def _extensions(g: Graph, pre: dict, inv, deadline: float | None = None):
     """Every automorphism extending the colour-consistent partial map
     ``pre`` (see ``_fits``), in increasing order of image vector; ``inv`` is
     ``_invariants(g)``.  Unassigned vertices are visited in the order 1..n
     and their images tried in ascending order, so the first value is the
-    lexicographically smallest completion."""
+    lexicographically smallest completion.  Every node of the search checks
+    ``deadline`` (see ``_check_deadline``): one search can take longer than
+    any deadline worth setting, as on strongly regular graphs, whose pair
+    colours only restate adjacency."""
     n = g.n
     c = g.pair_colours()
     assigned = dict(pre)
@@ -200,6 +210,7 @@ def _extensions(g: Graph, pre: dict, inv):
     todo = [v for v in range(1, n + 1) if v not in assigned]
 
     def dfs(pos):
+        _check_deadline(deadline)
         if pos == len(todo):
             yield Permutation._trusted(
                 (0, *map(assigned.__getitem__, range(1, n + 1))))
@@ -296,14 +307,13 @@ class AutGroup:
 
 def _moves(g: Graph, prefix: dict, v, inv, deadline: float | None = None):
     """For each a != v in ascending order, the smallest-image-vector
-    automorphism extending ``prefix`` and v -> a, where one exists.  The
-    deadline is checked before each search (see ``_check_deadline``)."""
+    automorphism extending ``prefix`` and v -> a, where one exists, each
+    search bounded by ``deadline``."""
     c = g.pair_colours()
     for a in range(1, g.n + 1):
         if a == v or not _fits(c, inv, prefix, v, a):
             continue
-        _check_deadline(deadline)
-        phi = next(_extensions(g, {**prefix, v: a}, inv), None)
+        phi = next(_extensions(g, {**prefix, v: a}, inv, deadline), None)
         if phi is not None:
             yield phi
 
@@ -317,8 +327,6 @@ def automorphism_group(g: Graph, deadline: float | None = None) -> AutGroup:
     product of the orbit sizes is the group order.  Past ``deadline``, a
     ``time.monotonic()`` value, the chain raises ``DeadlineExceeded``.
     """
-    if g.n > 16:
-        raise CapabilityError(f"n = {g.n} exceeds the supported bound 16")
     inv = _invariants(g)
     order = 1
     gens = []
@@ -399,21 +407,32 @@ def _first_nonidentity_fixing(g: Graph, fixed, inv,
 def _twin_masks(g: Graph, inv):
     """twins[v]: for each u != v with v's invariants, the bitmask of the
     vertices whose pair colours (distance, common neighbours) with v and
-    with u differ, v and u among them."""
+    with u differ, v and u among them.  Each row is kept as one bitmask
+    per colour, so a pair costs one AND per colour of v's row, not n
+    comparisons."""
     c = g.pair_colours()
     vertices = g.vertices()
+    classes = [{}]
+    for v in vertices:
+        cv, masks = c[v], {}
+        for x in vertices:
+            masks[cv[x]] = masks.get(cv[x], 0) | 1 << x
+        classes.append(masks)
+    full = (1 << (g.n + 1)) - 2
     twins = [()] * (g.n + 1)
     for v in vertices:
-        cv = c[v]
+        mv = classes[v].items()
         twins[v] = tuple(
-            sum(1 << x for x in vertices if cv[x] != c[u][x])
+            full & ~sum(m & classes[u].get(k, 0) for k, m in mv)
             for u in vertices if u != v and inv[u] == inv[v])
     return twins
 
 
-def _twin_closed_subsets(twins, n: int, size: int):
+def _twin_closed_subsets(twins, n: int, size: int,
+                         deadline: float | None = None):
     """Every subset A of 1..n with ``size`` vertices in which each v has a
-    twin mask inside A, as sorted tuples in lexicographic order.
+    twin mask inside A, as sorted tuples in lexicographic order.  Every
+    node of the enumeration checks ``deadline``.
 
     Vertices are chosen in increasing order, so those passed over are
     outside A for good; a prefix is dropped as soon as some chosen v has
@@ -423,6 +442,7 @@ def _twin_closed_subsets(twins, n: int, size: int):
     chosen = []
 
     def extend(mask, start):
+        _check_deadline(deadline)
         room = size - len(chosen)
         out = ((1 << start) - 2) & ~mask
         for v in chosen:
@@ -460,21 +480,17 @@ def find_disjoint_automorphisms(g: Graph, deadline: float | None = None):
     c(x, v) = c(sigma x, sigma v) = c(x, u) when sigma fixes x.  The
     search still decides every candidate exactly.
 
-    ``deadline`` is a ``time.monotonic()`` value, checked once per support
-    size, before each candidate's search and before each search for its
+    ``deadline`` is a ``time.monotonic()`` value, checked at every node of
+    the subset enumeration and of the searches for a witness and its
     partner; past it the scan raises ``DeadlineExceeded``.
     """
-    if g.n > 16:
-        raise CapabilityError(f"n = {g.n} exceeds the supported bound 16")
     inv = _invariants(g)
     twins = _twin_masks(g, inv)
     vertices = g.vertices()
     for size in range(2, g.n // 2 + 1):
-        _check_deadline(deadline)
-        for subset in _twin_closed_subsets(twins, g.n, size):
-            _check_deadline(deadline)
+        for subset in _twin_closed_subsets(twins, g.n, size, deadline):
             fixed = {v: v for v in vertices if v not in subset}
-            sigma = next((p for p in _extensions(g, fixed, inv)
+            sigma = next((p for p in _extensions(g, fixed, inv, deadline)
                           if p.support() == subset), None)
             if sigma is None:
                 continue

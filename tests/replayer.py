@@ -51,6 +51,11 @@ def spectrum_injective(n, offsets):
     return len(residues) == n // 2
 
 
+# step fields that name one vertex, and those that list vertices
+VERTEX_NAMES = ("j", "l", "p", "q", "j1", "l1", "j2", "l2", "base", "v")
+VERTEX_LISTS = ("survivors", "bases")
+
+
 class IndependentReplayer:
     def __init__(self, n, edges):
         self.n = n
@@ -93,6 +98,17 @@ class IndependentReplayer:
         p = next(iter(cn))
         return self.cn(a, p) == {b} and self.cn(b, p) == {a}
 
+    def names_only_vertices(self, s):
+        """Every vertex that step ``s`` names lies in 1..n; a row indexed
+        by -1 would otherwise be read as the row of vertex n."""
+        verts = range(1, self.n + 1)
+        for name, value in s.fields.items():
+            if name in VERTEX_NAMES and value not in verts:
+                return False
+            if name in VERTEX_LISTS and any(x not in verts for x in value):
+                return False
+        return True
+
     def accepts(self, cert) -> bool:
         n, d, c = self.n, self.d, self.colour
         verts = range(1, n + 1)
@@ -109,6 +125,8 @@ class IndependentReplayer:
 
         try:
             for pos, s in enumerate(cert.steps):
+                if not self.names_only_vertices(s):
+                    return False
                 k = s.kind
                 if k == cm.QUADRANGLE_FREE:
                     if not self.quadrangle_free():

@@ -289,3 +289,94 @@ def test_rule_checks_take_their_fields_in_table_order():
                   inspect.signature(rule.check).parameters.values()
                   if p.default is inspect.Parameter.empty]
         assert tuple(params[2:]) == rule.fields, kind
+
+
+# the fields that name a vertex, one or a list of them
+VERTEX_NAMES = ("j", "l", "p", "q", "j1", "l1", "j2", "l2", "base", "v")
+VERTEX_LISTS = ("survivors", "bases")
+
+
+@pytest.mark.parametrize("bad", [-1, 0, 6])
+def test_vertex_fields_outside_1_to_n_are_refused_by_both_verifiers(bad):
+    """CHOOSE_Q_RIGHT j=-1 l=1 q=1 survivors=2,5 used to pass both
+    verifiers on C5, as Python reads row[-1] as the row of vertex 5.  Set
+    to -1, 0 or n+1, every vertex field of every step is refused."""
+    g = cycle_graph(5)
+    replayer = IndependentReplayer(g.n, g.edges())
+    cert = decide(g, engine="lemmas").certificate
+    forged = cm.ProofStep(cm.CHOOSE_Q_RIGHT,
+                          {"j": bad, "l": 1, "q": 1, "survivors": (2, 5)})
+    mutants = [cert.steps[:-1] + (forged,) + cert.steps[-1:]]
+    _, worked = _lemma_certificate("C5", use_global_seeds=False)
+    covered = set()
+    for idx, s in enumerate(worked.steps):
+        for key, value in s.fields.items():
+            if key in VERTEX_NAMES:
+                value = bad
+            elif key in VERTEX_LISTS:
+                value = (bad,) + value[1:]
+            else:
+                continue
+            covered.add(key)
+            mutants.append(worked.steps[:idx]
+                           + (cm.ProofStep(s.kind, {**s.fields, key: value}),)
+                           + worked.steps[idx + 1:])
+    assert covered == set(VERTEX_NAMES + VERTEX_LISTS)
+    for steps in mutants:
+        mutant = Certificate(cert.verdict, cert.n, cert.edges, steps)
+        result = verify_certificate(g, mutant)
+        assert not result and "outside the vertices 1..5" in result.message, steps
+        assert not replayer.accepts(mutant), steps
+
+
+def test_forged_vertex_text_is_refused():
+    g = cycle_graph(5)
+    text = serialize_certificate(decide(g, engine="lemmas").certificate)
+    conclusion = "step CONCLUSION_COMMUTATIVE bases=1\n"
+    assert text.endswith(conclusion)
+    forged = "step CHOOSE_Q_RIGHT j={} l=1 q=1 survivors=2,5\n"
+    with pytest.raises(ValueError, match="not a decimal integer: '-1'"):
+        parse_certificate(text.replace(conclusion, forged.format(-1)
+                                       + conclusion))
+    for bad in (0, 6):
+        back = parse_certificate(text.replace(conclusion, forged.format(bad)
+                                              + conclusion))
+        assert not verify_certificate(g, back)
+        assert not IndependentReplayer(g.n, g.edges()).accepts(back)
+
+
+def _c5_text():
+    text = serialize_certificate(decide(cycle_graph(5), engine="lemmas")
+                                 .certificate)
+    assert "step ADJ_COMMUTE_CLOSE j=1 l=3\n" in text
+    assert serialize_certificate(parse_certificate(text)) == text
+    return text
+
+
+def test_parse_refuses_a_line_that_is_no_record():
+    text = _c5_text()
+    for bad in ("edge 1 2", "# note", "step", "steps QUADRANGLE_FREE"):
+        with pytest.raises(ValueError, match=f"record: '{bad}'"):
+            parse_certificate(text + bad + "\n")
+
+
+def test_parse_refuses_a_second_verdict():
+    text = _c5_text().replace("graph p 5\n", "graph p 5\n"
+                              "verdict has_quantum_symmetry\n")
+    with pytest.raises(ValueError, match="'verdict has_quantum_symmetry'"):
+        parse_certificate(text)
+
+
+def test_parse_refuses_an_underscore_in_an_integer():
+    """int() reads 0_1 as 1, which writes back as 1."""
+    text = _c5_text().replace("ADJ_COMMUTE_CLOSE j=1 l=3",
+                              "ADJ_COMMUTE_CLOSE j=0_1 l=3")
+    with pytest.raises(ValueError, match="not a decimal integer: '0_1'"):
+        parse_certificate(text)
+
+
+def test_parse_refuses_a_signed_integer():
+    text = _c5_text().replace("ADJ_COMMUTE_CLOSE j=1 l=3",
+                              "ADJ_COMMUTE_CLOSE j=1 l=+3")
+    with pytest.raises(ValueError, match=r"not a decimal integer: '\+3'"):
+        parse_certificate(text)

@@ -57,6 +57,14 @@ def test_decide_timeout_exit_2(capsys, tmp_path):
     assert "Undecided" in out
 
 
+def test_decide_a_20_vertex_graph_file(capsys, tmp_path):
+    path = tmp_path / "c20.txt"
+    path.write_text(write_graph(circulant(20, 3)), encoding="utf-8")
+    code, out, _ = run(capsys, "decide", str(path))
+    assert code == 0
+    assert "NoQuantumSymmetry" in out
+
+
 def test_decide_unknown_name_exit_1(capsys):
     code, _, err = run(capsys, "decide", "C13(9)")
     assert code == 1 and "unknown catalog graph" in err

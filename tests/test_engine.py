@@ -40,7 +40,7 @@ from qsym.perms import (
 )
 
 from replayer import IndependentReplayer
-from util import circulants
+from util import circulants, latin_square_graph
 
 
 def _pairs_with(kb, kind, **match):
@@ -276,6 +276,17 @@ def test_lemma_fixpoint_bounds_the_group_by_its_deadline(monkeypatch):
         lemma_fixpoint(circulant(12, 2), deadline=time.monotonic() - 1)
 
 
+def test_decide_honours_a_short_timeout_on_64_vertices():
+    """No size bound: the caller's deadline is the only limit.  The
+    order-8 Latin square graph (64 vertices) takes 17-25 s to end
+    Undecided on 2 vCPU; told 0.05 s, decide says so within 0.5 s."""
+    g = latin_square_graph(8)
+    start = time.monotonic()
+    v = decide(g, timeout=0.05)
+    assert time.monotonic() - start < 0.5
+    assert v.kind == "Undecided" and v.reason == "timeout"
+
+
 def test_decide_reuses_a_given_group(monkeypatch):
     g = build_named("K2xC6")
     aut = automorphism_group(g)
@@ -337,6 +348,25 @@ def test_lemmas_close_exactly_the_circulants_without_a_disjoint_pair():
         assert serialize_certificate(parse_certificate(text)) == text, g.label
     digest = hashlib.sha256("".join(texts).encode()).hexdigest()
     assert digest == CLOSED_CIRCULANT_CERTIFICATES_SHA256
+
+
+def test_lemmas_on_17_vertices_close_only_circulants_without_a_pair():
+    """The same soundness check past the old 16-vertex bound: on the 128
+    circulants C17(S) the rules close 127, and no closed graph has a
+    disjoint pair.  Only K17 = C17(2,...,8) stays open, and it has one.
+    Every 16th closed certificate replays independently."""
+    graphs = [g for g in circulants(17) if g.n == 17]
+    closed, still_open = [], []
+    for g in graphs:
+        v = decide(g, engine="lemmas")
+        (closed if v.kind == "NoQuantumSymmetry" else still_open).append(
+            (g, v.certificate))
+    assert (len(closed), len(still_open)) == (127, 1)
+    assert still_open[0][0].label == "C17(2,3,4,5,6,7,8)"
+    assert find_disjoint_automorphisms(still_open[0][0])
+    assert not any(find_disjoint_automorphisms(g) for g, _ in closed)
+    for g, cert in closed[::16]:
+        assert IndependentReplayer(g.n, g.edges()).accepts(cert), g.label
 
 
 def test_a_colouring_finer_than_the_pair_colour_is_caught():

@@ -2,8 +2,10 @@
 
 import hashlib
 import itertools
+import math
 import random
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -30,7 +32,7 @@ from qsym.perms import (
     pair_orbits,
     parse_cycles,
 )
-from util import circulants, floyd_warshall
+from util import circulants, floyd_warshall, latin_square_graph
 
 
 def test_permutation_basics():
@@ -44,6 +46,21 @@ def test_permutation_basics():
         Permutation([1, 1, 3])
     with pytest.raises(ValueError):
         parse_cycles("(1 13)", 12)
+
+
+def test_parse_cycles_refuses_a_vertex_in_two_cycles():
+    """Cycle notation lists disjoint cycles; read as a product,
+    (1,2)(1,2) would be the identity, yet it used to parse as (1 2)."""
+    for text in ("(1,2)(1,2)", "(1,2)(2,1)", "(1 2)(2 3)", "(1 2 3)(4 5)(5 3)"):
+        with pytest.raises(ValueError, match="repeat a vertex"):
+            parse_cycles(text, 5)
+    assert parse_cycles("(1,2)(3,4)", 5) == Permutation([2, 1, 4, 3, 5])
+
+
+def test_parse_cycles_reads_only_decimal_digits():
+    for text in ("(1,+2)", "(1_0,2)", "(-1,2)", "(1,2.0)", "(1)"):
+        with pytest.raises(ValueError, match="bad cycle"):
+            parse_cycles(text, 12)
 
 
 def test_composition_convention():
@@ -228,9 +245,31 @@ def test_pair_colours_are_invariant_and_refine_distance():
             assert all(c[gen(x)][gen(y)] == c[x][y] for x, y in pairs), g
 
 
-def test_capability_bound():
-    with pytest.raises(CapabilityError):
-        automorphism_group(edgeless_graph(17))
+def test_edgeless_17_has_the_full_symmetric_group():
+    """No size bound: past 16 vertices the chain runs as below it, bounded
+    only by the caller's deadline."""
+    assert automorphism_group(edgeless_graph(17)).order == math.factorial(17)
+
+
+def test_edgeless_17_gets_a_disjoint_witness():
+    g = edgeless_graph(17)
+    sigma, tau = find_disjoint_automorphisms(g)
+    assert (str(sigma), str(tau)) == ("(1 2)", "(3 4)")
+    assert is_automorphism(g, sigma) and is_automorphism(g, tau)
+
+
+def test_a_deadline_stops_one_search_midway(monkeypatch):
+    """On the order-8 Latin square graph (64 vertices) the chain's first
+    existence query alone visits 5,424 nodes, and every node reads the
+    clock.  With a clock that ticks once per read, a deadline of 1000
+    passes inside that query, which stops there."""
+    g = latin_square_graph(8)
+    clock = itertools.count()
+    monkeypatch.setattr("qsym.perms.time",
+                        SimpleNamespace(monotonic=lambda: next(clock)))
+    with pytest.raises(DeadlineExceeded):
+        automorphism_group(g, deadline=1000)
+    assert next(clock) == 1002
 
 
 def test_complement_has_same_automorphisms():

@@ -16,6 +16,19 @@ def circulants(top=16):
             for chords in itertools.combinations(range(2, n // 2 + 1), k)]
 
 
+def latin_square_graph(n):
+    """The cyclic Latin square graph of order n on n*n cells: (r, c) and
+    (r', c') are adjacent when they share a row, a column or the symbol
+    r + c mod n.  It is strongly regular, so the pair colour (distance,
+    common neighbours) only restates adjacency and prunes nothing."""
+    cells = [(r, c) for r in range(n) for c in range(n)]
+    return Graph(n * n, [
+        (x + 1, y + 1)
+        for x, y in itertools.combinations(range(n * n), 2)
+        if cells[x][0] == cells[y][0] or cells[x][1] == cells[y][1]
+        or (sum(cells[x]) - sum(cells[y])) % n == 0])
+
+
 def floyd_warshall(g: Graph):
     """All-pairs distances by the cubic recurrence; the BFS oracle's rival."""
     n = g.n
