@@ -34,7 +34,6 @@ from .graphs import (
 from .named import build_named, catalog_names
 from .perms import (
     AutGroup,
-    CapabilityError,
     DeadlineExceeded,
     PairOrbits,
     Permutation,

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import Callable
 
 from .graphs import (
@@ -160,17 +161,24 @@ def serialize_step(s: ProofStep) -> str:
 
 
 def serialize_certificate(cert: Certificate) -> str:
+    return "\n".join(_lines(cert)) + "\n"
+
+
+def _lines(cert: Certificate) -> list:
     lines = [HEADER, f"verdict {cert.verdict}", f"graph p {cert.n}"]
     lines.extend(f"graph e {i} {j}" for i, j in cert.edges)
     cycles = {}
     lines.extend("step " + _serialize_step(s, cycles) for s in cert.steps)
-    return "\n".join(lines) + "\n"
+    return lines
 
 
 def parse_certificate(text: str) -> Certificate:
     """The certificate that ``text`` serializes.  Every line after the
     header and the verdict must be a ``graph`` or a ``step`` record, else
-    ``ValueError`` names it."""
+    ``ValueError`` names it.  The text must be the certificate's own
+    serialization, up to blank lines and surrounding whitespace: a line
+    that would read back differently (``graph e 2 1``, ``j=01``, a cycle
+    written from another vertex) is refused by name."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if lines and lines[0] == "qsym-certificate v1":
         raise ValueError("qsym-certificate v1 is retired: its rules compared "
@@ -205,8 +213,13 @@ def parse_certificate(text: str) -> Certificate:
         _check_kind(kind, fields.keys())
         steps.append(ProofStep(kind, {key: _parse_value(key, raw, n, perms)
                                       for key, raw in fields.items()}))
-    return Certificate(verdict=verdict, n=n, edges=g.edges(),
+    cert = Certificate(verdict=verdict, n=n, edges=g.edges(),
                        steps=tuple(steps))
+    for line, own in zip_longest(lines, _lines(cert)):
+        if line != own:
+            raise ValueError(f"certificate line {line!r} does not read back:"
+                             f" the serialization has {own!r} in its place")
+    return cert
 
 
 # -- replay state ----------------------------------------------------------

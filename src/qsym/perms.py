@@ -5,24 +5,25 @@ backtracking search, ``_extensions``, answers every automorphism query: it
 extends a partial vertex map, pruned by each vertex's profile of pair
 colours and by exact preservation of the pair colour (distance, common
 neighbours) from ``Graph.pair_colours``, and yields the completions in
-increasing order of image vector; ``_moves`` runs it once per image of one
-more vertex.  The pruning is sound because an automorphism preserves
-distances and maps the common neighbours of x and y onto those of their
-images, so it preserves both components; it only cuts branches that hold
-no automorphism, and the order in which the rest are visited is fixed.  On
-top of these sit an orbit-stabilizer chain built from existence queries
-(which also yields the exact group order without enumerating elements, so
-K12 with |Aut| = 12! stays cheap), and an exhaustive-by-construction search
-for a pair of non-trivial automorphisms with disjoint supports.  The latter
-decides the question exactly: it scans candidate supports by size, which is
-enough because the smaller support of any disjoint pair has at most n//2
-vertices.  Only twin-closed subsets are candidates, those in which every
-vertex v has a twin u != v with the same invariants and the same pair
-colour with every vertex outside the subset.  That is necessary: if sigma
-fixes the outside pointwise and moves v to u, then c(x, v) =
-c(sigma x, sigma v) = c(x, u) for every outside x, and u, being moved as
-well, lies inside.  The chain and the scan check a ``time.monotonic()``
-deadline at every node of every search.
+increasing order of image vector.  The pruning is sound because an
+automorphism preserves distances and maps the common neighbours of x and y
+onto those of their images, so it preserves both components; it only cuts
+branches that hold no automorphism, and the order in which the rest are
+visited is fixed.  On top of it sit an orbit-stabilizer chain that queries
+only images outside the orbit its generators already reach, keeping one
+generator per orbit enlargement (it yields the exact group order without
+enumerating elements, so K12 with |Aut| = 12! takes 11 generators), and an
+exhaustive-by-construction search for a pair of non-trivial automorphisms
+with disjoint supports.  The latter decides the question exactly: it scans
+candidate supports by size, which is enough because the smaller support of
+any disjoint pair has at most n//2 vertices.  Only twin-closed subsets are
+candidates, those in which every vertex v has a twin u != v with the same
+invariants and the same pair colour with every vertex outside the subset.
+That is necessary: if sigma fixes the outside pointwise and moves v to u,
+then c(x, v) = c(sigma x, sigma v) = c(x, u) for every outside x, and u,
+being moved as well, lies inside.  The chain and the scan check a
+``time.monotonic()`` deadline at every node of every search, and the scan
+also on entry and once per vertex while it builds its twin masks.
 """
 
 from __future__ import annotations
@@ -32,12 +33,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .graphs import Graph
-
-ENUMERATION_CAP = 2_000_000
-
-
-class CapabilityError(RuntimeError):
-    """An element enumeration would exceed its cap."""
 
 
 class DeadlineExceeded(RuntimeError):
@@ -253,11 +248,10 @@ def find_automorphism(g: Graph, pre: dict) -> Permutation | None:
 class AutGroup:
     """Automorphism group given by generators and its exact order.
 
-    The generators are the coset representatives of an orbit-stabilizer
+    ``automorphism_group`` returns the generators of an orbit-stabilizer
     chain over the vertices 1, 2, ...: those of level v fix 1..v-1 and
-    move v, and together they generate the full group.  Element
-    enumeration is on demand and capped: it is only feasible (and only
-    needed) for the moderate orders in the catalog.
+    move v, each one enlarges v's orbit, and together they generate the
+    full group.  ``order`` is the product of the chain's orbit sizes.
     """
 
     n: int
@@ -287,23 +281,6 @@ class AutGroup:
                 orbits.append(tuple(sorted(self.orbit(v))))
         return orbits
 
-    def elements(self, cap: int = ENUMERATION_CAP):
-        """The full element set, each element built once as a product
-        t_1 * ... * t_n along the chain, every t_v the identity or a
-        generator of level v (whose smallest moved vertex is v)."""
-        if self.order > cap:
-            raise CapabilityError(
-                f"group order {self.order} exceeds enumeration cap {cap}")
-        levels = [[] for _ in range(self.n + 1)]
-        for gen in self.generators:
-            levels[gen.support()[0]].append(gen)
-        elems = [Permutation.identity(self.n)]
-        for level in levels:
-            elems += [p * t for p in elems for t in level]
-        seen = set(elems)
-        assert len(seen) == self.order, "chain products do not match the order"
-        return seen
-
 
 def _moves(g: Graph, prefix: dict, v, inv, deadline: float | None = None):
     """For each a != v in ascending order, the smallest-image-vector
@@ -321,21 +298,30 @@ def _moves(g: Graph, prefix: dict, v, inv, deadline: float | None = None):
 def automorphism_group(g: Graph, deadline: float | None = None) -> AutGroup:
     """Generators plus exact order via an orbit-stabilizer chain.
 
-    Level v keeps ``_moves`` with 1..v-1 fixed: for each image a != v that
-    an automorphism fixing 1..v-1 pointwise gives v, the smallest such.
-    The orbit of v in that stabilizer is v plus those images, and the
-    product of the orbit sizes is the group order.  Past ``deadline``, a
+    The levels are built from v = n down to 1; the generators found so far
+    fix 1..v-1.  Level v tries an image a of v only where a lies outside
+    v's orbit under them, and keeps the smallest-image-vector automorphism
+    fixing 1..v-1 with v -> a, which enlarges that orbit.  The orbit is
+    then v's whole orbit in the pointwise stabilizer of 1..v-1, the
+    generators of levels >= v generate that stabilizer, and the product of
+    the orbit sizes is the group order.  Past ``deadline``, a
     ``time.monotonic()`` value, the chain raises ``DeadlineExceeded``.
     """
     inv = _invariants(g)
+    c = g.pair_colours()
     order = 1
     gens = []
-    prefix = {}
-    for v in range(1, g.n + 1):
-        level = list(_moves(g, prefix, v, inv, deadline))
-        gens += level
-        order *= 1 + len(level)  # a = v always extends (the identity does)
-        prefix[v] = v
+    for v in range(g.n, 0, -1):
+        prefix = {u: u for u in range(1, v)}
+        orbit = {v}
+        for a in range(v + 1, g.n + 1):
+            if a in orbit or not _fits(c, inv, prefix, v, a):
+                continue
+            phi = next(_extensions(g, {**prefix, v: a}, inv, deadline), None)
+            if phi is not None:
+                gens.append(phi)
+                orbit = AutGroup(g.n, tuple(gens), 0).orbit(v)
+        order *= len(orbit)
     return AutGroup(n=g.n, generators=tuple(gens), order=order)
 
 
@@ -404,12 +390,12 @@ def _first_nonidentity_fixing(g: Graph, fixed, inv,
     return None
 
 
-def _twin_masks(g: Graph, inv):
+def _twin_masks(g: Graph, inv, deadline: float | None = None):
     """twins[v]: for each u != v with v's invariants, the bitmask of the
     vertices whose pair colours (distance, common neighbours) with v and
     with u differ, v and u among them.  Each row is kept as one bitmask
     per colour, so a pair costs one AND per colour of v's row, not n
-    comparisons."""
+    comparisons.  ``deadline`` is checked once per vertex v."""
     c = g.pair_colours()
     vertices = g.vertices()
     classes = [{}]
@@ -421,6 +407,7 @@ def _twin_masks(g: Graph, inv):
     full = (1 << (g.n + 1)) - 2
     twins = [()] * (g.n + 1)
     for v in vertices:
+        _check_deadline(deadline)
         mv = classes[v].items()
         twins[v] = tuple(
             full & ~sum(m & classes[u].get(k, 0) for k, m in mv)
@@ -480,12 +467,14 @@ def find_disjoint_automorphisms(g: Graph, deadline: float | None = None):
     c(x, v) = c(sigma x, sigma v) = c(x, u) when sigma fixes x.  The
     search still decides every candidate exactly.
 
-    ``deadline`` is a ``time.monotonic()`` value, checked at every node of
-    the subset enumeration and of the searches for a witness and its
-    partner; past it the scan raises ``DeadlineExceeded``.
+    ``deadline`` is a ``time.monotonic()`` value, checked on entry, once
+    per vertex of the twin masks, and at every node of the subset
+    enumeration and of the searches for a witness and its partner; past it
+    the scan raises ``DeadlineExceeded``.
     """
+    _check_deadline(deadline)
     inv = _invariants(g)
-    twins = _twin_masks(g, inv)
+    twins = _twin_masks(g, inv, deadline)
     vertices = g.vertices()
     for size in range(2, g.n // 2 + 1):
         for subset in _twin_closed_subsets(twins, g.n, size, deadline):

@@ -2,6 +2,7 @@
 
 import collections
 import inspect
+import re
 
 import pytest
 
@@ -380,3 +381,22 @@ def test_parse_refuses_a_signed_integer():
                               "ADJ_COMMUTE_CLOSE j=1 l=+3")
     with pytest.raises(ValueError, match=r"not a decimal integer: '\+3'"):
         parse_certificate(text)
+
+
+@pytest.mark.parametrize("canonical, variant", [
+    ("graph e 1 2", "graph e 2 1"),
+    ("graph e 1 2", "graph e +1 2"),
+    ("graph e 1 2", "graph e 1 2 # x"),
+    ("ADJ_COMMUTE_CLOSE j=1 l=3", "ADJ_COMMUTE_CLOSE j=01 l=3"),
+    ("phi=(1,2)(3,5)", "phi=(3,5)(2,1)"),
+])
+def test_parse_refuses_text_that_does_not_read_back(canonical, variant):
+    """Each variant means the same certificate as C5's own text, but it
+    would serialize back as the canonical line, so it is refused by name."""
+    text = _c5_text()
+    forged = text.replace(canonical, variant, 1)
+    line = next(ln for ln in forged.splitlines() if variant in ln)
+    with pytest.raises(ValueError, match=re.escape(
+            f"certificate line {line!r} does not read back: the "
+            f"serialization has {line.replace(variant, canonical)!r}")):
+        parse_certificate(forged)

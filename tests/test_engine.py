@@ -33,6 +33,7 @@ from qsym.named import (
     truncated_tetrahedron,
 )
 from qsym.perms import (
+    AutGroup,
     DeadlineExceeded,
     automorphism_group,
     find_disjoint_automorphisms,
@@ -40,7 +41,7 @@ from qsym.perms import (
 )
 
 from replayer import IndependentReplayer
-from util import circulants, latin_square_graph
+from util import circulants, latin_square_graph, transversal_chain
 
 
 def _pairs_with(kb, kind, **match):
@@ -317,7 +318,12 @@ def test_decide_disconnected():
 
 
 # SHA-256 over the texts of the 285 closed circulant certificates, in
-# ``circulants()`` order.
+# ``circulants()`` order, from the orbit-pruned chain of
+# ``automorphism_group``.
+PRUNED_CLOSED_CIRCULANT_CERTIFICATES_SHA256 = \
+    "b21ae9d0c3517d9f8344d19071df06660874f7557cb70e86858643ca8d196396"
+# The same, from the chain that keeps every coset representative
+# (``util.transversal_chain``).
 CLOSED_CIRCULANT_CERTIFICATES_SHA256 = \
     "da6f02d917a8eb9684026dc75c39cb9ed97bb6a475e0eae660b3fa4ac6151ee4"
 
@@ -346,6 +352,21 @@ def test_lemmas_close_exactly_the_circulants_without_a_disjoint_pair():
     texts = [serialize_certificate(cert) for _, cert in closed]
     for (g, _), text in zip(closed, texts):
         assert serialize_certificate(parse_certificate(text)) == text, g.label
+    digest = hashlib.sha256("".join(texts).encode()).hexdigest()
+    assert digest == PRUNED_CLOSED_CIRCULANT_CERTIFICATES_SHA256
+
+
+def test_certificates_depend_only_on_the_generating_set():
+    """Given the full-transversal chain's generators, the engine writes
+    the 285 certificate texts that it wrote when that chain was
+    ``automorphism_group``'s, byte for byte."""
+    texts = []
+    for g in circulants():
+        gens, order = transversal_chain(g)
+        v = decide(g, engine="lemmas", aut=AutGroup(g.n, gens, order))
+        if v.kind == "NoQuantumSymmetry":
+            texts.append(serialize_certificate(v.certificate))
+    assert len(texts) == 285
     digest = hashlib.sha256("".join(texts).encode()).hexdigest()
     assert digest == CLOSED_CIRCULANT_CERTIFICATES_SHA256
 

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import qsym.perms as perms
 from qsym.catalog import catalog
 from qsym.graphs import Graph, complement, disjoint_copies
 from qsym.named import (
@@ -21,7 +22,7 @@ from qsym.named import (
     path_graph,
 )
 from qsym.perms import (
-    CapabilityError,
+    AutGroup,
     DeadlineExceeded,
     Permutation,
     automorphism_group,
@@ -32,7 +33,13 @@ from qsym.perms import (
     pair_orbits,
     parse_cycles,
 )
-from util import circulants, floyd_warshall, latin_square_graph
+from util import (
+    circulants,
+    elements,
+    floyd_warshall,
+    latin_square_graph,
+    transversal_chain,
+)
 
 
 def test_permutation_basics():
@@ -149,17 +156,14 @@ def test_is_automorphism_edge_cases():
 def test_elements_closure_matches_order():
     g = cycle_graph(5)
     aut = automorphism_group(g)
-    elems = aut.elements()
+    elems = set(elements(aut))
     assert len(elems) == aut.order == 10
     for p, q in itertools.product(list(elems)[:4], repeat=2):
         assert p * q in elems
-    big = automorphism_group(complete_graph(12))
-    with pytest.raises(CapabilityError):
-        big.elements(cap=1000)
 
 
 def _closure(aut):
-    """Reference for ``AutGroup.elements``: close the generators under
+    """Reference for ``util.elements``: close the generators under
     products, one frontier at a time."""
     ident = Permutation.identity(aut.n)
     seen, frontier = {ident}, [ident]
@@ -171,24 +175,46 @@ def _closure(aut):
 
 
 def test_elements_from_the_chain_match_the_closure():
+    """Each element once, and the closure's elements, from the pruned
+    chain and from the one that keeps every coset representative."""
     for name in ("C5", "K2xC6", "C12(4,5)", "Cuboctahedron", "3C4"):
-        aut = automorphism_group(build_named(name))
-        elems = aut.elements()
-        assert elems == _closure(aut), name
-        assert len(elems) == aut.order, name
+        g = build_named(name)
+        aut = automorphism_group(g)
+        gens, order = transversal_chain(g)
+        full = AutGroup(g.n, gens, order)
+        assert full.order == aut.order, name
+        for group in (aut, full):
+            elems = elements(group)
+            assert len(set(elems)) == len(elems) == aut.order, name
+            assert set(elems) == _closure(group), name
 
 
-def _reference_chain(g):
-    """The orbit-stabilizer chain's generators and order, one
-    ``find_automorphism`` query per level and image."""
-    gens, order, prefix = [], 1, {}
-    for v in g.vertices():
-        level = [find_automorphism(g, {**prefix, v: a})
-                 for a in g.vertices() if a != v]
-        level = [phi for phi in level if phi is not None]
-        gens += level
-        order *= 1 + len(level)
-        prefix[v] = v
+def _orbit_closure(gens, v):
+    """v's orbit under ``gens``: apply them until nothing new appears."""
+    orbit, frontier = {v}, [v]
+    while frontier:
+        frontier = [y for y in {gen(x) for x in frontier for gen in gens}
+                    if y not in orbit]
+        orbit.update(frontier)
+    return orbit
+
+
+def _pruned_reference(g):
+    """The pruned chain's generators and order from ``find_automorphism``
+    queries: levels v = n down to 1, with 1..v-1 fixed, one query per image
+    a of v outside v's orbit under the generators found so far, every
+    answer kept."""
+    gens, order = [], 1
+    for v in reversed(g.vertices()):
+        fixed = {u: u for u in range(1, v)}
+        orbit = {v}
+        for a in range(v + 1, g.n + 1):
+            if a not in orbit:
+                phi = find_automorphism(g, {**fixed, v: a})
+                if phi is not None:
+                    gens.append(phi)
+                    orbit = _orbit_closure(gens, v)
+        order *= len(orbit)
     return gens, order
 
 
@@ -196,7 +222,7 @@ def test_group_without_deadline_is_the_reference_chain():
     for entry in catalog():
         g = entry.build()
         aut = automorphism_group(g)
-        assert (list(aut.generators), aut.order) == _reference_chain(g), \
+        assert (list(aut.generators), aut.order) == _pruned_reference(g), \
             entry.name
         far = automorphism_group(g, deadline=time.monotonic() + 3600)
         assert far == aut, entry.name
@@ -207,23 +233,46 @@ def test_group_past_its_deadline_raises():
         automorphism_group(circulant(12, 2), deadline=time.monotonic() - 1)
 
 
-# SHA-256 over (name, order, generators) of all 378 circulants, as found
-# by the distance-pruned search that the pair colouring replaced.
+# SHA-256 over (name, order, generators) of all 378 circulants, for the
+# chain that keeps every coset representative (``util.transversal_chain``),
+# as found by the distance-pruned search that the pair colouring replaced.
 CIRCULANT_GROUPS_SHA256 = \
     "32820b3c9bf516dfb0b54e42ce4c50ccc03b7cbe1743c3eb9b49179ec66e89fa"
+# The same over the orbit-pruned chain of ``automorphism_group``.
+PRUNED_CIRCULANT_GROUPS_SHA256 = \
+    "cb17c63bf1938a4047e0e4ff3deefa3cea3b4fd02ae11389793fc62901e9fc4d"
+# SHA-256 over (name, order) of all 378 circulants, as the full-transversal
+# chain counted them: pruning the chain must not change an order.
+CIRCULANT_ORDERS_SHA256 = \
+    "c054c3d844fb100342001730a2e7acecae35f983b2651535c68296c861de2f0e"
+
+
+def _digest(records):
+    digest = hashlib.sha256()
+    for record in records:
+        digest.update(repr(record).encode() + b"\n")
+    return digest.hexdigest()
 
 
 def test_circulant_groups_are_pinned():
-    """Pruning may only cut dead branches: every generator, in its order,
-    is the one the distance-pruned chain found."""
+    """Pruning the search may only cut dead branches: every generator of
+    the full-transversal chain, in its order, is the one the
+    distance-pruned chain found."""
     graphs = circulants()
     assert len(graphs) == 378
-    digest = hashlib.sha256()
-    for g in graphs:
-        aut = automorphism_group(g)
-        digest.update(repr((g.label, aut.order,
-                            tuple(map(str, aut.generators)))).encode() + b"\n")
-    assert digest.hexdigest() == CIRCULANT_GROUPS_SHA256
+    chains = [(g.label, *transversal_chain(g)) for g in graphs]
+    assert _digest((label, order, tuple(map(str, gens)))
+                   for label, gens, order in chains) == CIRCULANT_GROUPS_SHA256
+
+
+def test_pruned_circulant_groups_and_orders_are_pinned():
+    """The orbit-pruned chain counts every order as the full transversal
+    did, and its generators are pinned in their order."""
+    groups = [(g.label, automorphism_group(g)) for g in circulants()]
+    assert _digest((label, aut.order)
+                   for label, aut in groups) == CIRCULANT_ORDERS_SHA256
+    assert _digest((label, aut.order, tuple(map(str, aut.generators)))
+                   for label, aut in groups) == PRUNED_CIRCULANT_GROUPS_SHA256
 
 
 def test_pair_colours_are_invariant_and_refine_distance():
@@ -259,10 +308,11 @@ def test_edgeless_17_gets_a_disjoint_witness():
 
 
 def test_a_deadline_stops_one_search_midway(monkeypatch):
-    """On the order-8 Latin square graph (64 vertices) the chain's first
-    existence query alone visits 5,424 nodes, and every node reads the
-    clock.  With a clock that ticks once per read, a deadline of 1000
-    passes inside that query, which stops there."""
+    """On the order-8 Latin square graph (64 vertices) the chain's
+    existence queries visit 63,986 nodes, and every node reads the clock.
+    The first queries, at levels 10 down to 4, visit 2 to 209 nodes each;
+    with a clock that ticks once per read, a deadline of 1000 passes inside
+    the twelfth, 4 -> 8 with 1..3 fixed, which stops there."""
     g = latin_square_graph(8)
     clock = itertools.count()
     monkeypatch.setattr("qsym.perms.time",
@@ -270,6 +320,31 @@ def test_a_deadline_stops_one_search_midway(monkeypatch):
     with pytest.raises(DeadlineExceeded):
         automorphism_group(g, deadline=1000)
     assert next(clock) == 1002
+
+
+def test_the_scan_reads_the_deadline_while_it_builds_its_twin_masks(
+        monkeypatch):
+    """The disjoint scan reads the clock on entry, then once per vertex of
+    its twin masks, before any search.  With a clock that ticks once per
+    read, a deadline of 10 on the 64-vertex Latin square graph passes at
+    the masks' eleventh vertex, and the scan stops there."""
+    g = latin_square_graph(8)
+    clock = itertools.count()
+    monkeypatch.setattr("qsym.perms.time",
+                        SimpleNamespace(monotonic=lambda: next(clock)))
+    twin_masks, stopped = perms._twin_masks, []
+
+    def watched(*args):
+        try:
+            return twin_masks(*args)
+        except DeadlineExceeded:
+            stopped.append(True)
+            raise
+
+    monkeypatch.setattr("qsym.perms._twin_masks", watched)
+    with pytest.raises(DeadlineExceeded):
+        find_disjoint_automorphisms(g, deadline=10)
+    assert stopped and next(clock) == 12
 
 
 def test_complement_has_same_automorphisms():
@@ -347,7 +422,7 @@ def test_disjoint_pairs_match_exhaustive_scan():
                  "C12(3+,6)", "K2xC6(2)"):
         g = build_named(name)
         aut = automorphism_group(g)
-        elems = [p for p in aut.elements(cap=5000) if not p.is_identity()]
+        elems = [p for p in elements(aut) if not p.is_identity()]
         supports = sorted({frozenset(p.support()) for p in elems}, key=sorted)
         oracle = any(not (a & b)
                      for a, b in itertools.combinations(supports, 2))
@@ -377,7 +452,7 @@ def test_find_automorphism_is_the_smallest_extension():
     smallest image vector among those extending ``pre``."""
     for g in (cycle_graph(5), cycle_graph(6), build_named("K2xC6"),
               path_graph(4)):
-        elems = automorphism_group(g).elements()
+        elems = elements(automorphism_group(g))
         for v, a in itertools.product(g.vertices(), repeat=2):
             for pre in ({v: a}, {1: v, 2: a}):
                 extending = [p for p in elems
@@ -432,7 +507,7 @@ def test_disjoint_pair_is_the_oracle_pair():
             continue
         pair = find_disjoint_automorphisms(g)
         found = pair and tuple(map(str, pair))
-        assert found == _oracle_disjoint_pair(aut.elements(cap=5000)), g
+        assert found == _oracle_disjoint_pair(elements(aut)), g
         compared += 1
     assert compared >= 100
 

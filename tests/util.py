@@ -1,11 +1,13 @@
 """Shared test oracles, independent of the code paths they check."""
 
+import functools
 import itertools
 import math
 import random
 
 from qsym.graphs import Graph
 from qsym.named import circulant
+from qsym.perms import AutGroup, Permutation, find_automorphism
 
 
 def circulants(top=16):
@@ -14,6 +16,41 @@ def circulants(top=16):
             for n in range(5, top + 1)
             for k in range(n // 2)
             for chords in itertools.combinations(range(2, n // 2 + 1), k)]
+
+
+def transversal_chain(g):
+    """The orbit-stabilizer chain that keeps every coset representative:
+    one ``find_automorphism`` query per level v and image a != v with
+    1..v-1 fixed, each answer a generator.  Returns (generators, order),
+    cached per edge set, as two test modules walk the 378 circulants."""
+    return _transversal_chain(g.n, g.edges())
+
+
+@functools.cache
+def _transversal_chain(n, edges):
+    g = Graph(n, edges)
+    gens, order, prefix = [], 1, {}
+    for v in g.vertices():
+        level = [find_automorphism(g, {**prefix, v: a})
+                 for a in g.vertices() if a != v]
+        level = [phi for phi in level if phi is not None]
+        gens += level
+        order *= 1 + len(level)
+        prefix[v] = v
+    return tuple(gens), order
+
+
+def elements(aut):
+    """Every element of ``aut``, each once, as a product t_1 * ... * t_n of
+    one witness per chain level: level v's transversal is v's orbit, with
+    its witnesses, under the generators that fix 1..v-1 (smallest moved
+    vertex v or more)."""
+    elems = [Permutation.identity(aut.n)]
+    for v in range(aut.n, 0, -1):
+        level = AutGroup(aut.n, tuple(gen for gen in aut.generators
+                                      if gen.support()[0] >= v), 0)
+        elems = [t * e for t in level.orbit(v).values() for e in elems]
+    return elems
 
 
 def latin_square_graph(n):
