@@ -33,6 +33,8 @@ from .graphs import (
     has_quadrangle,
     injective_f_check,
     read_graph,
+    side_condition_breaker,
+    triple_condition,
 )
 from .perms import is_automorphism, parse_cycles
 
@@ -325,14 +327,6 @@ def narrowed(g, cand, j, q):
     return frozenset([p for p in cand if cq[p] == cqj])
 
 
-def _triple_condition(g, i, k):
-    cn = common_neighbours(g, i, k)
-    if len(cn) != 1:
-        return False
-    p = cn[0]
-    return common_neighbours(g, i, p) == [k] and common_neighbours(g, k, p) == [i]
-
-
 def _quadrangle_free(g, kb):
     if has_quadrangle(g):
         return "graph contains a quadrangle"
@@ -351,12 +345,12 @@ def _one_common_neighbour_gen(g, kb, j, l, q):
         return "(j,l) not adjacent"
     if common_neighbours(g, j, l) != [q]:
         return "CN(j,l) is not exactly {q}"
-    if not _triple_condition(g, j, l):
+    if not triple_condition(g, j, l):
         return "triple condition fails for (j,l)"
-    for a, b in g.edges():
-        if len(common_neighbours(g, a, b)) == 1 \
-                and not _triple_condition(g, a, b):
-            return f"adjacent pair ({a},{b}) breaks the global side condition"
+    breaker = side_condition_breaker(g)
+    if breaker is not None:
+        a, b = breaker
+        return f"adjacent pair ({a},{b}) breaks the global side condition"
 
 
 def _unique_in_colour(g, kb, j, l):

@@ -391,9 +391,11 @@ def _first_nonidentity_fixing(g: Graph, fixed, inv,
 
 
 def _twin_masks(g: Graph, inv, deadline: float | None = None):
-    """twins[v]: for each u != v with v's invariants, the bitmask of the
-    vertices whose pair colours (distance, common neighbours) with v and
-    with u differ, v and u among them.  Each row is kept as one bitmask
+    """twins[v]: for each u != v with v's invariants, in ascending order,
+    the bitmask of the vertices whose pair colours (distance, common
+    neighbours) with v and with u differ, v and u among them.  The mask is
+    symmetric in v and u, so each unordered pair is computed once and
+    appended to both rows.  Each row of colours is kept as one bitmask
     per colour, so a pair costs one AND per colour of v's row, not n
     comparisons.  ``deadline`` is checked once per vertex v."""
     c = g.pair_colours()
@@ -405,13 +407,15 @@ def _twin_masks(g: Graph, inv, deadline: float | None = None):
             masks[cv[x]] = masks.get(cv[x], 0) | 1 << x
         classes.append(masks)
     full = (1 << (g.n + 1)) - 2
-    twins = [()] * (g.n + 1)
+    twins = [[] for _ in range(g.n + 1)]
     for v in vertices:
         _check_deadline(deadline)
-        mv = classes[v].items()
-        twins[v] = tuple(
-            full & ~sum(m & classes[u].get(k, 0) for k, m in mv)
-            for u in vertices if u != v and inv[u] == inv[v])
+        mv, row = classes[v].items(), twins[v]
+        for u in range(v + 1, g.n + 1):
+            if inv[u] == inv[v]:
+                mask = full & ~sum(m & classes[u].get(k, 0) for k, m in mv)
+                row.append(mask)
+                twins[u].append(mask)
     return twins
 
 

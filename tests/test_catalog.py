@@ -1,7 +1,10 @@
 """Catalog shape, frozen expectations, and the batch report contract."""
 
+import hashlib
+
 import pytest
 
+import qsym.catalog
 from qsym.catalog import (
     CatalogEntry,
     catalog,
@@ -12,6 +15,7 @@ from qsym.catalog import (
     run_report,
     twelve_vertex_entries,
 )
+from qsym.certificate import serialize_certificate
 from qsym.graphs import complement, injective_f_check
 from qsym.named import _ALIASES, build_named
 from qsym.perms import automorphism_group, is_vertex_transitive
@@ -23,6 +27,12 @@ EXPECTED_QUANTUM = {
     "K6xK2", "K3xK4", "C4xC3", "K2xC6(3)", "K2xC6(2)", "K12", "C12(5)",
     "C12(4,5)", "C12(5,6)", "C12(5+)", "C12(3+,6)", "C12(5+,6)",
 }
+
+# SHA-256 over the 37 twelve-vertex rows of ``run_entry``, in catalog
+# order: each row's name, verdict kind, witness text and serialized
+# certificate.
+CATALOG_ROWS_SHA256 = \
+    "8d35919955e6d1c160bcfd1c8d874d8da762425c338170b66685f6825d41e162"
 
 
 def test_catalog_shape():
@@ -120,3 +130,29 @@ def test_run_report_subset_and_markdown():
     assert "HasQuantumSymmetry" in md and "NoQuantumSymmetry" in md
     empty = run_report([])
     assert empty["records"] == [] and report_markdown(empty)
+
+
+def test_catalog_rows_are_pinned(monkeypatch):
+    """The verdicts, witnesses and certificates of the 37 rows are byte
+    for byte those pinned.  ``run_entry`` keeps the witness text but not
+    the certificate, so the certificate comes from the ``decide`` call
+    that ``run_entry`` makes."""
+    verdicts, decide = [], qsym.catalog.decide
+
+    def keep(*args, **kwargs):
+        verdicts.append(decide(*args, **kwargs))
+        return verdicts[-1]
+
+    monkeypatch.setattr(qsym.catalog, "decide", keep)
+    parts = []
+    for entry in twelve_vertex_entries():
+        rec = run_entry(entry)
+        (verdict,) = verdicts
+        verdicts.clear()
+        assert rec["verdict"] == verdict.kind and rec["certificate_ok"]
+        parts.append(f"{entry.name}\n{verdict.kind}\n"
+                     f"{' '.join(rec.get('witness', []))}\n"
+                     f"{serialize_certificate(verdict.certificate)}")
+    assert len(parts) == 37
+    digest = hashlib.sha256("".join(parts).encode()).hexdigest()
+    assert digest == CATALOG_ROWS_SHA256

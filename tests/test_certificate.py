@@ -17,7 +17,7 @@ from qsym.certificate import (
     verify_certificate,
 )
 from qsym.engine import decide, lemma_fixpoint, _commutativity_certificate
-from qsym.graphs import Graph
+from qsym.graphs import Graph, common_neighbours, triple_condition
 from qsym.named import build_named, circulant, cycle_graph
 from qsym.perms import automorphism_group, is_automorphism, parse_cycles
 
@@ -228,6 +228,34 @@ def test_one_common_neighbour_needs_an_edge():
     assert not IndependentReplayer(g.n, g.edges()).accepts(cert)
     result = verify_certificate(g, cert)
     assert not result and result.step_index == 0
+
+
+def test_one_common_neighbour_gen_checks_the_whole_graph():
+    """On C15(2,5) the step ONE_COMMON_NEIGHBOUR_GEN j=1 l=6 q=11 meets
+    every local condition, but the adjacent pair (1,3) breaks the triple
+    condition, so both verifiers refuse the step in front of a proof that
+    they accept.  The library reads the side condition from a cache on
+    the graph; the refusal is the same whether ``decide`` has filled that
+    cache or the graph is fresh."""
+    warm = circulant(15, 2, 5)
+    cert = decide(warm, engine="lemmas").certificate
+    assert warm._breaker == (1, 3)
+    forged = Certificate(
+        cert.verdict, cert.n, cert.edges,
+        (step(cm.ONE_COMMON_NEIGHBOUR_GEN, j=1, l=6, q=11),) + cert.steps)
+    fresh = circulant(15, 2, 5)
+    assert fresh._breaker is None
+    assert fresh.adjacent(1, 6) and common_neighbours(fresh, 1, 6) == [11]
+    assert triple_condition(fresh, 1, 6)
+    for g in (fresh, warm):
+        result = verify_certificate(g, forged)
+        assert not result and result.step_index == 0
+        assert result.message == ("ONE_COMMON_NEIGHBOUR_GEN: adjacent pair "
+                                  "(1,3) breaks the global side condition")
+        assert verify_certificate(g, cert)
+    assert fresh._breaker == (1, 3)
+    replayer = IndependentReplayer(fresh.n, fresh.edges())
+    assert replayer.accepts(cert) and not replayer.accepts(forged)
 
 
 def test_unknown_verdict_is_rejected():

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from qsym.catalog import twelve_vertex_entries
 from qsym.graphs import (
     INFINITE,
     CirculantSpec,
@@ -23,6 +24,7 @@ from qsym.graphs import (
     injective_f_check,
     line_graph,
     read_graph,
+    side_condition_breaker,
     write_graph,
 )
 from qsym.named import (
@@ -247,6 +249,33 @@ def test_has_quadrangle():
     assert has_quadrangle(g)  # e.g. 1-2-8-7-1
     assert g.adjacent(1, 2) and g.adjacent(2, 8) and g.adjacent(8, 7) \
         and g.adjacent(7, 1)
+
+
+def test_side_condition_breaker_matches_its_definition():
+    """On the 37 catalog graphs and the 378 circulants C_n(S), 5 <= n <=
+    16, the cached query names the first edge whose ends have exactly one
+    common neighbour p while some other vertex is adjacent to p and to
+    one of them, and asking twice gives the same answer."""
+
+    def cn(g, a, b):
+        return {x for x in g.vertices() if g.adjacent(a, x) and g.adjacent(b, x)}
+
+    def breaks(g, a, b):
+        common = cn(g, a, b)
+        if len(common) != 1:
+            return False
+        (p,) = common
+        return cn(g, a, p) != {b} or cn(g, b, p) != {a}
+
+    graphs = [e.build() for e in twelve_vertex_entries()] + circulants()
+    assert len(graphs) == 415
+    found = 0
+    for g in graphs:
+        want = next(((a, b) for a, b in g.edges() if breaks(g, a, b)), None)
+        assert side_condition_breaker(g) == want, g.label
+        assert side_condition_breaker(g) == want, g.label
+        found += want is not None
+    assert 0 < found < len(graphs)
 
 
 # paper-reported cosine sums (s = 1..6); the C12(3) entry at s = 3 is an

@@ -347,6 +347,27 @@ def test_the_scan_reads_the_deadline_while_it_builds_its_twin_masks(
     assert stopped and next(clock) == 12
 
 
+def test_twin_masks_match_their_definition_over_ordered_pairs():
+    """On the 37 catalog graphs and the 378 circulants C_n(S), 5 <= n <=
+    16, row v of the twin masks holds, for each u != v with v's
+    invariants in ascending order, the bitmask of the vertices x with
+    c(v, x) != c(u, x); so the masks of (v, u) and (u, v) are equal."""
+    graphs = [e.build() for e in catalog() if e.subclass != "sanity"]
+    graphs += circulants()
+    assert len(graphs) == 415
+    for g in graphs:
+        c, inv = g.pair_colours(), perms._invariants(g)
+        twins, masks = perms._twin_masks(g, inv), {}
+        assert len(twins) == g.n + 1 and not twins[0]
+        for v in g.vertices():
+            peers = [u for u in g.vertices() if u != v and inv[u] == inv[v]]
+            want = [sum(1 << x for x in g.vertices() if c[v][x] != c[u][x])
+                    for u in peers]
+            assert list(twins[v]) == want, (g.label, v)
+            masks.update(((v, u), m) for u, m in zip(peers, twins[v]))
+        assert all(masks[u, v] == m for (v, u), m in masks.items()), g.label
+
+
 def test_complement_has_same_automorphisms():
     for name in ("C12(2)", "TruncK4", "C12(5+)", "K3xK4"):
         g = build_named(name)
