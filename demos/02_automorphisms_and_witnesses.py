@@ -6,8 +6,11 @@ symmetry.  For vertex-transitive graphs up to 13 vertices this sufficient
 condition turns out to be exact, which is what makes the catalog
 classification fully mechanical."""
 
-from qsym import automorphism_group, find_disjoint_automorphisms, pair_orbits
+from itertools import combinations
+
+from qsym import automorphism_group, find_disjoint_automorphisms
 from qsym.named import build_named
+from qsym.perms import act_on_pair
 
 print("orders of some automorphism groups (exact, via orbit-stabilizer "
       "counting):")
@@ -30,8 +33,14 @@ for name in ("C12(5)", "C12(4,5)", "C12(5+)", "K2xC6(2)", "C12",
 print()
 print("orbits of vertex pairs drive fact transport in the lemma engine:")
 g = build_named("K2xC6")
-orbits = pair_orbits(g, automorphism_group(g))
-for idx, (orbit, dist) in enumerate(zip(orbits.orbits, orbits.distance)):
+aut = automorphism_group(g)
+d = g.distances()
+seen = set()
+for i, j in combinations(g.vertices(), 2):
+    if frozenset((i, j)) in seen:
+        continue
+    orbit = aut.orbit(frozenset((i, j)), act_on_pair)
+    seen |= orbit.keys()
     sample = sorted(tuple(sorted(p)) for p in orbit)[:4]
-    print(f"  orbit {idx}: distance {dist}, size {len(orbit)}, "
+    print(f"  orbit of {(i, j)}: distance {d[i][j]}, size {len(orbit)}, "
           f"e.g. {sample}")

@@ -35,14 +35,12 @@ from .named import build_named, catalog_names
 from .perms import (
     AutGroup,
     DeadlineExceeded,
-    PairOrbits,
     Permutation,
     automorphism_group,
     find_automorphism,
     find_disjoint_automorphisms,
     is_automorphism,
     is_vertex_transitive,
-    pair_orbits,
     parse_cycles,
 )
 from .certificate import (

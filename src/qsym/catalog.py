@@ -24,10 +24,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .engine import DEFAULT_TIMEOUT, decide
+from .engine import DEFAULT_TIMEOUT, Undecided, decide
 from .graphs import Graph
 from .named import build_named, canonical_name
-from .perms import automorphism_group, is_vertex_transitive
+from .perms import DeadlineExceeded, automorphism_group, is_vertex_transitive
 
 SUBCLASSES = ("disconnected", "product", "circulant", "semicirculant",
               "special", "sanity")
@@ -155,7 +155,9 @@ def quantum_flagged_names():
 
 
 def run_entry(entry: CatalogEntry, timeout: float = DEFAULT_TIMEOUT) -> dict:
-    """Evaluate one entry; failures are captured, never raised."""
+    """Evaluate one entry; failures are captured, never raised.  ``timeout``
+    bounds the group search and ``decide`` together; a group search that
+    runs past it records Undecided with reason "timeout"."""
     record = {
         "name": entry.name,
         "subclass": entry.subclass,
@@ -167,16 +169,21 @@ def run_entry(entry: CatalogEntry, timeout: float = DEFAULT_TIMEOUT) -> dict:
         "contradiction": False,
     }
     start = time.monotonic()
+    deadline = start + timeout
     try:
         g = entry.build()
         record["n"] = g.n
         record["edges"] = g.num_edges()
-        aut = automorphism_group(g)
-        record["aut_order"] = aut.order
-        record["aut_order_ok"] = (entry.expected_aut_order is None
-                                  or aut.order == entry.expected_aut_order)
-        record["vertex_transitive"] = is_vertex_transitive(g, aut)
-        verdict = decide(g, timeout=timeout, aut=aut)
+        try:
+            aut = automorphism_group(g, deadline=deadline)
+        except DeadlineExceeded:
+            verdict = Undecided(reason="timeout")
+        else:
+            record["aut_order"] = aut.order
+            record["aut_order_ok"] = (entry.expected_aut_order is None
+                                      or aut.order == entry.expected_aut_order)
+            record["vertex_transitive"] = is_vertex_transitive(g, aut)
+            verdict = decide(g, timeout=deadline - time.monotonic(), aut=aut)
         record["verdict"] = verdict.kind
         if verdict.kind == "HasQuantumSymmetry":
             record["witness"] = [str(p) for p in verdict.witness]

@@ -244,8 +244,6 @@ class CommutationKB:
         self.transits: set = set()
         self.automorphisms: set = set()
         self.log: list = []
-        # search bookkeeping of the engine's orbit closure; never replayed
-        self._closed_orbit_roots: set = set()
 
     def knows_commute(self, j, l) -> bool:
         return j == l or frozenset((j, l)) in self.commute
@@ -448,7 +446,7 @@ def _disjoint_witness(g, kb, sigma, tau):
 
 def _injective_f(g, kb, n, chords):
     spec = CirculantSpec(n, tuple(chords))
-    if build_circulant(spec) != Graph(g.n, g.edges()):
+    if n != g.n or build_circulant(spec) != Graph(g.n, g.edges()):
         return "circulant spec does not rebuild the graph"
     if not injective_f_check(spec)[0]:
         return "eigenvalues are not injective on s = 1..n//2"

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 from . import certificate as cert_mod
 from .certificate import Certificate, CommutationKB, step, verify_certificate
-from .graphs import Graph, common_neighbours, injective_f_check
+from .graphs import Graph, injective_f_check
 from .perms import (
     AutGroup,
     DeadlineExceeded,
@@ -94,11 +94,11 @@ def seed_kb(g: Graph, use_global_seeds: bool = True) -> CommutationKB:
     Adjacent columns all commute when the graph is quadrangle-free, or when
     every adjacent pair has exactly one common neighbour.  Failing those,
     individual adjacent pairs can be seeded through the generalized
-    one-common-neighbour rule, provided every adjacent pair with a unique
-    common neighbour satisfies its triple condition (pairs with a different
-    common-neighbour count are harmless: they differ in pair colour, so the
-    mixed products vanish).  Diagonal pairs {j,j} always commute and stay
-    implicit.
+    one-common-neighbour rule, proposed only for the adjacent pairs with
+    exactly one common neighbour, provided every such pair satisfies its
+    triple condition (pairs with a different common-neighbour count are
+    harmless: they differ in pair colour, so the mixed products vanish).
+    Diagonal pairs {j,j} always commute and stay implicit.
 
     ``use_global_seeds=False`` starts from an empty knowledge base, which
     forces pairwise derivations even where a whole-graph lemma applies;
@@ -111,9 +111,10 @@ def seed_kb(g: Graph, use_global_seeds: bool = True) -> CommutationKB:
             or _propose(kb, cert_mod.ONE_COMMON_NEIGHBOUR):
         return kb
     for i, j in g.edges():
-        cn = common_neighbours(g, i, j)
-        if cn:
-            _propose(kb, cert_mod.ONE_COMMON_NEIGHBOUR_GEN, j=i, l=j, q=cn[0])
+        both = g.rows[i] & g.rows[j]
+        if both.bit_count() == 1:
+            _propose(kb, cert_mod.ONE_COMMON_NEIGHBOUR_GEN,
+                     j=i, l=j, q=both.bit_length() - 1)
     return kb
 
 
@@ -170,22 +171,22 @@ def prove_pair(kb: CommutationKB, g: Graph, j, l) -> bool:
     return _propose(kb, cert_mod.ADJ_COMMUTE_CLOSE, j=j, l=l)
 
 
-def close_under_automorphisms(kb: CommutationKB, g: Graph, aut: AutGroup):
+def close_under_automorphisms(kb: CommutationKB, aut: AutGroup, walked: set):
     """Transport every known column-pair fact along its orbit.
 
     BFS over generator applications, starting from each known pair, with
     the composed automorphism recorded per transfer so the certificate
-    carries explicit witnesses.
+    carries explicit witnesses.  ``walked`` holds the pairs whose orbits
+    earlier calls have walked; each walk adds its orbit to it.
     """
-    pending = sorted((pair for pair in kb.commute
-                      if pair not in kb._closed_orbit_roots),
+    pending = sorted(kb.commute - walked,
                      key=lambda pair: tuple(sorted(pair)))
     for source in pending:
-        if source in kb._closed_orbit_roots:
+        if source in walked:
             continue
         j1, l1 = sorted(source)
         for image, phi in aut.orbit(source, act_on_pair).items():
-            kb._closed_orbit_roots.add(image)
+            walked.add(image)
             if image not in kb.commute:
                 j2, l2 = sorted(image)
                 _propose(kb, cert_mod.AUT_TRANSFER,
@@ -209,7 +210,8 @@ def lemma_fixpoint(g: Graph, aut: AutGroup | None = None,
     aut = aut or automorphism_group(g, deadline=deadline)
     kb = seed_kb(g, use_global_seeds=use_global_seeds)
     reps = [orbit[0] for orbit in aut.vertex_orbits()]
-    close_under_automorphisms(kb, g, aut)
+    walked = set()
+    close_under_automorphisms(kb, aut, walked)
     d = g.distances()
 
     while True:
@@ -231,7 +233,7 @@ def lemma_fixpoint(g: Graph, aut: AutGroup | None = None,
                     if prove_pair(kb, g, j0, l):
                         class_added = True
                 if class_added:
-                    close_under_automorphisms(kb, g, aut)
+                    close_under_automorphisms(kb, aut, walked)
                     added_this_round = True
         if kb.open_column_pair(reps) is None or not added_this_round:
             break

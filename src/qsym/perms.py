@@ -9,28 +9,31 @@ increasing order of image vector.  The pruning is sound because an
 automorphism preserves distances and maps the common neighbours of x and y
 onto those of their images, so it preserves both components; it only cuts
 branches that hold no automorphism, and the order in which the rest are
-visited is fixed.  On top of it sit an orbit-stabilizer chain that queries
-only images outside the orbit its generators already reach, keeping one
-generator per orbit enlargement (it yields the exact group order without
-enumerating elements, so K12 with |Aut| = 12! takes 11 generators), and an
-exhaustive-by-construction search for a pair of non-trivial automorphisms
-with disjoint supports.  The latter decides the question exactly: it scans
-candidate supports by size, which is enough because the smaller support of
-any disjoint pair has at most n//2 vertices.  Only twin-closed subsets are
-candidates, those in which every vertex v has a twin u != v with the same
-invariants and the same pair colour with every vertex outside the subset.
-That is necessary: if sigma fixes the outside pointwise and moves v to u,
-then c(x, v) = c(sigma x, sigma v) = c(x, u) for every outside x, and u,
-being moved as well, lies inside.  The chain and the scan check a
+visited is fixed.  One loop over the images of a vertex, ``_moves``,
+queries it for both users on top.  The first is an orbit-stabilizer chain
+that tries only images outside the orbit its generators already reach,
+keeping one generator per orbit enlargement (it yields the exact group
+order without enumerating elements, so K12 with |Aut| = 12! takes 11
+generators).  The second is an exhaustive-by-construction search for a
+pair of non-trivial automorphisms with disjoint supports, which decides
+the question exactly: it scans candidate supports by size, which is
+enough because the smaller support of any disjoint pair has at most n//2
+vertices.  Only twin-closed subsets are candidates, those in which every
+vertex v has a twin u != v with the same invariants and the same pair
+colour with every vertex outside the subset.  That is necessary: if sigma
+fixes the outside pointwise and moves v to u, then c(x, v) =
+c(sigma x, sigma v) = c(x, u) for every outside x, and u, being moved as
+well, lies inside.  The chain and the scan check a
 ``time.monotonic()`` deadline at every node of every search, and the scan
-also on entry and once per vertex while it builds its twin masks.
+also on entry and once per vertex while it builds its twin masks.  Vertex
+and pair orbits come from one walk, ``AutGroup.orbit``, with
+``act_on_pair`` as the action on unordered pairs.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations
 
 from .graphs import Graph
 
@@ -282,13 +285,17 @@ class AutGroup:
         return orbits
 
 
-def _moves(g: Graph, prefix: dict, v, inv, deadline: float | None = None):
-    """For each a != v in ascending order, the smallest-image-vector
-    automorphism extending ``prefix`` and v -> a, where one exists, each
-    search bounded by ``deadline``."""
+def _moves(g: Graph, prefix: dict, v, inv, orbit,
+           deadline: float | None = None):
+    """For each a in ascending order that neither ``prefix`` uses nor
+    ``orbit`` holds (v among it), the smallest-image-vector automorphism
+    extending ``prefix`` and v -> a, where one exists, each search bounded
+    by ``deadline``.  ``orbit`` is read as each a comes up, so a caller
+    that grows it between the yields skips the images it reaches."""
     c = g.pair_colours()
+    used = set(prefix.values())
     for a in range(1, g.n + 1):
-        if a == v or not _fits(c, inv, prefix, v, a):
+        if a in used or a in orbit or not _fits(c, inv, prefix, v, a):
             continue
         phi = next(_extensions(g, {**prefix, v: a}, inv, deadline), None)
         if phi is not None:
@@ -299,28 +306,23 @@ def automorphism_group(g: Graph, deadline: float | None = None) -> AutGroup:
     """Generators plus exact order via an orbit-stabilizer chain.
 
     The levels are built from v = n down to 1; the generators found so far
-    fix 1..v-1.  Level v tries an image a of v only where a lies outside
-    v's orbit under them, and keeps the smallest-image-vector automorphism
-    fixing 1..v-1 with v -> a, which enlarges that orbit.  The orbit is
-    then v's whole orbit in the pointwise stabilizer of 1..v-1, the
-    generators of levels >= v generate that stabilizer, and the product of
-    the orbit sizes is the group order.  Past ``deadline``, a
-    ``time.monotonic()`` value, the chain raises ``DeadlineExceeded``.
+    fix 1..v-1.  Level v takes ``_moves`` fixing 1..v-1, which tries an
+    image a of v only where a lies outside v's orbit under them, and keeps
+    the smallest-image-vector automorphism with v -> a, which enlarges that
+    orbit.  The orbit is then v's whole orbit in the pointwise stabilizer
+    of 1..v-1, the generators of levels >= v generate that stabilizer, and
+    the product of the orbit sizes is the group order.  Past ``deadline``,
+    a ``time.monotonic()`` value, the chain raises ``DeadlineExceeded``.
     """
     inv = _invariants(g)
-    c = g.pair_colours()
     order = 1
     gens = []
     for v in range(g.n, 0, -1):
         prefix = {u: u for u in range(1, v)}
         orbit = {v}
-        for a in range(v + 1, g.n + 1):
-            if a in orbit or not _fits(c, inv, prefix, v, a):
-                continue
-            phi = next(_extensions(g, {**prefix, v: a}, inv, deadline), None)
-            if phi is not None:
-                gens.append(phi)
-                orbit = AutGroup(g.n, tuple(gens), 0).orbit(v)
+        for phi in _moves(g, prefix, v, inv, orbit, deadline):
+            gens.append(phi)
+            orbit.update(AutGroup(g.n, tuple(gens), 0).orbit(v))
         order *= len(orbit)
     return AutGroup(n=g.n, generators=tuple(gens), order=order)
 
@@ -330,44 +332,11 @@ def is_vertex_transitive(g: Graph, group: AutGroup | None = None) -> bool:
     return len(group.orbit(1)) == g.n
 
 
-# -- pair orbits -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PairOrbits:
-    """Partition of unordered vertex pairs under the group action.
-
-    Each orbit is tagged with the common distance of its pairs (an
-    automorphism preserves distances, so the tag is well defined).
-    """
-
-    orbits: tuple
-    distance: tuple
-
-    def index_of(self, pair) -> int:
-        key = frozenset(pair)
-        for idx, orbit in enumerate(self.orbits):
-            if key in orbit:
-                return idx
-        raise KeyError(pair)
-
-
 def act_on_pair(gen: Permutation, pair: frozenset) -> frozenset:
     """The image of an unordered pair, as an ``AutGroup.orbit`` action."""
     i, j = pair
     img = gen.img
     return frozenset((img[i], img[j]))
-
-
-def pair_orbits(g: Graph, group: AutGroup) -> PairOrbits:
-    d = g.distances()
-    orbits, dists = [], []
-    for i, j in combinations(g.vertices(), 2):
-        pair = frozenset((i, j))
-        if not any(pair in orbit for orbit in orbits):
-            orbits.append(frozenset(group.orbit(pair, act_on_pair)))
-            dists.append(d[i][j])
-    return PairOrbits(orbits=tuple(orbits), distance=tuple(dists))
 
 
 # -- disjoint automorphisms ------------------------------------------------
@@ -383,7 +352,7 @@ def _first_nonidentity_fixing(g: Graph, fixed, inv,
     base = {v: v for v in fixed}
     for w in range(1, g.n + 1):
         if w not in base:
-            phi = next(_moves(g, base, w, inv, deadline), None)
+            phi = next(_moves(g, base, w, inv, {w}, deadline), None)
             if phi is not None:
                 return phi
             base[w] = w  # no automorphism fixing base moves w

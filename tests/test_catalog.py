@@ -1,6 +1,7 @@
 """Catalog shape, frozen expectations, and the batch report contract."""
 
 import hashlib
+import time
 
 import pytest
 
@@ -18,7 +19,11 @@ from qsym.catalog import (
 from qsym.certificate import serialize_certificate
 from qsym.graphs import complement, injective_f_check
 from qsym.named import _ALIASES, build_named
-from qsym.perms import automorphism_group, is_vertex_transitive
+from qsym.perms import (
+    DeadlineExceeded,
+    automorphism_group,
+    is_vertex_transitive,
+)
 
 from util import is_isomorphic
 
@@ -117,6 +122,43 @@ def test_run_entry_isolates_failures():
     boom = CatalogEntry("boom", "sanity", False, None, "trivial")
     rec = run_entry(boom)
     assert rec["error"] is not None and "boom" in rec["name"]
+
+
+def test_run_entry_bounds_the_group_search_and_decide_by_one_deadline(
+        monkeypatch):
+    seen = {}
+    group, decide = qsym.catalog.automorphism_group, qsym.catalog.decide
+
+    def group_spy(g, deadline=None):
+        seen["deadline"] = deadline
+        return group(g, deadline=deadline)
+
+    def decide_spy(g, timeout, **kwargs):
+        seen["timeout"] = timeout
+        return decide(g, timeout=timeout, **kwargs)
+
+    monkeypatch.setattr(qsym.catalog, "automorphism_group", group_spy)
+    monkeypatch.setattr(qsym.catalog, "decide", decide_spy)
+    before = time.monotonic()
+    rec = run_entry(entry_by_name("K2xC6"), timeout=7.0)
+    after = time.monotonic()
+    assert rec["verdict"] == "NoQuantumSymmetry" and rec["error"] is None
+    assert before + 7.0 <= seen["deadline"] <= after + 7.0
+    assert 0 < seen["timeout"] <= seen["deadline"] - before
+
+
+def test_run_entry_records_a_group_search_timeout_as_undecided(monkeypatch):
+    def late(g, deadline=None):
+        raise DeadlineExceeded("automorphism search ran past its deadline")
+
+    monkeypatch.setattr(qsym.catalog, "automorphism_group", late)
+    rec = run_entry(entry_by_name("K2xC6"), timeout=1.0)
+    assert rec["error"] is None and not rec["contradiction"]
+    assert rec["verdict"] == "Undecided"
+    assert rec["undecided_reason"] == "timeout"
+    assert rec["certificate_ok"] is None and "aut_order" not in rec
+    assert "| K2xC6 |" in report_markdown(
+        {"records": [rec], "by_subclass": {}, "contradictions": []})
 
 
 def test_run_report_subset_and_markdown():

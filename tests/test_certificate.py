@@ -185,6 +185,28 @@ def test_forged_injectivity_rejected():
     assert not verify_certificate(g, cert)
 
 
+def test_injectivity_step_for_a_foreign_n_is_refused_before_any_rebuild(
+        monkeypatch):
+    """A step naming another ``n`` is refused without building its
+    circulant, whose cost grows as n^2: ``n=4000`` on C5 must not wait."""
+    build = cm.build_circulant
+
+    def own_n_only(spec):
+        assert spec.n == 5, f"built the circulant of n={spec.n}"
+        return build(spec)
+
+    monkeypatch.setattr(cm, "build_circulant", own_n_only)
+    g = cycle_graph(5)
+    for n in (4000, 6):
+        cert = Certificate.for_graph(
+            g, cm.VERDICT_NONE, [step(cm.INJECTIVE_F, n=n, chords=())])
+        result = verify_certificate(g, cert)
+        assert not result and result.step_index == 0
+        assert result.message.endswith(
+            "circulant spec does not rebuild the graph")
+        assert not IndependentReplayer(g.n, g.edges()).accepts(cert)
+
+
 def test_injectivity_certificate_for_k33_rejected_by_both_verifiers():
     """C6(3) = K3,3 has quantum symmetry, so no proof of its absence may
     verify; the paper's cosine sums call it injective, its spectrum is not."""

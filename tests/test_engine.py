@@ -7,6 +7,7 @@ import time
 import pytest
 
 import qsym.certificate as cm
+import qsym.engine as engine
 from qsym.engine import (
     CommutationKB,
     EngineError,
@@ -23,7 +24,8 @@ from qsym.certificate import (
     serialize_certificate,
     verify_certificate,
 )
-from qsym.graphs import disjoint_copies, injective_f_check
+from qsym.catalog import twelve_vertex_entries
+from qsym.graphs import common_neighbours, disjoint_copies, injective_f_check
 from qsym.named import (
     build_named,
     circulant,
@@ -35,9 +37,9 @@ from qsym.named import (
 from qsym.perms import (
     AutGroup,
     DeadlineExceeded,
+    act_on_pair,
     automorphism_group,
     find_disjoint_automorphisms,
-    pair_orbits,
 )
 
 from replayer import IndependentReplayer
@@ -82,6 +84,42 @@ def test_seed_gen_lemma_for_antip():
     assert kinds == {cm.ONE_COMMON_NEIGHBOUR_GEN}
     # exactly the triangle edges get seeded: 4 triangles, 3 edges each
     assert len(kb.commute) == 12
+
+
+def _seed_kb_proposing_every_edge(g):
+    """seed_kb as it was when it proposed the generalized rule for every
+    edge with a common neighbour, q being the first of them."""
+    kb = CommutationKB(g)
+    if engine._propose(kb, cm.QUADRANGLE_FREE) \
+            or engine._propose(kb, cm.ONE_COMMON_NEIGHBOUR):
+        return kb
+    for i, j in g.edges():
+        cn = common_neighbours(g, i, j)
+        if cn:
+            engine._propose(kb, cm.ONE_COMMON_NEIGHBOUR_GEN, j=i, l=j, q=cn[0])
+    return kb
+
+
+def test_seed_proposes_the_generalized_rule_only_where_it_can_hold(
+        monkeypatch):
+    """Only edges with exactly one common neighbour are proposed, and the
+    log is that of proposing every edge with a common neighbour."""
+    catalog = [e.build() for e in twelve_vertex_entries()]
+    graphs = circulants() + [g for g in catalog if g.is_connected()]
+    expected = [[str(s) for s in _seed_kb_proposing_every_edge(g).log]
+                for g in graphs]
+    proposed, propose = [], engine._propose
+
+    def spy(kb, kind, **fields):
+        proposed.append((kb.graph, kind, fields))
+        return propose(kb, kind, **fields)
+
+    monkeypatch.setattr(engine, "_propose", spy)
+    assert [[str(s) for s in seed_kb(g).log] for g in graphs] == expected
+    gen = [(g, f) for g, kind, f in proposed
+           if kind == cm.ONE_COMMON_NEIGHBOUR_GEN]
+    assert gen and all(common_neighbours(g, f["j"], f["l"]) == [f["q"]]
+                       for g, f in gen)
 
 
 def test_seed_requires_connected():
@@ -171,7 +209,7 @@ def test_close_transfers_through_the_mirror():
     aut = automorphism_group(g)
     kb = CommutationKB(g)
     kb.commute.add(frozenset((1, 3)))
-    close_under_automorphisms(kb, g, aut)
+    close_under_automorphisms(kb, aut, set())
     assert kb.knows_commute(1, 5)
     transfer = [s for s in kb.log if s.kind == cm.AUT_TRANSFER
                 and {s.j2, s.l2} == {1, 5}]
@@ -188,8 +226,10 @@ def test_close_under_automorphisms_idempotent():
     assert closed
     from qsym.engine import close_under_automorphisms
     before = len(kb.log)
-    close_under_automorphisms(kb, g, aut)
-    close_under_automorphisms(kb, g, aut)
+    walked = set()
+    close_under_automorphisms(kb, aut, walked)
+    assert walked == kb.commute
+    close_under_automorphisms(kb, aut, walked)
     assert len(kb.log) == before
 
 
@@ -198,10 +238,8 @@ def test_kb_is_union_of_pair_orbits_after_fixpoint():
         g = build_named(name)
         aut = automorphism_group(g)
         kb, _, _ = lemma_fixpoint(g, aut)
-        orbits = pair_orbits(g, aut)
-        for orbit in orbits.orbits:
-            known = [pair in kb.commute for pair in orbit]
-            assert all(known) or not any(known), (name, orbit)
+        assert all(act_on_pair(gen, pair) in kb.commute
+                   for gen in aut.generators for pair in kb.commute), name
 
 
 def test_fixpoint_monotone_and_deterministic():

@@ -25,12 +25,12 @@ from qsym.perms import (
     AutGroup,
     DeadlineExceeded,
     Permutation,
+    act_on_pair,
     automorphism_group,
     find_automorphism,
     find_disjoint_automorphisms,
     is_automorphism,
     is_vertex_transitive,
-    pair_orbits,
     parse_cycles,
 )
 from util import (
@@ -385,26 +385,31 @@ def test_vertex_transitivity():
         assert is_vertex_transitive(build_named(name))
 
 
+def _pair_orbit(aut, i, j):
+    return aut.orbit(frozenset((i, j)), act_on_pair)
+
+
 def test_pair_orbits_c5():
     g = cycle_graph(5)
-    orbits = pair_orbits(g, automorphism_group(g))
-    assert len(orbits.orbits) == 2
-    assert sorted(orbits.distance) == [1, 2]
-    for orbit, dist in zip(orbits.orbits, orbits.distance):
-        assert all(g.distances()[min(pair)][max(pair)] == dist
-                   for pair in orbit)
+    aut = automorphism_group(g)
+    edges, chords = _pair_orbit(aut, 1, 2), _pair_orbit(aut, 1, 3)
+    assert set(edges) == {frozenset(e) for e in g.edges()}
+    assert len(chords) == 5 and not set(chords) & set(edges)
+    d = g.distances()
+    assert {d[min(p)][max(p)] for p in chords} == {2}
 
 
 def test_pair_orbits_k2c6_mirror():
     g = build_named("K2xC6")
-    orbits = pair_orbits(g, automorphism_group(g))
-    assert orbits.index_of((1, 3)) == orbits.index_of((1, 5))
+    orbit = _pair_orbit(automorphism_group(g), 1, 3)
+    assert frozenset((1, 5)) in orbit
+    phi = orbit[frozenset((1, 5))]
+    assert is_automorphism(g, phi) and {phi(1), phi(3)} == {1, 5}
 
 
 def test_pair_orbits_edgeless():
     g = edgeless_graph(3)
-    orbits = pair_orbits(g, automorphism_group(g))
-    assert len(orbits.orbits) == 1 and len(orbits.orbits[0]) == 3
+    assert len(_pair_orbit(automorphism_group(g), 1, 2)) == 3
 
 
 def test_find_automorphism_respects_constraints():
