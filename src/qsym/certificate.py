@@ -446,7 +446,7 @@ def _disjoint_witness(g, kb, sigma, tau):
 
 def _injective_f(g, kb, n, chords):
     spec = CirculantSpec(n, tuple(chords))
-    if n != g.n or build_circulant(spec) != Graph(g.n, g.edges()):
+    if n != g.n or build_circulant(spec) != g:
         return "circulant spec does not rebuild the graph"
     if not injective_f_check(spec)[0]:
         return "eigenvalues are not injective on s = 1..n//2"

@@ -198,9 +198,11 @@ def cmd_report(args) -> int:
         _emit(json.dumps(report, indent=2, default=str), args.output)
     else:
         _emit(cat.report_markdown(report), args.output)
-    bad = report["contradictions"] or report["errors"] \
-        or report["aut_mismatches"]
-    return EXIT_ERROR if bad else EXIT_OK
+    if report["contradictions"] or report["errors"] \
+            or report["aut_mismatches"]:
+        return EXIT_ERROR
+    undecided = any(r.get("verdict") == "Undecided" for r in report["records"])
+    return EXIT_UNDECIDED if undecided else EXIT_OK
 
 
 GRAPH = ("graph",), {"help": "catalog name or graph file path"}

@@ -18,8 +18,9 @@ graph alone; see :mod:`qsym.certificate`.  The lemma rules live there
 once, in its rule table.  The search below only chooses field values (the
 smallest q, the next candidate p, an orbit path) and proposes each step to
 the table, whose check decides whether the rule applies and whose effect
-records the fact in the shared replay state.  Certificates are therefore
-valid by construction; ``decide`` re-verifies them only as a fault guard.
+records the fact in the shared replay state.  ``decide`` replays every
+certificate it returns, whatever the stage, and raises ``EngineError`` on
+one that fails, so no verdict leaves the engine on unchecked evidence.
 
 The rules are one-sided: they can prove commutation, never refute it.  A
 graph the engine cannot close stays Undecided rather than being declared
@@ -264,8 +265,10 @@ def decide(g: Graph, timeout: float = DEFAULT_TIMEOUT,
     fixpoint; "lemmas" runs only the fixpoint.  ``aut``, if given, is
     ``automorphism_group(g)``, which the fixpoint then does not recompute.
     Returns a verdict object; Undecided is the fallback, never a wrong
-    answer.  ``timeout`` is the one bound: past it, the scan, the group or
-    the fixpoint ends in ``Undecided(reason="timeout")``.  The deadline is
+    answer.  Each certificate returned has been replayed once by
+    ``verify_certificate``; one that fails raises ``EngineError``.
+    ``timeout`` is the one bound: past it, the scan, the group or the
+    fixpoint ends in ``Undecided(reason="timeout")``.  The deadline is
     checked between searches, so the overrun is at most one search: over
     the 3,066 circulants C_n(S), 5 <= n <= 22, the longest gap between two
     checks (or the call's ends) is about 16 ms on Python 3.11 and 2 vCPU,
@@ -277,9 +280,16 @@ def decide(g: Graph, timeout: float = DEFAULT_TIMEOUT,
     if engine not in ("auto", "lemmas"):
         raise ValueError(f"unknown engine {engine!r}")
     try:
-        return _decide(g, time.monotonic() + timeout, engine, aut)
+        verdict = _decide(g, time.monotonic() + timeout, engine, aut)
     except DeadlineExceeded:
         return Undecided(reason="timeout")
+    if verdict.certificate is not None:
+        check = verify_certificate(g, verdict.certificate)
+        if not check:
+            raise EngineError(f"internal error: produced certificate fails "
+                              f"verification at step {check.step_index}: "
+                              f"{check.message}")
+    return verdict
 
 
 def _decide(g: Graph, deadline: float, engine: str, aut: AutGroup | None):
@@ -300,19 +310,16 @@ def _decide(g: Graph, deadline: float, engine: str, aut: AutGroup | None):
             return NoQuantumSymmetry(certificate=cert)
 
     if not g.is_connected():
-        return Undecided(reason="disconnected graph without a disjoint "
-                                "automorphism pair", summary={})
+        reason = ("disconnected graph without a disjoint automorphism pair"
+                  if engine == "auto" else
+                  "the lemma engine requires a connected graph")
+        return Undecided(reason=reason)
 
     aut = aut or automorphism_group(g, deadline=deadline)
     kb, closed, timed_out = lemma_fixpoint(g, aut, deadline=deadline)
     if closed:
         reps = [orbit[0] for orbit in aut.vertex_orbits()]
-        cert = _commutativity_certificate(g, aut, kb, reps)
-        check = verify_certificate(g, cert)
-        if not check:
-            raise EngineError(f"internal error: produced certificate fails "
-                              f"verification at step {check.step_index}: "
-                              f"{check.message}")
-        return NoQuantumSymmetry(certificate=cert)
+        return NoQuantumSymmetry(
+            certificate=_commutativity_certificate(g, aut, kb, reps))
     reason = "timeout" if timed_out else "lemma rules saturated without closing"
     return Undecided(reason=reason, summary=kb.summary())

@@ -86,7 +86,7 @@ class Graph:
     """Immutable simple undirected graph on vertices 1..n."""
 
     __slots__ = ("n", "rows", "label", "circulant", "_edges", "_dist",
-                 "_colours", "_breaker", "_hash")
+                 "_colours", "_breaker")
 
     def __init__(self, n, edges, label="", circulant=None):
         if n < 1:
@@ -107,7 +107,6 @@ class Graph:
         object.__setattr__(self, "_dist", None)
         object.__setattr__(self, "_colours", None)
         object.__setattr__(self, "_breaker", None)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -116,9 +115,7 @@ class Graph:
         return isinstance(other, Graph) and self.n == other.n and self.rows == other.rows
 
     def __hash__(self):
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.n, self.rows)))
-        return self._hash
+        return hash((self.n, self.rows))
 
     def __repr__(self):
         name = self.label or f"graph on {self.n} vertices"

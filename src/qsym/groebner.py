@@ -122,17 +122,15 @@ class ReducerIndex:
 
     Each bucket lists its slots in ascending order, and ``find_reducer``
     takes the first match, so the slot order decides which reducer wins.
-    Per slot the index keeps the polynomial and its leading monomial, and
-    from the polynomial's cached integer form its integer leading
-    coefficient and, while the slot is active, its tail: the other terms
-    as (word, int) pairs.  A constant raises _UnitIdeal.
+    Per slot the index keeps the polynomial, its leading monomial and the
+    terms of the integer form that the polynomial caches, {word: int},
+    shared and not copied.  A constant raises _UnitIdeal.
     """
 
     def __init__(self, polys=()):
         self.polys: list = []
         self.lms: list = []
-        self.lcs: list = []
-        self.tails: list = []
+        self.ints: list = []
         self.alive: list = []
         self.buckets: dict = {}
         for p in polys:
@@ -142,17 +140,14 @@ class ReducerIndex:
         lm = p.lm()
         if not lm:
             raise _UnitIdeal
-        ints = p.int_form()[1]
         self.polys[idx] = p
         self.lms[idx] = lm
-        self.lcs[idx] = ints[lm]
-        self.tails[idx] = [(w, c) for w, c in ints.items() if w != lm]
+        self.ints[idx] = p.int_form()[1]
         self.alive[idx] = True
 
     def add(self, p: NcPoly) -> int:
         idx = len(self.polys)
-        for column in (self.polys, self.lms, self.lcs, self.tails,
-                       self.alive):
+        for column in (self.polys, self.lms, self.ints, self.alive):
             column.append(None)
         self._store(idx, p)
         self.buckets.setdefault(self.lms[idx][0], []).append(idx)
@@ -167,7 +162,6 @@ class ReducerIndex:
 
     def deactivate(self, idx: int):
         self.alive[idx] = False
-        self.tails[idx] = None
 
     def active(self):
         return [p for p, a in zip(self.polys, self.alive) if a]
@@ -209,10 +203,10 @@ def _reduce_with_index(den: int, terms: dict, index: ReducerIndex) -> tuple:
         if hit is None:
             continue
         bi, pos = hit
-        del terms[word]
         # cancel coeff*word against lc*lm: scale everything by lc/g, then
-        # subtract (coeff/g) times the reducer's tail
-        lc = index.lcs[bi]
+        # subtract (coeff/g) times the reducer, whose lc*lm removes word
+        lm, ints = index.lms[bi], index.ints[bi]
+        lc = ints[lm]
         g = gcd(coeff, lc)
         scale = lc // g
         if scale != 1:
@@ -220,8 +214,8 @@ def _reduce_with_index(den: int, terms: dict, index: ReducerIndex) -> tuple:
                 terms[w] *= scale
             den *= scale
         coeff //= g
-        left, right = word[:pos], word[pos + len(index.lms[bi]):]
-        for w, c in index.tails[bi]:
+        left, right = word[:pos], word[pos + len(lm):]
+        for w, c in ints.items():
             key = left + w + right
             val = terms.get(key)
             if val is None:

@@ -25,7 +25,7 @@ from qsym.perms import (
     is_vertex_transitive,
 )
 
-from util import is_isomorphic
+from util import is_isomorphic, overlapping_witness
 
 EXPECTED_QUANTUM = {
     "6K2", "4K3", "3K4", "3C4", "2K6", "2C6", "2(K2xK3)", "2C6(2)", "2C6(3)",
@@ -159,6 +159,16 @@ def test_run_entry_records_a_group_search_timeout_as_undecided(monkeypatch):
     assert rec["certificate_ok"] is None and "aut_order" not in rec
     assert "| K2xC6 |" in report_markdown(
         {"records": [rec], "by_subclass": {}, "contradictions": []})
+
+
+def test_run_report_lists_a_row_whose_witness_fails_its_replay_as_an_error(
+        monkeypatch):
+    overlapping_witness(monkeypatch)
+    report = run_report([entry_by_name("C12(5)"), entry_by_name("C12")])
+    assert report["errors"] == ["C12(5)"]
+    bad, good = report["records"]
+    assert bad["error"].startswith("EngineError") and "verdict" not in bad
+    assert good["verdict"] == "NoQuantumSymmetry" and good["certificate_ok"]
 
 
 def test_run_report_subset_and_markdown():

@@ -9,11 +9,15 @@ from types import SimpleNamespace
 
 import pytest
 
+import qsym.catalog
 import qsym.engine
 import qsym.groebner
 from qsym.cli import EXIT_ERROR, build_parser, main
+from qsym.engine import Undecided
 from qsym.graphs import read_graph, write_graph
 from qsym.named import build_named, circulant
+
+from util import overlapping_witness
 
 
 def run(capsys, *argv):
@@ -314,3 +318,30 @@ def test_report_subclass_and_structured(capsys, tmp_path):
     payload = json.loads(out_path.read_text(encoding="utf-8"))
     assert len(payload["records"]) == 5
     assert payload["contradictions"] == []
+
+
+def test_report_exits_2_when_a_row_is_undecided(capsys, monkeypatch,
+                                               tmp_path):
+    """The full report decides all 37 rows and exits 0.  With no row wrong,
+    Undecided rows give the exit code of an Undecided verdict, in both
+    formats."""
+    code, out, _ = run(capsys, "report")
+    assert code == 0 and out.count("| yes |") == 37
+    monkeypatch.setattr(qsym.catalog, "decide",
+                        lambda *_args, **_kwargs: Undecided(reason="timeout"))
+    code, out, _ = run(capsys, "report", "--subclass", "special")
+    assert code == 2 and out.count("| Undecided |") == 5
+    out_path = tmp_path / "report.json"
+    code, _, _ = run(capsys, "report", "--subclass", "special",
+                     "--format", "structured", "-o", str(out_path))
+    assert code == 2
+    payload = json.loads(out_path.read_text(encoding="utf-8"))
+    assert [r["verdict"] for r in payload["records"]] == ["Undecided"] * 5
+    assert payload["errors"] == [] and payload["contradictions"] == []
+
+
+def test_report_exits_1_when_a_witness_fails_its_replay(capsys, monkeypatch):
+    overlapping_witness(monkeypatch)
+    code, out, _ = run(capsys, "report", "--subclass", "circulant")
+    assert code == EXIT_ERROR
+    assert "| C12(5) |" in out and "| ERROR |" in out

@@ -32,6 +32,7 @@ from qsym.named import (
     complete_graph,
     cuboctahedron,
     cycle_graph,
+    edgeless_graph,
     truncated_tetrahedron,
 )
 from qsym.perms import (
@@ -43,7 +44,12 @@ from qsym.perms import (
 )
 
 from replayer import IndependentReplayer
-from util import circulants, latin_square_graph, transversal_chain
+from util import (
+    circulants,
+    latin_square_graph,
+    overlapping_witness,
+    transversal_chain,
+)
 
 
 def _pairs_with(kb, kind, **match):
@@ -353,6 +359,54 @@ def test_decide_disconnected():
     from qsym.named import edgeless_graph
     v = decide(edgeless_graph(2))
     assert v.kind == "Undecided"
+
+
+def test_disconnected_reasons_state_only_what_was_checked():
+    """On 6K2 auto finds the disjoint pair (1 2), (3 4); the lemma engine
+    never scans for one, so its reason names only what it needs."""
+    g = build_named("6K2")
+    assert decide(g).kind == "HasQuantumSymmetry"
+    v = decide(g, engine="lemmas")
+    assert v.kind == "Undecided"
+    assert v.reason == "the lemma engine requires a connected graph"
+    assert decide(edgeless_graph(2)).reason == \
+        "disconnected graph without a disjoint automorphism pair"
+
+
+def test_decide_replays_every_certificate_it_returns_once(monkeypatch):
+    """One replay per certificate, whichever stage produced it, and none
+    for an Undecided verdict."""
+    replayed, verify = [], engine.verify_certificate
+
+    def spy(g, cert):
+        replayed.append(cert)
+        return verify(g, cert)
+
+    monkeypatch.setattr(engine, "verify_certificate", spy)
+    for name, stage in (("C12(5)", cm.DISJOINT_WITNESS),
+                        ("C12", cm.INJECTIVE_F),
+                        ("C12(2)", cm.CONCLUSION_COMMUTATIVE)):
+        v = decide(build_named(name))
+        assert v.certificate.steps[-1].kind == stage, name
+        assert replayed == [v.certificate], name
+        replayed.clear()
+    assert decide(build_named("C12(4,5)"), engine="lemmas").kind == \
+        "Undecided"
+    assert replayed == []
+
+
+def test_a_witness_that_fails_its_replay_raises(monkeypatch):
+    overlapping_witness(monkeypatch)
+    with pytest.raises(EngineError, match="fails verification at step 0"):
+        decide(build_named("C12(5)"))
+
+
+def test_a_criterion_that_fails_its_replay_raises(monkeypatch):
+    """The exact criterion fails on C12(6) (lambda_3 = lambda_6 = -1); a
+    stage that claims otherwise is caught by the replay."""
+    monkeypatch.setattr(engine, "injective_f_check", lambda spec: (True, 6))
+    with pytest.raises(EngineError, match="not injective"):
+        decide(build_named("C12(6)"))
 
 
 # SHA-256 over the texts of the 285 closed circulant certificates, in

@@ -16,6 +16,7 @@ import qsym.engine
 import qsym.graphs
 import qsym.groebner
 import qsym.perms
+from qsym.catalog import entry_by_name
 from qsym.named import complete_graph, cycle_graph
 
 LAYERTRACE = Path(__file__).resolve().parent.parent / "perfbench" / \
@@ -29,15 +30,18 @@ def _load_layertrace():
     return module
 
 
+def _modules():
+    return SimpleNamespace(catalog=qsym.catalog, certificate=qsym.certificate,
+                           engine=qsym.engine, graphs=qsym.graphs,
+                           groebner=qsym.groebner, perms=qsym.perms)
+
+
 def test_tracer_installs_and_records_each_layer():
     layertrace = _load_layertrace()
-    q = SimpleNamespace(catalog=qsym.catalog, certificate=qsym.certificate,
-                        engine=qsym.engine, graphs=qsym.graphs,
-                        groebner=qsym.groebner, perms=qsym.perms)
     decide = qsym.engine.decide
     tracer = layertrace.Tracer()
     try:
-        layertrace.install(tracer, q)  # fails on any name the library lost
+        layertrace.install(tracer, _modules())  # fails on any lost name
         verdict = qsym.engine.decide(cycle_graph(7))
         g = complete_graph(3)
         gb = qsym.groebner.buchberger(qsym.groebner.quantum_relations(g),
@@ -52,3 +56,22 @@ def test_tracer_installs_and_records_each_layer():
     assert {"graphs.injective_f", "groebner.buchberger",
             "groebner.normal_form"} <= names
     assert tracer.counts["graphs.injective_hits"] == 1
+
+
+def test_the_catalog_replays_each_certificate_once():
+    """``decide`` replays the certificate it returns and ``run_entry``
+    replays none, so the traced ``certificate.verify`` spans count one per
+    certificate: a lemma-closed row and a witness row give two."""
+    layertrace = _load_layertrace()
+    tracer = layertrace.Tracer()
+    try:
+        layertrace.install(tracer, _modules())
+        records = [qsym.catalog.run_entry(entry_by_name(name))
+                   for name in ("C12(2)", "C12(5)")]
+    finally:
+        tracer.unpatch()
+    assert [r["verdict"] for r in records] == ["NoQuantumSymmetry",
+                                               "HasQuantumSymmetry"]
+    assert [r["certificate_ok"] for r in records] == [True, True]
+    names = [span[0] for span in tracer.spans]
+    assert names.count("certificate.verify") == 2

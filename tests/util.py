@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 
+import qsym.engine
 from qsym.graphs import Graph
 from qsym.named import circulant
 from qsym.perms import AutGroup, Permutation, find_automorphism
@@ -140,3 +141,16 @@ def random_connected_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
         g = random_graph(rng, n, p)
         if g.is_connected():
             return g
+
+
+def overlapping_witness(monkeypatch):
+    """Make the engine's disjoint scan return its first automorphism
+    twice: a pair whose supports overlap, which no replay accepts."""
+    find = qsym.engine.find_disjoint_automorphisms
+
+    def overlapping(g, deadline=None):
+        pair = find(g, deadline=deadline)
+        return pair and (pair[0], pair[0])
+
+    monkeypatch.setattr(qsym.engine, "find_disjoint_automorphisms",
+                        overlapping)
