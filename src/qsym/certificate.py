@@ -14,6 +14,10 @@ kinds of facts accumulate during replay:
 * ``commute {j,l}``  --  u_ij u_kl = u_kl u_ij for all rows i, k;
 * ``killed (j,l): p``  --  u_ij u_kl u_ip = 0 for all rows i, k.
 
+Automorphisms enter once each, as ``GENERATOR`` steps; an ``ORBIT_CLOSE``
+step closes the commute facts under them, and the conclusion reaches
+every vertex from its bases along their orbits.
+
 The serialized form is line oriented (one step per line, stable field
 order) and embeds the graph, so a certificate file is self-contained.
 """
@@ -36,7 +40,7 @@ from .graphs import (
     side_condition_breaker,
     triple_condition,
 )
-from .perms import is_automorphism, parse_cycles
+from .perms import Permutation, act_on_pair, is_automorphism, parse_cycles
 
 # step kinds
 QUADRANGLE_FREE = "QUADRANGLE_FREE"
@@ -45,9 +49,9 @@ ONE_COMMON_NEIGHBOUR_GEN = "ONE_COMMON_NEIGHBOUR_GEN"
 UNIQUE_IN_COLOUR = "UNIQUE_IN_COLOUR"
 CHOOSE_Q_RIGHT = "CHOOSE_Q_RIGHT"
 CHOOSE_Q_MIDDLE = "CHOOSE_Q_MIDDLE"
-AUT_TRANSFER = "AUT_TRANSFER"
+GENERATOR = "GENERATOR"
 ADJ_COMMUTE_CLOSE = "ADJ_COMMUTE_CLOSE"
-VERTEX_TRANSIT = "VERTEX_TRANSIT"
+ORBIT_CLOSE = "ORBIT_CLOSE"
 CONCLUSION_COMMUTATIVE = "CONCLUSION_COMMUTATIVE"
 DISJOINT_WITNESS = "DISJOINT_WITNESS"
 INJECTIVE_F = "INJECTIVE_F"
@@ -111,18 +115,22 @@ class Certificate:
 
 # -- serialization ---------------------------------------------------------
 
-HEADER = "qsym-certificate v2"
+HEADER = "qsym-certificate v3"
+# earlier headers, each refused with the reason its certificates no longer
+# replay
+RETIRED = {
+    "qsym-certificate v1": "its rules compared distances, later versions "
+                           "compare pair colours",
+    "qsym-certificate v2": "it named an automorphism in every AUT_TRANSFER "
+                           "and VERTEX_TRANSIT step, v3 states the generators "
+                           "once and closes by orbit",
+}
 
 
-def _ser_value(key, value, cycles):
-    """A field's text; ``cycles`` maps each permutation already written in
-    this certificate to its text, so each is printed once."""
+def _ser_value(key, value):
     if key in ("phi", "sigma", "tau"):
-        text = cycles.get(value)
-        if text is None:
-            # compact cycle notation, no spaces: (1,7)(3,9,5)
-            text = cycles[value] = str(value).replace(" ", ",")
-        return text
+        # compact cycle notation, no spaces: (1,7)(3,9,5)
+        return str(value).replace(" ", ",")
     if key in ("survivors", "chords", "bases"):
         return ",".join(str(v) for v in value) or "-"
     return str(value)
@@ -136,14 +144,9 @@ def _decimal(text):
     return int(text)
 
 
-def _parse_value(key, text, n, perms):
-    """A field's value; ``perms`` maps each cycle text already read in this
-    certificate to its Permutation, so each text is parsed once."""
+def _parse_value(key, text, n):
     if key in ("phi", "sigma", "tau"):
-        perm = perms.get(text)
-        if perm is None:
-            perm = perms[text] = parse_cycles(text, n)
-        return perm
+        return parse_cycles(text, n)
     if key in ("survivors", "chords", "bases"):
         if text == "-":
             return ()
@@ -151,15 +154,11 @@ def _parse_value(key, text, n, perms):
     return _decimal(text)
 
 
-def _serialize_step(s: ProofStep, cycles) -> str:
+def serialize_step(s: ProofStep) -> str:
     parts = [s.kind]
     for key in RULES[s.kind].fields:
-        parts.append(f"{key}={_ser_value(key, s.fields[key], cycles)}")
+        parts.append(f"{key}={_ser_value(key, s.fields[key])}")
     return " ".join(parts)
-
-
-def serialize_step(s: ProofStep) -> str:
-    return _serialize_step(s, {})
 
 
 def serialize_certificate(cert: Certificate) -> str:
@@ -169,8 +168,7 @@ def serialize_certificate(cert: Certificate) -> str:
 def _lines(cert: Certificate) -> list:
     lines = [HEADER, f"verdict {cert.verdict}", f"graph p {cert.n}"]
     lines.extend(f"graph e {i} {j}" for i, j in cert.edges)
-    cycles = {}
-    lines.extend("step " + _serialize_step(s, cycles) for s in cert.steps)
+    lines.extend("step " + serialize_step(s) for s in cert.steps)
     return lines
 
 
@@ -182,10 +180,9 @@ def parse_certificate(text: str) -> Certificate:
     that would read back differently (``graph e 2 1``, ``j=01``, a cycle
     written from another vertex) is refused by name."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if lines and lines[0] == "qsym-certificate v1":
-        raise ValueError("qsym-certificate v1 is retired: its rules compared "
-                         "distances, v2 compares pair colours; re-run "
-                         "`qsym certificate` on the graph")
+    if lines and lines[0] in RETIRED:
+        raise ValueError(f"{lines[0]} is retired: {RETIRED[lines[0]]}; "
+                         f"re-run `qsym certificate` on the graph")
     if not lines or lines[0] != HEADER:
         raise ValueError("not a qsym certificate (missing header)")
     if len(lines) < 2 or not lines[1].startswith("verdict "):
@@ -201,7 +198,6 @@ def parse_certificate(text: str) -> Certificate:
             raise ValueError(f"not a graph or step record: {ln!r}")
     g = read_graph("\n".join(graph_lines))
     n = g.n
-    perms = {}
     steps = []
     for ln in step_lines:
         kind, *tokens = ln.split()
@@ -213,7 +209,7 @@ def parse_certificate(text: str) -> Certificate:
             fields[key] = raw
         # kind and field set first, so a retired field is named as such
         _check_kind(kind, fields.keys())
-        steps.append(ProofStep(kind, {key: _parse_value(key, raw, n, perms)
+        steps.append(ProofStep(kind, {key: _parse_value(key, raw, n)
                                       for key, raw in fields.items()}))
     cert = Certificate(verdict=verdict, n=n, edges=g.edges(),
                        steps=tuple(steps))
@@ -227,22 +223,39 @@ def parse_certificate(text: str) -> Certificate:
 # -- replay state ----------------------------------------------------------
 
 
+def _walk(reached: set, todo, generators, act) -> set:
+    """Close ``reached`` under ``generators``: from each member of ``todo``,
+    add every image ``act(gen, x)`` not yet in ``reached`` and walk on from
+    it.  Serves vertex orbits and pair orbits alike; returns ``reached``."""
+    todo = list(todo)
+    while todo:
+        x = todo.pop()
+        for gen in generators:
+            y = act(gen, x)
+            if y not in reached:
+                reached.add(y)
+                todo.append(y)
+    return reached
+
+
 class CommutationKB:
     """Monotone store of proven facts, searched by the lemma engine and
     replayed into by the verifier.  ``commute`` holds column pairs {j,l},
     ``killed[(j,l)]`` vertices p, ``candidates[(j,l)]`` the survivors of
-    the reductions so far, ``transits`` (base, v) pairs joined by a
-    recorded automorphism, ``automorphisms`` the permutations an accepted
-    transfer has shown to be automorphisms.  Facts only enter through
-    :meth:`apply`."""
+    the reductions so far, ``generators`` the automorphisms that accepted
+    ``GENERATOR`` steps have stated, and ``unwalked`` the commute pairs
+    whose images under them the next ``ORBIT_CLOSE`` must add.  For phi in
+    Aut(G), u_ij -> u_phi(i)phi(j) extends to an automorphism of the
+    algebra, so each image of a commute fact is one too.  Facts only enter
+    through :meth:`apply`."""
 
     def __init__(self, g: Graph):
         self.graph = g
         self.commute: set = set()
         self.killed: dict = {}
         self.candidates: dict = {}
-        self.transits: set = set()
-        self.automorphisms: set = set()
+        self.generators: list = []
+        self.unwalked: set = set()
         self.log: list = []
 
     def knows_commute(self, j, l) -> bool:
@@ -271,23 +284,28 @@ class CommutationKB:
 
     # effects: each adds the facts an accepted step's fields establish
     def _commute_edges(self):
-        self.commute.update(frozenset(e) for e in self.graph.edges())
+        edges = [frozenset(e) for e in self.graph.edges()]
+        self.commute.update(edges)
+        self.unwalked.update(edges)
 
     def _commute(self, j, l, **_):
-        self.commute.add(frozenset((j, l)))
+        pair = frozenset((j, l))
+        self.commute.add(pair)
+        self.unwalked.add(pair)
 
-    def _transfer(self, j2, l2, phi, **_):
-        self._commute(j2, l2)
-        self.automorphisms.add(phi)
+    def _add_generator(self, phi):
+        self.generators.append(phi)
+        self.unwalked = set(self.commute)
+
+    def _close(self):
+        _walk(self.commute, self.unwalked, self.generators, act_on_pair)
+        self.unwalked = set()
 
     def _narrow(self, j, l, survivors, **_):
         self.candidates[(j, l)] = frozenset(survivors)
 
     def _kill(self, j, l, p, **_):
         self.killed.setdefault((j, l), set()).add(p)
-
-    def _transit(self, base, v, **_):
-        self.transits.add((base, v))
 
     def summary(self) -> dict:
         g = self.graph
@@ -408,25 +426,17 @@ def _adj_commute_close(g, kb, j, l):
         return "unkilled candidates remain for (j,l)"
 
 
-def _aut_transfer(g, kb, j1, l1, j2, l2, phi):
-    if phi not in kb.automorphisms and not is_automorphism(g, phi):
+def _generator(g, kb, phi):
+    if not is_automorphism(g, phi):
         return "phi is not an automorphism"
-    if {phi(j1), phi(l1)} != {j2, l2}:
-        return "phi does not map {j1,l1} to {j2,l2}"
-    if not kb.knows_commute(j1, l1):
-        return "commute({j1,l1}) not yet established"
 
 
-def _vertex_transit(g, kb, base, v, phi):
-    if phi not in kb.automorphisms and not is_automorphism(g, phi):
-        return "phi is not an automorphism"
-    if phi(base) != v:
-        return "phi(base) != v"
+def _orbit_close(g, kb):
+    return None
 
 
 def _conclusion(g, kb, bases):
-    bases = tuple(bases)
-    covered = set(bases) | {v for b, v in kb.transits if b in bases}
+    covered = _walk(set(bases), bases, kb.generators, Permutation.__call__)
     missing = set(g.vertices()) - covered
     if missing:
         return f"vertices {sorted(missing)} not reached from any base"
@@ -475,10 +485,9 @@ RULES = {
     CHOOSE_Q_RIGHT: Rule(("j", "l", "q", "survivors"), _choose_q_right,
                          _KB._narrow),
     CHOOSE_Q_MIDDLE: Rule(("j", "l", "p", "q"), _choose_q_middle, _KB._kill),
-    AUT_TRANSFER: Rule(("j1", "l1", "j2", "l2", "phi"), _aut_transfer,
-                       _KB._transfer),
+    GENERATOR: Rule(("phi",), _generator, _KB._add_generator),
     ADJ_COMMUTE_CLOSE: Rule(("j", "l"), _adj_commute_close, _KB._commute),
-    VERTEX_TRANSIT: Rule(("base", "v", "phi"), _vertex_transit, _KB._transit),
+    ORBIT_CLOSE: Rule((), _orbit_close, _KB._close),
     CONCLUSION_COMMUTATIVE: Rule(("bases",), _conclusion,
                                  verdict=VERDICT_NONE, final=True),
     DISJOINT_WITNESS: Rule(("sigma", "tau"), _disjoint_witness,
@@ -506,8 +515,7 @@ def _fail(idx, msg):
 
 # fields that name a vertex, and fields that list vertices; ``n`` and
 # ``chords`` of INJECTIVE_F do not
-VERTEX_FIELDS = frozenset(("j", "l", "p", "q", "j1", "l1", "j2", "l2",
-                           "base", "v"))
+VERTEX_FIELDS = frozenset(("j", "l", "p", "q"))
 VERTEX_LIST_FIELDS = frozenset(("survivors", "bases"))
 
 

@@ -10,17 +10,19 @@ The decision pipeline mirrors how these questions are settled by hand:
 3. otherwise grow a monotone knowledge base of commutation facts about
    the generators u_ij by saturating a small set of lemma rules, and stop
    once one base column per vertex orbit commutes with everything (that
-   is enough: automorphisms transport column facts along pair orbits).
+   is enough: automorphisms transport column facts along pair orbits,
+   and the certificate states their generators once).
 
 Every fact carries a replayable proof step, so a successful run of step 3
 emits a certificate that an independent verifier can check against the
 graph alone; see :mod:`qsym.certificate`.  The lemma rules live there
-once, in its rule table.  The search below only chooses field values (the
-smallest q, the next candidate p, an orbit path) and proposes each step to
-the table, whose check decides whether the rule applies and whose effect
-records the fact in the shared replay state.  ``decide`` replays every
-certificate it returns, whatever the stage, and raises ``EngineError`` on
-one that fails, so no verdict leaves the engine on unchecked evidence.
+once, in its rule table.  The search below only chooses field values and
+where steps go (the smallest q, the next candidate p, when to close under
+the generators) and proposes each step to the table, whose check decides
+whether the rule applies and whose effect records the fact in the shared
+replay state.  ``decide`` replays every certificate it returns, whatever
+the stage, and raises ``EngineError`` on one that fails, so no verdict
+leaves the engine on unchecked evidence.
 
 The rules are one-sided: they can prove commutation, never refute it.  A
 graph the engine cannot close stays Undecided rather than being declared
@@ -39,7 +41,6 @@ from .graphs import Graph, injective_f_check
 from .perms import (
     AutGroup,
     DeadlineExceeded,
-    act_on_pair,
     automorphism_group,
     find_disjoint_automorphisms,
 )
@@ -172,37 +173,18 @@ def prove_pair(kb: CommutationKB, g: Graph, j, l) -> bool:
     return _propose(kb, cert_mod.ADJ_COMMUTE_CLOSE, j=j, l=l)
 
 
-def close_under_automorphisms(kb: CommutationKB, aut: AutGroup, walked: set):
-    """Transport every known column-pair fact along its orbit.
-
-    BFS over generator applications, starting from each known pair, with
-    the composed automorphism recorded per transfer so the certificate
-    carries explicit witnesses.  ``walked`` holds the pairs whose orbits
-    earlier calls have walked; each walk adds its orbit to it.
-    """
-    pending = sorted(kb.commute - walked,
-                     key=lambda pair: tuple(sorted(pair)))
-    for source in pending:
-        if source in walked:
-            continue
-        j1, l1 = sorted(source)
-        for image, phi in aut.orbit(source, act_on_pair).items():
-            walked.add(image)
-            if image not in kb.commute:
-                j2, l2 = sorted(image)
-                _propose(kb, cert_mod.AUT_TRANSFER,
-                         j1=j1, l1=l1, j2=j2, l2=l2, phi=phi)
-
-
 def lemma_fixpoint(g: Graph, aut: AutGroup | None = None,
                    deadline: float | None = None,
                    use_global_seeds: bool = True):
     """Saturate the lemma rules; returns (kb, closed, timed_out).
 
-    Sweeps visit one base vertex per vertex orbit and its partner columns
-    in ascending distance order; the orbit closure runs after each distance
-    class, matching how the written proofs interleave the two, until a
-    sweep adds no commute fact (each other sweep adds one of the n(n-1)/2).
+    After the seeds, one ``GENERATOR`` step states each generator of
+    ``aut``, and an ``ORBIT_CLOSE`` step adds every image of the known
+    commute facts under them.  Sweeps visit one base vertex per vertex
+    orbit and its partner columns in ascending distance order; another
+    ``ORBIT_CLOSE`` follows each distance class that proved a pair,
+    matching how the written proofs interleave the two, until a sweep adds
+    no commute fact (each other sweep adds one of the n(n-1)/2).
     ``closed`` means every base column commutes with every column, which
     settles the graph (no quantum symmetry).  ``deadline`` also bounds the
     group search when ``aut`` is not given: past it that search raises
@@ -210,9 +192,10 @@ def lemma_fixpoint(g: Graph, aut: AutGroup | None = None,
     """
     aut = aut or automorphism_group(g, deadline=deadline)
     kb = seed_kb(g, use_global_seeds=use_global_seeds)
+    for phi in aut.generators:
+        _propose(kb, cert_mod.GENERATOR, phi=phi)
+    _propose(kb, cert_mod.ORBIT_CLOSE)
     reps = [orbit[0] for orbit in aut.vertex_orbits()]
-    walked = set()
-    close_under_automorphisms(kb, aut, walked)
     d = g.distances()
 
     while True:
@@ -234,21 +217,18 @@ def lemma_fixpoint(g: Graph, aut: AutGroup | None = None,
                     if prove_pair(kb, g, j0, l):
                         class_added = True
                 if class_added:
-                    close_under_automorphisms(kb, aut, walked)
+                    _propose(kb, cert_mod.ORBIT_CLOSE)
                     added_this_round = True
         if kb.open_column_pair(reps) is None or not added_this_round:
             break
     return kb, kb.open_column_pair(reps) is None, False
 
 
-def _commutativity_certificate(g: Graph, aut: AutGroup, kb: CommutationKB,
+def _commutativity_certificate(g: Graph, kb: CommutationKB,
                                reps) -> Certificate:
-    """Append the orbit transits and the conclusion to a closed ``kb`` and
-    return its whole log as the certificate."""
-    for base in reps:
-        for v, phi in sorted(aut.orbit(base).items()):
-            if v != base:
-                _propose(kb, cert_mod.VERTEX_TRANSIT, base=base, v=v, phi=phi)
+    """Append the conclusion to a closed ``kb`` and return its whole log as
+    the certificate.  The conclusion reaches every vertex from ``reps``,
+    one per vertex orbit, under the generators that ``kb`` has stated."""
     _propose(kb, cert_mod.CONCLUSION_COMMUTATIVE, bases=tuple(reps))
     return Certificate.for_graph(g, cert_mod.VERDICT_NONE, kb.log)
 
@@ -320,6 +300,6 @@ def _decide(g: Graph, deadline: float, engine: str, aut: AutGroup | None):
     if closed:
         reps = [orbit[0] for orbit in aut.vertex_orbits()]
         return NoQuantumSymmetry(
-            certificate=_commutativity_certificate(g, aut, kb, reps))
+            certificate=_commutativity_certificate(g, kb, reps))
     reason = "timeout" if timed_out else "lemma rules saturated without closing"
     return Undecided(reason=reason, summary=kb.summary())

@@ -399,7 +399,9 @@ def injective_f_check(spec: CirculantSpec):
     walks, krylov = [1] + [0] * (n - 1), []
     for _ in range(n // 2 + 1):
         krylov.append(walks)
-        walks = [sum(walks[(r - x) % n] for x in offsets) for r in range(n)]
+        # (A w)[r] = sum of w[r - x] over the offsets x: whole rotations
+        walks = [sum(col) for col in
+                 zip(*(walks[-x:] + walks[:-x] for x in offsets))]
     rank = _integer_rank(krylov)
     return rank == n // 2 + 1, rank
 

@@ -333,10 +333,9 @@ def is_vertex_transitive(g: Graph, group: AutGroup | None = None) -> bool:
 
 
 def act_on_pair(gen: Permutation, pair: frozenset) -> frozenset:
-    """The image of an unordered pair, as an ``AutGroup.orbit`` action."""
-    i, j = pair
-    img = gen.img
-    return frozenset((img[i], img[j]))
+    """The image of an unordered pair {i,j}, or of a diagonal {j}, as an
+    ``AutGroup.orbit`` action."""
+    return frozenset(map(gen.img.__getitem__, pair))
 
 
 # -- disjoint automorphisms ------------------------------------------------

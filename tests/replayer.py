@@ -3,8 +3,9 @@
 Used as the ground truth for the mutation fuzzer: it replays a
 certificate from the raw edge list alone, with pair colours built as
 (Floyd-Warshall distance, common-neighbour count) tuples, direct set
-computations and circulant eigenvalues compared exactly in Z[x]/Phi_n,
-sharing no code with the library verifier.
+computations, orbits closed breadth first over every known fact, and
+circulant eigenvalues compared exactly in Z[x]/Phi_n, sharing no code
+with the library verifier.
 A mutation is a genuine counterfeit only if this replayer rejects it;
 the fuzzer then demands the library verifier reject it too.
 """
@@ -52,8 +53,25 @@ def spectrum_injective(n, offsets):
 
 
 # step fields that name one vertex, and those that list vertices
-VERTEX_NAMES = ("j", "l", "p", "q", "j1", "l1", "j2", "l2", "base", "v")
+VERTEX_NAMES = ("j", "l", "p", "q")
 VERTEX_LISTS = ("survivors", "bases")
+
+
+def closure(sets, perms):
+    """Every image of the vertex sets ``sets`` (frozensets: a pair, or one
+    vertex) under every product of ``perms``, ``sets`` included."""
+    out = set(sets)
+    frontier = list(out)
+    while frontier:
+        fresh = []
+        for x in frontier:
+            for perm in perms:
+                y = frozenset(perm(v) for v in x)
+                if y not in out:
+                    out.add(y)
+                    fresh.append(y)
+        frontier = fresh
+    return out
 
 
 class IndependentReplayer:
@@ -115,7 +133,7 @@ class IndependentReplayer:
         commute = set()
         killed = {}
         cands = {}
-        transits = set()
+        gens = []
 
         def knows(a, b):
             return a == b or frozenset((a, b)) in commute
@@ -184,24 +202,18 @@ class IndependentReplayer:
                     if cur - {s.j} - killed.get((s.j, s.l), set()):
                         return False
                     commute.add(frozenset((s.j, s.l)))
-                elif k == cm.AUT_TRANSFER:
+                elif k == cm.GENERATOR:
                     if not self.is_aut(s.phi):
                         return False
-                    if {s.phi(s.j1), s.phi(s.l1)} != {s.j2, s.l2}:
-                        return False
-                    if not knows(s.j1, s.l1):
-                        return False
-                    commute.add(frozenset((s.j2, s.l2)))
-                elif k == cm.VERTEX_TRANSIT:
-                    if not self.is_aut(s.phi) or s.phi(s.base) != s.v:
-                        return False
-                    transits.add((s.base, s.v))
+                    gens.append(s.phi)
+                elif k == cm.ORBIT_CLOSE:
+                    commute |= closure(commute, gens)
                 elif k == cm.CONCLUSION_COMMUTATIVE:
-                    bases = set(s.bases)
-                    covered = bases | {v for b, v in transits if b in bases}
-                    if covered != set(verts):
+                    bases = {frozenset((b,)) for b in s.bases}
+                    if closure(bases, gens) != {frozenset((v,))
+                                                for v in verts}:
                         return False
-                    for b in bases:
+                    for b in s.bases:
                         if any(not knows(b, l) for l in verts):
                             return False
                     if pos != len(cert.steps) - 1 \

@@ -333,7 +333,7 @@ def test_criterion_8_certificate_integrity(graphs, verdicts):
         kb, closed, _ = lemma_fixpoint(g, aut)
         assert closed
         reps = [orbit[0] for orbit in aut.vertex_orbits()]
-        cert = _commutativity_certificate(g, aut, kb, reps)
+        cert = _commutativity_certificate(g, kb, reps)
         targets.append((g, cert, IndependentReplayer(g.n, g.edges())))
 
     accepted_counterfeits = []

@@ -25,7 +25,7 @@ from qsym.perms import (
     is_vertex_transitive,
 )
 
-from util import is_isomorphic, overlapping_witness
+from util import derivation, is_isomorphic, overlapping_witness
 
 EXPECTED_QUANTUM = {
     "6K2", "4K3", "3K4", "3C4", "2K6", "2C6", "2(K2xK3)", "2C6(2)", "2C6(3)",
@@ -37,7 +37,12 @@ EXPECTED_QUANTUM = {
 # order: each row's name, verdict kind, witness text and serialized
 # certificate.
 CATALOG_ROWS_SHA256 = \
-    "8d35919955e6d1c160bcfd1c8d874d8da762425c338170b66685f6825d41e162"
+    "4a3b25b3b5b4370940486649d84e0c89dc5899e3a033142bc9692184a5c441a5"
+# The same rows with each certificate cut to its ``util.derivation``,
+# computed from the v2 certificates: stating Aut(G) once changed no
+# derivation step.
+CATALOG_DERIVATIONS_SHA256 = \
+    "261b473724ac31ea1dd541cdbec31d6cce4fd35144a3c0e9e1fc738cb519827b"
 
 
 def test_catalog_shape():
@@ -186,7 +191,9 @@ def test_run_report_subset_and_markdown():
 
 def test_catalog_rows_are_pinned(monkeypatch):
     """The verdicts, witnesses and certificates of the 37 rows are byte
-    for byte those pinned.  ``run_entry`` keeps the witness text but not
+    for byte those pinned, and with each certificate cut to its derivation
+    they are the rows of the v2 format.  ``run_entry`` keeps the witness
+    text but not
     the certificate, so the certificate comes from the ``decide`` call
     that ``run_entry`` makes."""
     verdicts, decide = [], qsym.catalog.decide
@@ -196,15 +203,20 @@ def test_catalog_rows_are_pinned(monkeypatch):
         return verdicts[-1]
 
     monkeypatch.setattr(qsym.catalog, "decide", keep)
-    parts = []
+    heads, texts = [], []
     for entry in twelve_vertex_entries():
         rec = run_entry(entry)
         (verdict,) = verdicts
         verdicts.clear()
         assert rec["verdict"] == verdict.kind and rec["certificate_ok"]
-        parts.append(f"{entry.name}\n{verdict.kind}\n"
-                     f"{' '.join(rec.get('witness', []))}\n"
-                     f"{serialize_certificate(verdict.certificate)}")
-    assert len(parts) == 37
-    digest = hashlib.sha256("".join(parts).encode()).hexdigest()
-    assert digest == CATALOG_ROWS_SHA256
+        heads.append(f"{entry.name}\n{verdict.kind}\n"
+                     f"{' '.join(rec.get('witness', []))}\n")
+        texts.append(serialize_certificate(verdict.certificate))
+    assert len(heads) == 37
+
+    def digest(cut):
+        parts = (head + cut(text) for head, text in zip(heads, texts))
+        return hashlib.sha256("".join(parts).encode()).hexdigest()
+
+    assert digest(str) == CATALOG_ROWS_SHA256
+    assert digest(derivation) == CATALOG_DERIVATIONS_SHA256

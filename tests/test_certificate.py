@@ -1,6 +1,5 @@
 """Certificates: serialization, independent verification, rendering."""
 
-import collections
 import inspect
 import re
 
@@ -30,7 +29,7 @@ def _lemma_certificate(name, use_global_seeds=True):
     kb, closed, _ = lemma_fixpoint(g, aut, use_global_seeds=use_global_seeds)
     assert closed, name
     reps = [orbit[0] for orbit in aut.vertex_orbits()]
-    return g, _commutativity_certificate(g, aut, kb, reps)
+    return g, _commutativity_certificate(g, kb, reps)
 
 
 def test_serialize_parse_roundtrip():
@@ -132,33 +131,45 @@ def test_premise_cited_before_derivation_is_rejected():
     assert not result
 
 
-def test_forged_copy_of_a_shared_permutation_is_rejected():
-    """Parsing reads each distinct cycle text once per certificate.  A
-    forgery of one occurrence of a phi that several steps share must
-    still be read as written and rejected at its own step, while the
-    untouched occurrences keep their permutation."""
+def test_forged_generator_is_rejected():
+    """A GENERATOR whose phi is (1,2) times a true generator is no
+    automorphism of K2xC6; both verifiers refuse the certificate, the
+    library at that step and by name."""
     g, cert = _lemma_certificate("K2xC6")
-    lines = serialize_certificate(cert).splitlines(keepends=True)
-    where = collections.defaultdict(list)
-    for idx, ln in enumerate(lines):
-        for tok in ln.split():
-            if tok.startswith("phi="):
-                where[tok[4:]].append(idx)
-    shared, at = next((t, idx) for t, idx in where.items() if len(idx) >= 2)
-    forged = "(1,2)"
-    assert not is_automorphism(g, parse_cycles(forged, g.n))
-    lines[at[-1]] = lines[at[-1]].replace(f"phi={shared}", f"phi={forged}")
-    back = parse_certificate("".join(lines))
-    first_step = lines.index(next(ln for ln in lines if ln.startswith("step ")))
-    forged_step = at[-1] - first_step
-    phis = [back.steps[idx - first_step].phi for idx in at]
-    assert phis[:-1] == [parse_cycles(shared, g.n)] * (len(at) - 1)
-    assert phis[-1] == parse_cycles(forged, g.n)
+    text = serialize_certificate(cert)
+    at, phi = next((idx, s.phi) for idx, s in enumerate(cert.steps)
+                   if s.kind == cm.GENERATOR)
+    forged = parse_cycles("(1,2)", g.n) * phi
+    assert not is_automorphism(g, forged)
+    old = f"step {serialize_step(cert.steps[at])}\n"
+    new = f"step {serialize_step(cm.step(cm.GENERATOR, phi=forged))}\n"
+    assert text.count(old) == 1
+    back = parse_certificate(text.replace(old, new))
+    assert back.steps[at].phi == forged
     result = verify_certificate(g, back)
-    assert not result and result.step_index == forged_step
-    assert "phi is not an automorphism" in result.message
+    assert not result and result.step_index == at
+    assert result.message == "GENERATOR: phi is not an automorphism"
     assert IndependentReplayer(g.n, g.edges()).accepts(cert)
     assert not IndependentReplayer(g.n, g.edges()).accepts(back)
+
+
+def test_conclusion_reaches_vertices_only_through_stated_generators():
+    """On C5 the seeds give every fact that base 1 needs, so only the
+    conclusion's coverage rests on the generators.  Without the one that
+    moves vertex 1, base 1 reaches no other vertex, and both verifiers
+    refuse the conclusion."""
+    g = cycle_graph(5)
+    cert = decide(g, engine="lemmas").certificate
+    assert cert.steps[-1].bases == (1,)
+    kept = tuple(s for s in cert.steps
+                 if s.kind != cm.GENERATOR or s.phi(1) == 1)
+    assert len(kept) == len(cert.steps) - 1
+    forged = Certificate(cert.verdict, cert.n, cert.edges, kept)
+    result = verify_certificate(g, forged)
+    assert not result and result.step_index == len(kept) - 1
+    assert result.message.endswith(
+        "vertices [2, 3, 4, 5] not reached from any base")
+    assert not IndependentReplayer(g.n, g.edges()).accepts(forged)
 
 
 def test_truncated_certificate_is_rejected():
@@ -289,16 +300,24 @@ def test_unknown_verdict_is_rejected():
 
 def test_parse_rejects_truncated_text():
     with pytest.raises(ValueError):
-        parse_certificate("qsym-certificate v2\n")
+        parse_certificate("qsym-certificate v3\n")
     with pytest.raises(ValueError):
         parse_certificate("")
 
 
 def test_parse_refuses_a_v1_certificate_by_name():
     text = serialize_certificate(_lemma_certificate("C5")[1])
-    assert text.startswith("qsym-certificate v2\n")
+    assert text.startswith("qsym-certificate v3\n")
     with pytest.raises(ValueError, match="v1"):
-        parse_certificate(text.replace("v2", "v1", 1))
+        parse_certificate(text.replace("v3", "v1", 1))
+
+
+def test_parse_refuses_a_v2_certificate_by_name():
+    """v2 named an automorphism in every AUT_TRANSFER and VERTEX_TRANSIT
+    step; a v2 file is refused by its header, before any step is read."""
+    text = serialize_certificate(_lemma_certificate("C5")[1])
+    with pytest.raises(ValueError, match="qsym-certificate v2 is retired"):
+        parse_certificate(text.replace("v3", "v2", 1))
 
 
 def test_parse_rejects_unknown_and_missing_fields():
@@ -343,7 +362,7 @@ def test_rule_checks_take_their_fields_in_table_order():
 
 
 # the fields that name a vertex, one or a list of them
-VERTEX_NAMES = ("j", "l", "p", "q", "j1", "l1", "j2", "l2", "base", "v")
+VERTEX_NAMES = ("j", "l", "p", "q")
 VERTEX_LISTS = ("survivors", "bases")
 
 

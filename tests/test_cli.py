@@ -166,7 +166,7 @@ def test_certificate_verify_detects_tampering(capsys, tmp_path):
 
 def test_certificate_verify_truncated_file_exit_1(capsys, tmp_path):
     cert_path = tmp_path / "header_only.cert"
-    cert_path.write_text("qsym-certificate v2\n", encoding="utf-8")
+    cert_path.write_text("qsym-certificate v3\n", encoding="utf-8")
     code, _, err = run(capsys, "certificate", "--verify", str(cert_path))
     assert code == EXIT_ERROR and "missing verdict line" in err
 
@@ -175,9 +175,19 @@ def test_certificate_verify_v1_file_exit_1(capsys, tmp_path):
     out_path = tmp_path / "c5.cert"
     assert run(capsys, "decide", "C5", "-o", str(out_path))[0] == 0
     text = out_path.read_text(encoding="utf-8")
-    out_path.write_text(text.replace("v2", "v1", 1), encoding="utf-8")
+    out_path.write_text(text.replace("v3", "v1", 1), encoding="utf-8")
     code, _, err = run(capsys, "certificate", "--verify", str(out_path))
     assert code == EXIT_ERROR and "v1" in err
+
+
+def test_certificate_verify_v2_file_exit_1(capsys, tmp_path):
+    out_path = tmp_path / "c5.cert"
+    assert run(capsys, "decide", "C5", "-o", str(out_path))[0] == 0
+    text = out_path.read_text(encoding="utf-8")
+    assert text.startswith("qsym-certificate v3\n")
+    out_path.write_text(text.replace("v3", "v2", 1), encoding="utf-8")
+    code, _, err = run(capsys, "certificate", "--verify", str(out_path))
+    assert code == EXIT_ERROR and "v2" in err
 
 
 def test_certificate_refuses_quantum_graph(capsys):

@@ -43,9 +43,10 @@ from qsym.perms import (
     find_disjoint_automorphisms,
 )
 
-from replayer import IndependentReplayer
+from replayer import IndependentReplayer, closure
 from util import (
     circulants,
+    derivation,
     latin_square_graph,
     overlapping_witness,
     transversal_chain,
@@ -206,37 +207,84 @@ def test_prove_pair_must_fail_on_quantum_graph():
 
 
 def test_close_transfers_through_the_mirror():
-    """Knowing only commute({1,3}) on the hexagonal prism, closure must
-    reach {1,5} through the mirror fixing vertex 1, with the witness
-    automorphism recorded."""
-    from qsym.engine import close_under_automorphisms
-    from qsym.perms import is_automorphism
+    """Knowing only commute({1,3}) on the hexagonal prism, ORBIT_CLOSE must
+    reach {1,5} through the mirror fixing vertex 1, in the library and in
+    the replayer's own closure."""
     g = build_named("K2xC6")
     aut = automorphism_group(g)
+    assert any(phi(1) == 1 and {phi(3), phi(5)} == {3, 5}
+               for phi in aut.generators)
     kb = CommutationKB(g)
-    kb.commute.add(frozenset((1, 3)))
-    close_under_automorphisms(kb, aut, set())
-    assert kb.knows_commute(1, 5)
-    transfer = [s for s in kb.log if s.kind == cm.AUT_TRANSFER
-                and {s.j2, s.l2} == {1, 5}]
-    assert transfer
-    phi = transfer[0].phi
-    assert is_automorphism(g, phi)
-    assert {phi(transfer[0].j1), phi(transfer[0].l1)} == {1, 5}
+    for phi in aut.generators:
+        kb.apply(cm.step(cm.GENERATOR, phi=phi))
+    kb.apply(cm.step(cm.ADJ_COMMUTE_CLOSE, j=1, l=3))
+    kb.apply(cm.step(cm.ORBIT_CLOSE))
+    orbit = closure({frozenset((1, 3))}, aut.generators)
+    assert kb.knows_commute(1, 5) and frozenset((1, 5)) in orbit
+    assert kb.commute == orbit
 
 
 def test_close_under_automorphisms_idempotent():
+    """After the fixpoint, an ORBIT_CLOSE leaves nothing unwalked, a second
+    one adds nothing, and the commute set is closed under every stated
+    generator."""
     g = cycle_graph(5)
     aut = automorphism_group(g)
     kb, closed, _ = lemma_fixpoint(g, aut)
+    assert closed and kb.generators == list(aut.generators)
+    kb.apply(cm.step(cm.ORBIT_CLOSE))
+    assert not kb.unwalked
+    before = set(kb.commute)
+    kb.apply(cm.step(cm.ORBIT_CLOSE))
+    assert kb.commute == before
+    assert all(act_on_pair(gen, pair) in kb.commute
+               for gen in kb.generators for pair in kb.commute)
+
+
+def test_a_generator_stated_after_commute_facts_transports_them():
+    """A GENERATOR step marks every known fact as unwalked, so the next
+    ORBIT_CLOSE transports facts that an earlier close had walked under
+    fewer generators.  On C5 without seeds, the facts {1,2} and {1,5} are
+    walked before any generator is stated; the generators come after, and
+    the candidate reduction that needs commute({2,3}) still verifies."""
+    g = cycle_graph(5)
+    aut = automorphism_group(g)
+    kb, closed, _ = lemma_fixpoint(g, aut, use_global_seeds=False)
     assert closed
-    from qsym.engine import close_under_automorphisms
-    before = len(kb.log)
-    walked = set()
-    close_under_automorphisms(kb, aut, walked)
-    assert walked == kb.commute
-    close_under_automorphisms(kb, aut, walked)
-    assert len(kb.log) == before
+    steps = _commutativity_certificate(g, kb, [1]).steps
+    gens = [s for s in steps if s.kind == cm.GENERATOR]
+    rest = [s for s in steps if s.kind != cm.GENERATOR]
+    closes = [idx for idx, s in enumerate(rest) if s.kind == cm.ORBIT_CLOSE]
+    at = closes[1] + 1
+    assert {s.kind for s in rest[:at]} == {
+        cm.ORBIT_CLOSE, cm.CHOOSE_Q_MIDDLE, cm.ADJ_COMMUTE_CLOSE}
+    late = cm.Certificate.for_graph(
+        g, cm.VERDICT_NONE,
+        rest[:at] + gens + [cm.step(cm.ORBIT_CLOSE)] + rest[at:])
+    without = cm.Certificate.for_graph(g, cm.VERDICT_NONE, rest)
+    replayer = IndependentReplayer(g.n, g.edges())
+    assert verify_certificate(g, late) and replayer.accepts(late)
+    result = verify_certificate(g, without)
+    assert not result and "commute({l,q}) not yet established" \
+        in result.message
+    assert not replayer.accepts(without)
+
+
+def test_a_diagonal_fact_closes_under_the_generators():
+    """ADJ_COMMUTE_CLOSE j=l holds (the only candidate is j), and its fact
+    {j} is a one-vertex set; ORBIT_CLOSE must carry it to {phi(j)} in
+    both verifiers rather than fail on it."""
+    g = cycle_graph(5)
+    cert = decide(g, engine="lemmas").certificate
+    steps = (cert.steps[:-1] + (cm.step(cm.ADJ_COMMUTE_CLOSE, j=2, l=2),
+                                cm.step(cm.ORBIT_CLOSE)) + cert.steps[-1:])
+    forged = cm.Certificate(cert.verdict, cert.n, cert.edges, steps)
+    assert verify_certificate(g, forged)
+    assert IndependentReplayer(g.n, g.edges()).accepts(forged)
+    kb = CommutationKB(g)
+    for s in steps[:-1]:
+        kb.apply(s)
+    assert {frozenset((v,)) for v in g.vertices()} <= kb.commute
 
 
 def test_kb_is_union_of_pair_orbits_after_fixpoint():
@@ -413,11 +461,21 @@ def test_a_criterion_that_fails_its_replay_raises(monkeypatch):
 # ``circulants()`` order, from the orbit-pruned chain of
 # ``automorphism_group``.
 PRUNED_CLOSED_CIRCULANT_CERTIFICATES_SHA256 = \
-    "b21ae9d0c3517d9f8344d19071df06660874f7557cb70e86858643ca8d196396"
+    "8b3803077adc317a9be682d0a9787b4c701131caa2751793522e4b8d9bcbb07d"
 # The same, from the chain that keeps every coset representative
 # (``util.transversal_chain``).
 CLOSED_CIRCULANT_CERTIFICATES_SHA256 = \
-    "da6f02d917a8eb9684026dc75c39cb9ed97bb6a475e0eae660b3fa4ac6151ee4"
+    "a4eb97cf3b0afb72e5dbaecbb60d3869a0a3ad1ee354a5e28dfe845d56261004"
+# SHA-256 over the ``util.derivation`` of the same texts, under either
+# chain.  It was computed from the v2 certificates, whose AUT_TRANSFER and
+# VERTEX_TRANSIT steps named one automorphism per transported fact, so
+# stating the generators once left every derivation step as it was.
+CLOSED_CIRCULANT_DERIVATIONS_SHA256 = \
+    "c2398cc5e0760670f6b372e63ecbabfcc1dede99e429a8c75141730356fbdc29"
+
+
+def _digest(texts):
+    return hashlib.sha256("".join(texts).encode()).hexdigest()
 
 
 def test_lemmas_close_exactly_the_circulants_without_a_disjoint_pair():
@@ -444,14 +502,17 @@ def test_lemmas_close_exactly_the_circulants_without_a_disjoint_pair():
     texts = [serialize_certificate(cert) for _, cert in closed]
     for (g, _), text in zip(closed, texts):
         assert serialize_certificate(parse_certificate(text)) == text, g.label
-    digest = hashlib.sha256("".join(texts).encode()).hexdigest()
-    assert digest == PRUNED_CLOSED_CIRCULANT_CERTIFICATES_SHA256
+    assert _digest(texts) == PRUNED_CLOSED_CIRCULANT_CERTIFICATES_SHA256
+    assert _digest(map(derivation, texts)) == \
+        CLOSED_CIRCULANT_DERIVATIONS_SHA256
 
 
 def test_certificates_depend_only_on_the_generating_set():
     """Given the full-transversal chain's generators, the engine writes
-    the 285 certificate texts that it wrote when that chain was
-    ``automorphism_group``'s, byte for byte."""
+    the 285 derivations that it writes from ``automorphism_group``'s
+    pruned chain, byte for byte: the texts differ only in their GENERATOR
+    lines, and this pins the identity of the rest.  The pinned derivation
+    digest is also that of the v2 certificates."""
     texts = []
     for g in circulants():
         gens, order = transversal_chain(g)
@@ -459,8 +520,9 @@ def test_certificates_depend_only_on_the_generating_set():
         if v.kind == "NoQuantumSymmetry":
             texts.append(serialize_certificate(v.certificate))
     assert len(texts) == 285
-    digest = hashlib.sha256("".join(texts).encode()).hexdigest()
-    assert digest == CLOSED_CIRCULANT_CERTIFICATES_SHA256
+    assert _digest(texts) == CLOSED_CIRCULANT_CERTIFICATES_SHA256
+    assert _digest(map(derivation, texts)) == \
+        CLOSED_CIRCULANT_DERIVATIONS_SHA256
 
 
 def test_lemmas_on_17_vertices_close_only_circulants_without_a_pair():
@@ -496,6 +558,6 @@ def test_a_colouring_finer_than_the_pair_colour_is_caught():
     kb, closed, _ = lemma_fixpoint(g, aut)
     assert closed
     reps = [orbit[0] for orbit in aut.vertex_orbits()]
-    cert = _commutativity_certificate(g, aut, kb, reps)
+    cert = _commutativity_certificate(g, kb, reps)
     assert not verify_certificate(fresh, cert)
     assert not IndependentReplayer(fresh.n, fresh.edges()).accepts(cert)

@@ -41,7 +41,7 @@ from qsym.named import (
 )
 from qsym.perms import find_disjoint_automorphisms, is_automorphism, parse_cycles
 
-from replayer import spectrum_injective
+from replayer import cyclotomic, polydivmod, spectrum_injective
 
 from util import circulants, is_isomorphic
 
@@ -307,14 +307,24 @@ def test_injective_f_fails_where_hand_proofs_were_needed():
 
 def test_injective_f_check_is_exact_on_small_circulants():
     """The spectrum test agrees with the replayer's Z[x]/Phi_n test on all
-    378 circulants with 5 <= n <= 16, and no injective one has a disjoint
-    automorphism pair (which would force quantum symmetry)."""
+    378 circulants with 5 <= n <= 16, its count of distinct eigenvalues is
+    the number of distinct residues of lambda_0..lambda_{n//2} modulo
+    Phi_n, and no injective one has a disjoint automorphism pair (which
+    would force quantum symmetry)."""
     injective = []
     for g in circulants():
         verdict, distinct = injective_f_check(g.circulant)
         offsets = {(v - 1) % g.n for v in g.neighbours(1)}
         assert verdict == spectrum_injective(g.n, offsets), g.label
         assert verdict == (distinct == g.n // 2 + 1), g.label
+        phi = cyclotomic(g.n)
+        residues = set()
+        for s in range(g.n // 2 + 1):
+            lam = [0] * g.n
+            for x in offsets:
+                lam[x * s % g.n] += 1
+            residues.add(polydivmod(lam, phi)[1])
+        assert distinct == len(residues), g.label
         if verdict:
             injective.append(g)
     assert len(injective) == 207

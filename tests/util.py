@@ -41,6 +41,18 @@ def _transversal_chain(n, edges):
     return tuple(gens), order
 
 
+def derivation(text):
+    """A certificate text without its header line and its GENERATOR and
+    ORBIT_CLOSE steps: the derivation itself, which stating Aut(G) does
+    not touch.  The v2 certificates that these steps replaced give the
+    same text once their AUT_TRANSFER and VERTEX_TRANSIT steps are
+    dropped, so a digest of it ties the two formats together."""
+    orbit_steps = ("step GENERATOR", "step ORBIT_CLOSE")
+    return "".join(ln + "\n" for ln in text.splitlines()
+                   if not ln.startswith("qsym-certificate")
+                   and " ".join(ln.split()[:2]) not in orbit_steps)
+
+
 def elements(aut):
     """Every element of ``aut``, each once, as a product t_1 * ... * t_n of
     one witness per chain level: level v's transversal is v's orbit, with
