@@ -40,7 +40,7 @@ from .graphs import (
     side_condition_breaker,
     triple_condition,
 )
-from .perms import Permutation, act_on_pair, is_automorphism, parse_cycles
+from .perms import act_on_pair, is_automorphism, parse_cycles, walk
 
 # step kinds
 QUADRANGLE_FREE = "QUADRANGLE_FREE"
@@ -223,31 +223,27 @@ def parse_certificate(text: str) -> Certificate:
 # -- replay state ----------------------------------------------------------
 
 
-def _walk(reached: set, todo, generators, act) -> set:
-    """Close ``reached`` under ``generators``: from each member of ``todo``,
-    add every image ``act(gen, x)`` not yet in ``reached`` and walk on from
-    it.  Serves vertex orbits and pair orbits alike; returns ``reached``."""
-    todo = list(todo)
-    while todo:
-        x = todo.pop()
-        for gen in generators:
-            y = act(gen, x)
-            if y not in reached:
-                reached.add(y)
-                todo.append(y)
-    return reached
+def bits(mask) -> tuple:
+    """The vertices of the bitmask ``mask``, in ascending order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 class CommutationKB:
     """Monotone store of proven facts, searched by the lemma engine and
     replayed into by the verifier.  ``commute`` holds column pairs {j,l},
-    ``killed[(j,l)]`` vertices p, ``candidates[(j,l)]`` the survivors of
-    the reductions so far, ``generators`` the automorphisms that accepted
-    ``GENERATOR`` steps have stated, and ``unwalked`` the commute pairs
-    whose images under them the next ``ORBIT_CLOSE`` must add.  For phi in
-    Aut(G), u_ij -> u_phi(i)phi(j) extends to an automorphism of the
-    algebra, so each image of a commute fact is one too.  Facts only enter
-    through :meth:`apply`."""
+    ``killed[(j,l)]`` the bitmask of the vertices p killed for (j,l),
+    ``candidates[(j,l)]`` that of the survivors of the reductions so far,
+    ``generators`` the automorphisms that accepted ``GENERATOR`` steps
+    have stated, and ``unwalked`` the commute pairs whose images under
+    them the next ``ORBIT_CLOSE`` must add.  For phi in Aut(G), u_ij ->
+    u_phi(i)phi(j) extends to an automorphism of the algebra, so each
+    image of a commute fact is one too.  Facts only enter through
+    :meth:`apply`."""
 
     def __init__(self, g: Graph):
         self.graph = g
@@ -261,13 +257,12 @@ class CommutationKB:
     def knows_commute(self, j, l) -> bool:
         return j == l or frozenset((j, l)) in self.commute
 
-    def survivors(self, j, l) -> frozenset:
-        """Candidates for (j,l): P0 = {p : c(p,l) = c(j,l)}, c the pair
-        colour, until a candidate reduction narrows it."""
+    def survivors(self, j, l) -> int:
+        """Candidates for (j,l) as a bitmask: P0 = {p : c(p,l) = c(j,l)},
+        c the pair colour, until a candidate reduction narrows it."""
         cand = self.candidates.get((j, l))
         if cand is None:
-            cand = self.candidates[(j, l)] = narrowed(
-                self.graph, self.graph.vertices(), j, l)
+            cand = self.candidates[(j, l)] = narrowed(self.graph, -1, j, l)
         return cand
 
     def open_column_pair(self, bases):
@@ -298,14 +293,14 @@ class CommutationKB:
         self.unwalked = set(self.commute)
 
     def _close(self):
-        _walk(self.commute, self.unwalked, self.generators, act_on_pair)
+        walk(self.commute, self.unwalked, self.generators, act_on_pair)
         self.unwalked = set()
 
     def _narrow(self, j, l, survivors, **_):
-        self.candidates[(j, l)] = frozenset(survivors)
+        self.candidates[(j, l)] = sum(1 << p for p in survivors)
 
     def _kill(self, j, l, p, **_):
-        self.killed.setdefault((j, l), set()).add(p)
+        self.killed[(j, l)] = self.killed.get((j, l), 0) | 1 << p
 
     def summary(self) -> dict:
         g = self.graph
@@ -313,7 +308,8 @@ class CommutationKB:
         return {
             "commuting_pairs": len(self.commute),
             "total_pairs": total,
-            "killed_monomials": sum(len(v) for v in self.killed.values()),
+            "killed_monomials": sum(m.bit_count()
+                                    for m in self.killed.values()),
             "steps": len(self.log),
         }
 
@@ -333,14 +329,15 @@ class CommutationKB:
 # orbital lies inside one such class (Lupini, Mancinska and Roberson,
 # "Nonlocal games and quantum permutation groups", JFA 2020).  A step
 # names vertices only; a verifier recomputes the colours from the graph.
+# Vertex sets are bitmasks, and a colour class of ``g.colour_masks()`` is
+# tested with one AND.
 
 
 def narrowed(g, cand, j, q):
-    """The members of ``cand`` whose colour with q is that of j; with every
-    vertex as ``cand`` and q = l, that is P0 for (j,l)."""
-    cq = g.pair_colours()[q]
-    cqj = cq[j]
-    return frozenset([p for p in cand if cq[p] == cqj])
+    """The members of the bitmask ``cand`` whose colour with q is that of
+    j; with -1 (every vertex) as ``cand`` and q = l, that is P0 for
+    (j,l)."""
+    return cand & g.colour_masks()[q][g.pair_colours()[q][j]]
 
 
 def _quadrangle_free(g, kb):
@@ -372,7 +369,7 @@ def _one_common_neighbour_gen(g, kb, j, l, q):
 def _unique_in_colour(g, kb, j, l):
     if g.distances()[j][l] == math.inf:
         return "(j,l) disconnected"
-    if narrowed(g, g.vertices(), j, l) != frozenset((j,)):
+    if narrowed(g, -1, j, l) != 1 << j:
         return "j is not the only vertex with its colour to l"
 
 
@@ -382,20 +379,21 @@ def _choose_q_right(g, kb, j, l, q, survivors):
     if not kb.knows_commute(l, q):
         return "commute({l,q}) not yet established"
     new = narrowed(g, kb.survivors(j, l), j, q)
-    if tuple(sorted(new)) != tuple(survivors):
+    if bits(new) != tuple(survivors):
         return "survivor set mismatch"
 
 
 def middle_ring(g, j, l, p):
-    """The vertices with the colour c(j,l) to both j and p, l among them,
-    or None when p is no candidate for the middle rule on (j,l).  The ring
-    does not depend on q, so a search over q builds it once."""
+    """The bitmask of the vertices with the colour c(j,l) to both j and p,
+    l among them, or None when p is no candidate for the middle rule on
+    (j,l).  The ring does not depend on q, so a search over q builds it
+    once."""
     c = g.pair_colours()
-    cj, cp = c[j], c[p]
-    k = cj[l]
-    if g.distances()[j][l] == math.inf or cp[l] != k or p == j:
+    k = c[j][l]
+    if g.distances()[j][l] == math.inf or c[p][l] != k or p == j:
         return None
-    return [x for x in g.vertices() if cj[x] == k and cp[x] == k]
+    masks = g.colour_masks()
+    return masks[j][k] & masks[p][k]
 
 
 def middle_q_fails(g, ring, j, l, p, q):
@@ -404,8 +402,7 @@ def middle_q_fails(g, ring, j, l, p, q):
     cq = g.pair_colours()[q]
     if cq[j] == cq[p]:
         return "q does not separate j from p"
-    cql = cq[l]
-    if [x for x in ring if cq[x] == cql] != [l]:
+    if ring & g.colour_masks()[q][cq[l]] != 1 << l:
         return "l not unique for the middle rule"
 
 
@@ -421,8 +418,7 @@ def _choose_q_middle(g, kb, j, l, p, q):
 def _adj_commute_close(g, kb, j, l):
     if g.distances()[j][l] == math.inf:
         return "(j,l) disconnected"
-    left = kb.survivors(j, l) - {j} - kb.killed.get((j, l), set())
-    if left:
+    if kb.survivors(j, l) & ~(1 << j) & ~kb.killed.get((j, l), 0):
         return "unkilled candidates remain for (j,l)"
 
 
@@ -436,7 +432,7 @@ def _orbit_close(g, kb):
 
 
 def _conclusion(g, kb, bases):
-    covered = _walk(set(bases), bases, kb.generators, Permutation.__call__)
+    covered = walk(set(bases), bases, kb.generators)
     missing = set(g.vertices()) - covered
     if missing:
         return f"vertices {sorted(missing)} not reached from any base"

@@ -86,7 +86,7 @@ class Graph:
     """Immutable simple undirected graph on vertices 1..n."""
 
     __slots__ = ("n", "rows", "label", "circulant", "_edges", "_dist",
-                 "_colours", "_breaker")
+                 "_colours", "_masks", "_breaker")
 
     def __init__(self, n, edges, label="", circulant=None):
         if n < 1:
@@ -106,6 +106,7 @@ class Graph:
         object.__setattr__(self, "_edges", None)
         object.__setattr__(self, "_dist", None)
         object.__setattr__(self, "_colours", None)
+        object.__setattr__(self, "_masks", None)
         object.__setattr__(self, "_breaker", None)
 
     def __setattr__(self, name, value):
@@ -205,6 +206,23 @@ class Graph:
         colours = tuple(map(tuple, c))
         object.__setattr__(self, "_colours", colours)
         return colours
+
+    def colour_masks(self) -> tuple:
+        """masks[x][k], 1-based rows: the bitmask of the vertices y with
+        c[x][y] = k, c being ``pair_colours()``, one dict per row keyed by
+        colour.  The masks of a row are disjoint and cover 1..n, so a test
+        on a whole colour class is one AND.  Computed once per graph."""
+        if self._masks is not None:
+            return self._masks
+        masks = [{}]
+        for cx in self.pair_colours()[1:]:
+            row = {}
+            for y in self.vertices():
+                row[cx[y]] = row.get(cx[y], 0) | 1 << y
+            masks.append(row)
+        masks = tuple(masks)
+        object.__setattr__(self, "_masks", masks)
+        return masks
 
     def is_connected(self) -> bool:
         return INFINITE not in self.distances()[1][1:]

@@ -26,8 +26,10 @@ c(sigma x, sigma v) = c(x, u) for every outside x, and u, being moved as
 well, lies inside.  The chain and the scan check a
 ``time.monotonic()`` deadline at every node of every search, and the scan
 also on entry and once per vertex while it builds its twin masks.  Vertex
-and pair orbits come from one walk, ``AutGroup.orbit``, with
-``act_on_pair`` as the action on unordered pairs.
+and pair orbits come from one walk, ``walk``, which returns the points
+only, with ``act_on_pair`` as the action on unordered pairs;
+``AutGroup.orbit`` also composes a witness automorphism per point, for the
+callers that want one.
 """
 
 from __future__ import annotations
@@ -247,6 +249,24 @@ def find_automorphism(g: Graph, pre: dict) -> Permutation | None:
 # -- automorphism group ----------------------------------------------------
 
 
+def walk(reached: set, todo, generators, act=Permutation.__call__) -> set:
+    """Close ``reached`` under ``generators``: from each member of ``todo``,
+    add every image ``act(gen, x)`` not yet in ``reached`` and walk on from
+    it.  Serves vertex orbits and pair orbits alike; returns ``reached``.
+    After a new generator, ``todo`` must be all of ``reached``: the images
+    of old points under it can lie outside, as {1,2} under (1 2) and then
+    (1 3)(2 4) shows, where walking from 1 alone misses 4."""
+    todo = list(todo)
+    while todo:
+        x = todo.pop()
+        for gen in generators:
+            y = act(gen, x)
+            if y not in reached:
+                reached.add(y)
+                todo.append(y)
+    return reached
+
+
 @dataclass(frozen=True)
 class AutGroup:
     """Automorphism group given by generators and its exact order.
@@ -263,7 +283,8 @@ class AutGroup:
 
     def orbit(self, root, act=Permutation.__call__) -> dict:
         """{x: automorphism taking root to x} over root's whole orbit, by
-        BFS over generator applications ``act(gen, x)``."""
+        BFS over generator applications ``act(gen, x)``, for the callers
+        that want a witness per point; ``walk`` gives the points alone."""
         reached = {root: Permutation.identity(self.n)}
         queue = [root]
         while queue:
@@ -278,10 +299,12 @@ class AutGroup:
 
     def vertex_orbits(self):
         """Orbits of vertices, each sorted, ordered by smallest element."""
-        orbits = []
+        orbits, seen = [], set()
         for v in range(1, self.n + 1):
-            if not any(v in orbit for orbit in orbits):
-                orbits.append(tuple(sorted(self.orbit(v))))
+            if v not in seen:
+                orbit = walk({v}, (v,), self.generators)
+                seen |= orbit
+                orbits.append(tuple(sorted(orbit)))
         return orbits
 
 
@@ -322,19 +345,19 @@ def automorphism_group(g: Graph, deadline: float | None = None) -> AutGroup:
         orbit = {v}
         for phi in _moves(g, prefix, v, inv, orbit, deadline):
             gens.append(phi)
-            orbit.update(AutGroup(g.n, tuple(gens), 0).orbit(v))
+            walk(orbit, orbit, gens)  # all of it: phi moves old points too
         order *= len(orbit)
     return AutGroup(n=g.n, generators=tuple(gens), order=order)
 
 
 def is_vertex_transitive(g: Graph, group: AutGroup | None = None) -> bool:
     group = group or automorphism_group(g)
-    return len(group.orbit(1)) == g.n
+    return len(walk({1}, (1,), group.generators)) == g.n
 
 
 def act_on_pair(gen: Permutation, pair: frozenset) -> frozenset:
     """The image of an unordered pair {i,j}, or of a diagonal {j}, as an
-    ``AutGroup.orbit`` action."""
+    action for ``walk`` and ``AutGroup.orbit``."""
     return frozenset(map(gen.img.__getitem__, pair))
 
 
@@ -363,17 +386,12 @@ def _twin_masks(g: Graph, inv, deadline: float | None = None):
     the bitmask of the vertices whose pair colours (distance, common
     neighbours) with v and with u differ, v and u among them.  The mask is
     symmetric in v and u, so each unordered pair is computed once and
-    appended to both rows.  Each row of colours is kept as one bitmask
-    per colour, so a pair costs one AND per colour of v's row, not n
-    comparisons.  ``deadline`` is checked once per vertex v."""
-    c = g.pair_colours()
+    appended to both rows.  ``Graph.colour_masks`` keeps each row of
+    colours as one bitmask per colour, so a pair costs one AND per colour
+    of v's row, not n comparisons.  ``deadline`` is checked once per
+    vertex v."""
+    classes = g.colour_masks()
     vertices = g.vertices()
-    classes = [{}]
-    for v in vertices:
-        cv, masks = c[v], {}
-        for x in vertices:
-            masks[cv[x]] = masks.get(cv[x], 0) | 1 << x
-        classes.append(masks)
     full = (1 << (g.n + 1)) - 2
     twins = [[] for _ in range(g.n + 1)]
     for v in vertices:

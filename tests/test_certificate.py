@@ -21,6 +21,7 @@ from qsym.named import build_named, circulant, cycle_graph
 from qsym.perms import automorphism_group, is_automorphism, parse_cycles
 
 from replayer import IndependentReplayer
+from util import discrete_colouring
 
 
 def _lemma_certificate(name, use_global_seeds=True):
@@ -114,6 +115,50 @@ def test_mutated_middle_q_is_rejected():
     mutated = Certificate(cert.verdict, cert.n, cert.edges, tuple(steps))
     result = verify_certificate(g, mutated)
     assert not result and result.step_index == idx
+
+
+def _as_mask(vertices):
+    return sum(1 << v for v in vertices)
+
+
+def test_mask_predicates_agree_with_a_list_reference():
+    """``narrowed``, ``middle_ring`` and ``middle_q_fails`` test whole
+    colour classes as bitmasks; a vertex-by-vertex reading of the pair
+    colours gives the same answers for every (j, l, p, q)."""
+    graphs = [cycle_graph(5), build_named("K2xC6"), build_named("2C6"),
+              build_named("Cuboctahedron"), circulant(12, 4, 6),
+              discrete_colouring(circulant(6, 3)),
+              Graph(7, [(1, 2), (2, 3), (3, 4), (4, 1), (4, 5), (5, 6),
+                        (6, 7), (2, 6)])]
+    for g in graphs:
+        c, d, vs = g.pair_colours(), g.distances(), list(g.vertices())
+        for j in vs:
+            for l in vs:
+                cand = [p for p in vs if c[l][p] == c[l][j]]
+                assert cm.narrowed(g, -1, j, l) == _as_mask(cand)
+                for q in vs:
+                    ref = [p for p in cand if c[q][p] == c[q][j]]
+                    assert cm.narrowed(g, _as_mask(cand), j, q) \
+                        == _as_mask(ref), (g, j, l, q)
+                for p in vs:
+                    k = c[j][l]
+                    if d[j][l] == float("inf") or c[p][l] != k or p == j:
+                        ring = None
+                    else:
+                        ring = [x for x in vs if c[j][x] == k and c[p][x] == k]
+                    got = cm.middle_ring(g, j, l, p)
+                    assert got == (ring and _as_mask(ring)), (g, j, l, p)
+                    if ring is None:
+                        continue
+                    for q in vs:
+                        if c[q][j] == c[q][p]:
+                            why = "q does not separate j from p"
+                        elif [x for x in ring if c[q][x] == c[q][l]] != [l]:
+                            why = "l not unique for the middle rule"
+                        else:
+                            why = None
+                        assert cm.middle_q_fails(g, got, j, l, p, q) == why, \
+                            (g, j, l, p, q)
 
 
 def test_premise_cited_before_derivation_is_rejected():

@@ -1,10 +1,11 @@
 """Graph core: constructors, metric queries, analytic criteria, text format."""
 
 import math
+import random
 
 import pytest
 
-from qsym.catalog import twelve_vertex_entries
+from qsym.catalog import catalog, twelve_vertex_entries
 from qsym.graphs import (
     INFINITE,
     CirculantSpec,
@@ -43,7 +44,12 @@ from qsym.perms import find_disjoint_automorphisms, is_automorphism, parse_cycle
 
 from replayer import cyclotomic, polydivmod, spectrum_injective
 
-from util import circulants, is_isomorphic
+from util import (
+    circulants,
+    discrete_colouring,
+    is_isomorphic,
+    random_graph,
+)
 
 
 def test_graph_invariants_enforced():
@@ -353,3 +359,39 @@ def test_text_format_roundtrip():
     for bad in ["e 1 2\np 3", "p 3\ne 1", "p 3\nq 1 2", "p 3\ne 1 x", ""]:
         with pytest.raises(GraphError):
             read_graph(bad)
+
+
+def _check_colour_masks(g):
+    """Each row of ``g.colour_masks()`` splits 1..n into disjoint masks,
+    and y lies in masks[x][col] exactly when c(x, y) = col."""
+    c, masks, vertices = g.pair_colours(), g.colour_masks(), g.vertices()
+    full = sum(1 << y for y in vertices)
+    for x in vertices:
+        union = 0
+        for col, mask in masks[x].items():
+            assert mask and not mask & union, (g, x, col)
+            union |= mask
+            for y in vertices:
+                assert bool(mask >> y & 1) == (c[x][y] == col), (g, x, y)
+        assert union == full, (g, x)
+    assert g.colour_masks() is masks
+
+
+def test_colour_masks_partition_each_row_by_pair_colour():
+    rng = random.Random(22)
+    graphs = [e.build() for e in catalog()]
+    graphs += [random_graph(rng, rng.randint(1, 14), rng.random())
+               for _ in range(40)]
+    for g in graphs:
+        _check_colour_masks(g)
+
+
+def test_colour_masks_follow_an_injected_colouring():
+    """A colouring with tuple colours, as an unsound test colouring
+    injects, gets the same table: the masks are keyed by colour, whatever
+    its type."""
+    g = discrete_colouring(circulant(6, 3))
+    _check_colour_masks(g)
+    assert g.colour_masks()[2] == {(1, 2): 1 << 1, (2, 2): 1 << 2,
+                                   (2, 3): 1 << 3, (2, 4): 1 << 4,
+                                   (2, 5): 1 << 5, (2, 6): 1 << 6}

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+from collections import Counter
 import math
 import random
 import time
@@ -32,6 +33,7 @@ from qsym.perms import (
     is_automorphism,
     is_vertex_transitive,
     parse_cycles,
+    walk,
 )
 from util import (
     circulants,
@@ -541,3 +543,44 @@ def test_disjoint_pair_is_the_oracle_pair():
 def test_n16_no_pair_scans_stay_exact():
     for chords in ((3,), (2, 5), (2, 4, 6, 8)):
         assert find_disjoint_automorphisms(circulant(16, *chords)) is None
+
+
+def test_walk_re_closes_the_whole_orbit_after_a_new_generator():
+    """Once (1 3)(2 4) joins (1 2), the orbit {1,2} must be walked again
+    as a whole: from 1 alone the walk reaches 3 but never 4."""
+    swap, shift = parse_cycles("(1 2)", 4), parse_cycles("(1 3)(2 4)", 4)
+    orbit = walk({1}, (1,), [swap])
+    assert orbit == {1, 2}
+    assert walk(set(orbit), (1,), [swap, shift]) == {1, 2, 3}
+    assert walk(orbit, orbit, [swap, shift]) is orbit
+    assert orbit == {1, 2, 3, 4}
+    pairs = walk({frozenset((1, 2))}, [frozenset((1, 2))], [shift],
+                 act_on_pair)
+    assert pairs == {frozenset((1, 2)), frozenset((3, 4))}
+
+
+# (name, order, generators) of the 25 catalog rows whose chain has a level
+# with two generators or more, as the chain that walked each orbit with
+# ``AutGroup.orbit`` gave them
+SEVERAL_GENERATOR_ROWS_SHA256 = (
+    "29a35339084541982cfea7e6f4b03bc4cd63b3b26296ada700a081bb8cab06df")
+
+
+def test_chain_levels_with_several_generators_keep_their_orders():
+    """A chain level that holds two generators or more re-walks its orbit
+    after each one; the orders of those catalog rows stay the published
+    ones, their generators stay pinned, and the vertex orbits are those of
+    the witness walk."""
+    rows = []
+    for entry in catalog():
+        aut = automorphism_group(entry.build())
+        levels = Counter(gen.support()[0] for gen in aut.generators)
+        if max(levels.values(), default=0) < 2:
+            continue
+        rows.append((entry.name, aut.order, tuple(map(str, aut.generators))))
+        assert aut.order == entry.expected_aut_order, entry.name
+        assert aut.vertex_orbits() == sorted(
+            {tuple(sorted(aut.orbit(v))) for v in range(1, aut.n + 1)})
+    assert {"K2xC6", "Cuboctahedron", "2(K2xK3)"} <= {row[0] for row in rows}
+    assert len(rows) == 25
+    assert _digest(rows) == SEVERAL_GENERATOR_ROWS_SHA256

@@ -66,6 +66,17 @@ def elements(aut):
     return elems
 
 
+def discrete_colouring(g):
+    """Give ``g`` the discrete pair colouring, (min, max) as each pair's
+    colour, and return it.  It is finer than the pair colour and splits
+    quantum orbitals, so no sound rule may rely on it; its colours are
+    tuples."""
+    object.__setattr__(g, "_colours", tuple(
+        tuple((min(x, y), max(x, y)) for y in range(g.n + 1))
+        for x in range(g.n + 1)))
+    return g
+
+
 def latin_square_graph(n):
     """The cyclic Latin square graph of order n on n*n cells: (r, c) and
     (r', c') are adjacent when they share a row, a column or the symbol
