@@ -10,21 +10,21 @@ known facts are closed under them (ORBIT_CLOSE)."""
 
 from qsym import decide
 from qsym.certificate import (
+    VERDICT_NONE,
     Certificate,
     parse_certificate,
     render_certificate,
     serialize_certificate,
     verify_certificate,
 )
-from qsym.engine import _commutativity_certificate, lemma_fixpoint
+from qsym.engine import lemma_fixpoint
 from qsym.named import build_named, cycle_graph
 from qsym.perms import automorphism_group
 
 g = cycle_graph(5)
 aut = automorphism_group(g)
 kb, closed, _ = lemma_fixpoint(g, aut, use_global_seeds=False)
-reps = [orbit[0] for orbit in aut.vertex_orbits()]
-cert = _commutativity_certificate(g, kb, reps)
+cert = Certificate.for_graph(g, VERDICT_NONE, kb.log)
 print(render_certificate(cert, "md"))
 
 print("the same certificate in its serialized (verifiable) form:")

@@ -8,14 +8,15 @@ The decision pipeline mirrors how these questions are settled by hand:
    lambda_1..lambda_{n//2} are pairwise distinct, which rules quantum
    symmetry out wholesale;
 3. otherwise grow a monotone knowledge base of commutation facts about
-   the generators u_ij by saturating a small set of lemma rules, and stop
-   once one base column per vertex orbit commutes with everything (that
-   is enough: automorphisms transport column facts along pair orbits,
-   and the certificate states their generators once).
+   the generators u_ij by saturating a small set of lemma rules, until
+   the rule table accepts the conclusion that one base column per vertex
+   orbit commutes with everything (that is enough: automorphisms
+   transport column facts along pair orbits, and the certificate states
+   their generators once).
 
-Every fact carries a replayable proof step, so a successful run of step 3
-emits a certificate that an independent verifier can check against the
-graph alone; see :mod:`qsym.certificate`.  The lemma rules live there
+Every fact carries a replayable proof step, so the log of a closed run of
+step 3 is a certificate that an independent verifier can check against
+the graph alone; see :mod:`qsym.certificate`.  The lemma rules live there
 once, in its rule table.  The search below only chooses field values and
 where steps go (the smallest q, the next candidate p, when to close under
 the generators) and proposes each step to the table, whose check decides
@@ -123,7 +124,7 @@ def seed_kb(g: Graph, use_global_seeds: bool = True) -> CommutationKB:
 # -- lemma rules -------------------------------------------------------------
 
 
-def reduce_candidates(kb: CommutationKB, g: Graph, j, l):
+def reduce_candidates(kb: CommutationKB, j, l):
     """Shrink the survivor set for (j,l) with every usable column q.
 
     Starting from P0 = {p : c(p,l) = c(j,l)}, c the pair colour, each q
@@ -133,6 +134,7 @@ def reduce_candidates(kb: CommutationKB, g: Graph, j, l):
     ``kb.survivors(j, l)`` holds its result as one, and the return value
     is that set.
     """
+    g = kb.graph
     cand = kb.survivors(j, l)
     for q in g.vertices():
         if cand.bit_count() == 1:
@@ -156,8 +158,9 @@ def kill_choose_q_middle(g: Graph, j, l, p):
                 None)
 
 
-def prove_pair(kb: CommutationKB, g: Graph, j, l) -> bool:
+def prove_pair(kb: CommutationKB, j, l) -> bool:
     """Try to establish commute({j,l}); partial kills are kept either way."""
+    g = kb.graph
     if g.distances()[j][l] == math.inf:
         raise EngineError(f"({j},{l}) lie in different components")
     if kb.knows_commute(j, l):
@@ -166,7 +169,7 @@ def prove_pair(kb: CommutationKB, g: Graph, j, l) -> bool:
             kb, cert_mod.UNIQUE_IN_COLOUR, j=j, l=l):
         return True
 
-    reduce_candidates(kb, g, j, l)
+    reduce_candidates(kb, j, l)
     left = kb.survivors(j, l) & ~(1 << j) & ~kb.killed.get((j, l), 0)
     for p in cert_mod.bits(left):
         q = kill_choose_q_middle(g, j, l, p)
@@ -185,54 +188,46 @@ def lemma_fixpoint(g: Graph, aut: AutGroup | None = None,
     commute facts under them.  Sweeps visit one base vertex per vertex
     orbit and its partner columns in ascending distance order; another
     ``ORBIT_CLOSE`` follows each distance class that proved a pair,
-    matching how the written proofs interleave the two, until a sweep adds
-    no commute fact (each other sweep adds one of the n(n-1)/2).
-    ``closed`` means every base column commutes with every column, which
-    settles the graph (no quantum symmetry).  ``deadline`` also bounds the
-    group search when ``aut`` is not given: past it that search raises
-    ``DeadlineExceeded``, while the sweeps stop with ``timed_out`` set.
+    matching how the written proofs interleave the two, while a base
+    column has an open partner and until a sweep proves nothing (each
+    other sweep adds one of the n(n-1)/2 commute facts).  ``closed`` is
+    the table's answer to the ``CONCLUSION_COMMUTATIVE`` step proposed
+    last: a closed ``kb.log`` is the whole certificate, an open one holds
+    no conclusion.  ``deadline`` also bounds the group search when ``aut``
+    is not given: past it that search raises ``DeadlineExceeded``, while
+    the sweeps stop with ``timed_out`` set.
     """
     aut = aut or automorphism_group(g, deadline=deadline)
     kb = seed_kb(g, use_global_seeds=use_global_seeds)
     for phi in aut.generators:
         _propose(kb, cert_mod.GENERATOR, phi=phi)
     _propose(kb, cert_mod.ORBIT_CLOSE)
-    reps = [orbit[0] for orbit in aut.vertex_orbits()]
+    reps = tuple(orbit[0] for orbit in aut.vertex_orbits())
     d = g.distances()
 
-    while True:
+    while kb.open_column_pair(reps) is not None:
         added_this_round = False
         for j0 in reps:
             by_dist = {}
             for l in g.vertices():
                 if l != j0:
                     by_dist.setdefault(d[j0][l], []).append(l)
-            for m in sorted(by_dist, key=float):
-                if m == math.inf:
-                    continue
+            for m in sorted(by_dist):
                 class_added = False
                 for l in sorted(by_dist[m]):
                     if kb.knows_commute(j0, l):
                         continue
                     if deadline is not None and time.monotonic() > deadline:
                         return kb, False, True
-                    if prove_pair(kb, g, j0, l):
+                    if prove_pair(kb, j0, l):
                         class_added = True
                 if class_added:
                     _propose(kb, cert_mod.ORBIT_CLOSE)
                     added_this_round = True
-        if kb.open_column_pair(reps) is None or not added_this_round:
+        if not added_this_round:
             break
-    return kb, kb.open_column_pair(reps) is None, False
-
-
-def _commutativity_certificate(g: Graph, kb: CommutationKB,
-                               reps) -> Certificate:
-    """Append the conclusion to a closed ``kb`` and return its whole log as
-    the certificate.  The conclusion reaches every vertex from ``reps``,
-    one per vertex orbit, under the generators that ``kb`` has stated."""
-    _propose(kb, cert_mod.CONCLUSION_COMMUTATIVE, bases=tuple(reps))
-    return Certificate.for_graph(g, cert_mod.VERDICT_NONE, kb.log)
+    closed = _propose(kb, cert_mod.CONCLUSION_COMMUTATIVE, bases=reps)
+    return kb, closed, False
 
 
 # -- the decision pipeline ---------------------------------------------------
@@ -247,8 +242,9 @@ def decide(g: Graph, timeout: float = DEFAULT_TIMEOUT,
     fixpoint; "lemmas" runs only the fixpoint.  ``aut``, if given, is
     ``automorphism_group(g)``, which the fixpoint then does not recompute.
     Returns a verdict object; Undecided is the fallback, never a wrong
-    answer.  Each certificate returned has been replayed once by
-    ``verify_certificate``; one that fails raises ``EngineError``.
+    answer.  Each certificate returned (a lemma one is the closed
+    fixpoint's log) has been replayed once by ``verify_certificate``; one
+    that fails raises ``EngineError``.
     ``timeout`` is the one bound: past it, the scan, the group or the
     fixpoint ends in ``Undecided(reason="timeout")``.  The deadline is
     checked between searches, so the overrun is at most one search: over
@@ -302,8 +298,7 @@ def _decide(g: Graph, deadline: float, engine: str, aut: AutGroup | None):
     aut = aut or automorphism_group(g, deadline=deadline)
     kb, closed, timed_out = lemma_fixpoint(g, aut, deadline=deadline)
     if closed:
-        reps = [orbit[0] for orbit in aut.vertex_orbits()]
-        return NoQuantumSymmetry(
-            certificate=_commutativity_certificate(g, kb, reps))
+        return NoQuantumSymmetry(certificate=Certificate.for_graph(
+            g, cert_mod.VERDICT_NONE, kb.log))
     reason = "timeout" if timed_out else "lemma rules saturated without closing"
     return Undecided(reason=reason, summary=kb.summary())

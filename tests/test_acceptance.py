@@ -14,7 +14,7 @@ import pytest
 import qsym.certificate as cm
 from qsym.catalog import quantum_flagged_names, run_report, twelve_vertex_entries
 from qsym.certificate import Certificate, ProofStep, verify_certificate
-from qsym.engine import decide, lemma_fixpoint, _commutativity_certificate
+from qsym.engine import decide, lemma_fixpoint
 from qsym.freealg import NcPoly
 from qsym.graphs import CirculantSpec, cosine_sums
 from qsym.groebner import (
@@ -332,8 +332,7 @@ def test_criterion_8_certificate_integrity(graphs, verdicts):
         aut = automorphism_group(g)
         kb, closed, _ = lemma_fixpoint(g, aut)
         assert closed
-        reps = [orbit[0] for orbit in aut.vertex_orbits()]
-        cert = _commutativity_certificate(g, kb, reps)
+        cert = Certificate.for_graph(g, cm.VERDICT_NONE, kb.log)
         targets.append((g, cert, IndependentReplayer(g.n, g.edges())))
 
     accepted_counterfeits = []

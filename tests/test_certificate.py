@@ -15,7 +15,7 @@ from qsym.certificate import (
     step,
     verify_certificate,
 )
-from qsym.engine import decide, lemma_fixpoint, _commutativity_certificate
+from qsym.engine import decide, lemma_fixpoint
 from qsym.graphs import Graph, common_neighbours, triple_condition
 from qsym.named import build_named, circulant, cycle_graph
 from qsym.perms import automorphism_group, is_automorphism, parse_cycles
@@ -29,8 +29,7 @@ def _lemma_certificate(name, use_global_seeds=True):
     aut = automorphism_group(g)
     kb, closed, _ = lemma_fixpoint(g, aut, use_global_seeds=use_global_seeds)
     assert closed, name
-    reps = [orbit[0] for orbit in aut.vertex_orbits()]
-    return g, _commutativity_certificate(g, kb, reps)
+    return g, Certificate.for_graph(g, cm.VERDICT_NONE, kb.log)
 
 
 def test_serialize_parse_roundtrip():
@@ -215,6 +214,24 @@ def test_conclusion_reaches_vertices_only_through_stated_generators():
     assert result.message.endswith(
         "vertices [2, 3, 4, 5] not reached from any base")
     assert not IndependentReplayer(g.n, g.edges()).accepts(forged)
+
+
+@pytest.mark.parametrize("lone", [
+    step(cm.UNIQUE_IN_COLOUR, j=1, l=2),
+    step(cm.CHOOSE_Q_RIGHT, j=1, l=2, q=2, survivors=(1,)),
+    step(cm.ADJ_COMMUTE_CLOSE, j=1, l=2),
+], ids=lambda s: s.kind)
+def test_pair_rules_refuse_columns_in_different_components(lone):
+    """On K1 + K3, P0 for (1,2) is {1}: vertex 1 alone lies at infinite
+    distance from 2.  So each of these steps meets every condition of its
+    rule but the one that j and l share a component, and both verifiers
+    must refuse it at step 0."""
+    g = Graph(4, [(2, 3), (3, 4), (2, 4)])
+    cert = Certificate.for_graph(g, cm.VERDICT_NONE, [lone])
+    result = verify_certificate(g, cert)
+    assert (result.ok, result.step_index, result.message) == \
+        (False, 0, f"{lone.kind}: (j,l) disconnected")
+    assert not IndependentReplayer(g.n, g.edges()).accepts(cert)
 
 
 def test_truncated_certificate_is_rejected():

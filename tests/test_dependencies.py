@@ -30,3 +30,21 @@ def test_only_the_standard_library_and_qsym_are_imported():
                for path in files for line, module in _imported_modules(path)
                if module not in ALLOWED]
     assert foreign == []
+
+
+def test_demos_import_no_private_name_from_qsym():
+    """Demos show the public API: nothing they import from ``qsym`` has a
+    name, or a module on its path, that starts with an underscore."""
+    private = []
+    for path in sorted((ROOT / "demos").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module + "." + a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            private += [f"{path.relative_to(ROOT)}:{node.lineno}: {name}"
+                        for name in names if name.split(".")[0] == "qsym"
+                        and any(p.startswith("_") for p in name.split("."))]
+    assert private == []

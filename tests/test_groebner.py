@@ -325,6 +325,21 @@ def test_unit_ideal_gives_the_basis_one():
         assert normal_form(y * x + one, gb.basis).is_zero
 
 
+def test_containment_criterion_skips_an_ambiguity_inside_a_degree_5_word():
+    """Here the ambiguity of x*x*y and y*y*y on x*x*y*y*y factors through
+    the third leading monomial x*y*y, which sits strictly inside the word,
+    so ``buchberger`` skips it: 6 steps where the completion without the
+    criterion takes 7 to the same basis.  At caps <= 4 the criterion
+    cannot fire, since the alive leading monomials form an antichain."""
+    x, y, z = u(1, 1), u(1, 2), u(2, 1)
+    gens = [y - z, x * y * y, x * z * y - (x * x * y + y * z).scale(2)]
+    gb = buchberger(gens, 5)
+    assert gb.steps == 6 and gb.exhausted
+    assert [str(p) for p in gb.basis] == [
+        "u[2,1] - u[1,2]", "u[1,1]*u[1,1]*u[1,2] + u[1,2]*u[1,2]",
+        "u[1,1]*u[1,2]*u[1,2]", "u[1,2]*u[1,2]*u[1,2]"]
+
+
 # SHA-256 of the bases, completion statistics and commuting column pairs of
 # six inputs, as the straightforward completion (leading monomial recomputed
 # on every call, a fresh reducer index per inter-reduced element) gave them
