@@ -8,9 +8,11 @@ which is what keeps degree-bounded Groebner truncation meaningful.
 
 Each polynomial also has an integer form, computed on first use and
 cached: ``(den, {word: int})``, where ``den`` is the lcm of the coefficient
-denominators and every coefficient is multiplied by it.  The Groebner
-reduction reads its reducers from that form, so it runs in integer
-arithmetic and converts back to Fractions only in its result.
+denominators and every coefficient is multiplied by it.  ``normal_form``
+reads its reducers from that form, so it runs in integer arithmetic and
+converts back to Fractions only in its result.  The Groebner completion
+reads each generator's form once and then keeps its own integer rows, on
+string words, until it returns the basis.
 
 No floating point enters this module: a float coefficient is a TypeError.
 """

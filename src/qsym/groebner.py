@@ -16,6 +16,14 @@ completeness degree so callers cannot over-claim.
 Obstructions (overlap and containment ambiguities of leading monomials)
 are processed smallest-ambiguity-first; ambiguities above the degree cap
 are discarded and recorded, which is what bounds the computation.
+
+``buchberger`` codes its generators' labels one character each, in the
+order of the sorted labels, so a word is a ``str`` and deglex on the
+strings is deglex on the label tuples.  Each basis element is a primitive
+integer row (gcd 1, positive leading coefficient), the integer form of the
+monic element, and becomes an ``NcPoly`` once, on return.  The reduction
+kernel only slices and concatenates words, so ``normal_form`` runs it on
+plain tuple words against each basis element's cached integer form.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .freealg import NcPoly, Word, deglex_key, find_subword
+from .freealg import NcPoly, Word, deglex_key
 from .graphs import Graph
 
 
@@ -60,31 +68,33 @@ def overlaps(m1: Word, m2: Word, i: int = 0, j: int = 1) -> list:
     """All ambiguities between two monomials: proper overlaps in both
     directions plus containments, excluding disjoint placements.
 
-    ``i`` and ``j`` are the basis indices recorded on the obstructions.
+    The two words have one type, tuples of labels or strings; the empty
+    word is ``m1[:0]``.  ``i`` and ``j`` are the basis indices recorded on
+    the obstructions.
     """
-    m1, m2 = tuple(m1), tuple(m2)
     if not m1 or not m2:
         raise GroebnerError("ambiguities need non-empty monomials")
+    e = m1[:0]
     out = []
     # suffix of m1 = prefix of m2: w = m1 + m2[k:]
     for k in range(1, min(len(m1), len(m2))):
         if m1[-k:] == m2[:k]:
             w = m1 + m2[k:]
-            out.append(Obstruction(w, i, (), m2[k:], j, m1[:-k], ()))
+            out.append(Obstruction(w, i, e, m2[k:], j, m1[:-k], e))
     # suffix of m2 = prefix of m1 (skip for identical monomials: symmetric)
     if m1 != m2 or i != j:
         for k in range(1, min(len(m1), len(m2))):
             if m2[-k:] == m1[:k]:
                 w = m2 + m1[k:]
-                out.append(Obstruction(w, i, m2[:-k], (), j, (), m1[k:]))
+                out.append(Obstruction(w, i, m2[:-k], e, j, e, m1[k:]))
     # containments, one per position of the shorter monomial in the longer
     if len(m2) < len(m1):
         k = len(m2)
-        out += [Obstruction(m1, i, (), (), j, m1[:p], m1[p + k:])
+        out += [Obstruction(m1, i, e, e, j, m1[:p], m1[p + k:])
                 for p in range(len(m1) - k + 1) if m1[p:p + k] == m2]
     elif len(m1) < len(m2):
         k = len(m1)
-        out += [Obstruction(m2, i, m2[:p], m2[p + k:], j, (), ())
+        out += [Obstruction(m2, i, m2[:p], m2[p + k:], j, e, e)
                 for p in range(len(m2) - k + 1) if m2[p:p + k] == m1]
     return out
 
@@ -120,51 +130,51 @@ class ReducerIndex:
     """Active reducers indexed by the first letter of their leading
     monomial, so subword searches touch only plausible candidates.
 
+    A reducer is a leading monomial and an integer row {word: int} with a
+    nonzero coefficient on it, the row shared and not copied.  Words may be
+    tuples of labels or strings: the index only slices and compares them.
     Each bucket lists its slots in ascending order, and ``find_reducer``
     takes the first match, so the slot order decides which reducer wins.
-    Per slot the index keeps the polynomial, its leading monomial and the
-    terms of the integer form that the polynomial caches, {word: int},
-    shared and not copied.  A constant raises _UnitIdeal.
+    A constant raises _UnitIdeal.
     """
 
-    def __init__(self, polys=()):
-        self.polys: list = []
+    def __init__(self, reducers=()):
         self.lms: list = []
-        self.ints: list = []
+        self.rows: list = []
         self.alive: list = []
         self.buckets: dict = {}
-        for p in polys:
-            self.add(p)
+        for lm, row in reducers:
+            self.add(lm, row)
 
-    def _store(self, idx: int, p: NcPoly):
-        lm = p.lm()
+    def _store(self, idx: int, lm, row: dict):
         if not lm:
             raise _UnitIdeal
-        self.polys[idx] = p
         self.lms[idx] = lm
-        self.ints[idx] = p.int_form()[1]
+        self.rows[idx] = row
         self.alive[idx] = True
 
-    def add(self, p: NcPoly) -> int:
-        idx = len(self.polys)
-        for column in (self.polys, self.lms, self.ints, self.alive):
+    def add(self, lm, row: dict) -> int:
+        idx = len(self.rows)
+        for column in (self.lms, self.rows, self.alive):
             column.append(None)
-        self._store(idx, p)
-        self.buckets.setdefault(self.lms[idx][0], []).append(idx)
+        self._store(idx, lm, row)
+        self.buckets.setdefault(lm[0], []).append(idx)
         return idx
 
-    def replace(self, idx: int, p: NcPoly):
-        """Put p into slot idx and make it active; the slot keeps its place
-        in the order of its (possibly new) bucket."""
+    def replace(self, idx: int, lm, row: dict):
+        """Put (lm, row) into slot idx and make it active; the slot keeps
+        its place in the order of its (possibly new) bucket."""
         self.buckets[self.lms[idx][0]].remove(idx)
-        self._store(idx, p)
-        bisect.insort(self.buckets.setdefault(self.lms[idx][0], []), idx)
+        self._store(idx, lm, row)
+        bisect.insort(self.buckets.setdefault(lm[0], []), idx)
 
     def deactivate(self, idx: int):
         self.alive[idx] = False
 
-    def active(self):
-        return [p for p, a in zip(self.polys, self.alive) if a]
+    def active(self) -> list:
+        """The active reducers as (lm, row) pairs, in slot order."""
+        return [(lm, row) for lm, row, a in
+                zip(self.lms, self.rows, self.alive) if a]
 
     def find_reducer(self, word, skip=()):
         """(index, offset) of the leftmost occurrence of any active leading
@@ -205,8 +215,8 @@ def _reduce_with_index(den: int, terms: dict, index: ReducerIndex) -> tuple:
         bi, pos = hit
         # cancel coeff*word against lc*lm: scale everything by lc/g, then
         # subtract (coeff/g) times the reducer, whose lc*lm removes word
-        lm, ints = index.lms[bi], index.ints[bi]
-        lc = ints[lm]
+        lm, row = index.lms[bi], index.rows[bi]
+        lc = row[lm]
         g = gcd(coeff, lc)
         scale = lc // g
         if scale != 1:
@@ -215,7 +225,7 @@ def _reduce_with_index(den: int, terms: dict, index: ReducerIndex) -> tuple:
             den *= scale
         coeff //= g
         left, right = word[:pos], word[pos + len(lm):]
-        for w, c in ints.items():
+        for w, c in row.items():
             key = left + w + right
             val = terms.get(key)
             if val is None:
@@ -233,18 +243,26 @@ def _reduce_with_index(den: int, terms: dict, index: ReducerIndex) -> tuple:
     return den, terms
 
 
-def _monic(terms: dict) -> NcPoly:
-    """The monic polynomial proportional to the nonzero integer terms."""
-    lc = terms[max(terms, key=deglex_key)]
-    return NcPoly({w: Fraction(c, lc) for w, c in terms.items()})
+def _primitive(terms: dict) -> tuple:
+    """(lm, row) for nonzero integer terms: the row is the terms divided by
+    their gcd, signed so that the leading coefficient is positive.  That is
+    the integer form of the monic polynomial proportional to the terms,
+    over the denominator row[lm]."""
+    lm = max(terms, key=deglex_key)
+    g = gcd(*terms.values())
+    if terms[lm] < 0:
+        g = -g
+    if g == 1:
+        return lm, terms
+    return lm, {w: c // g for w, c in terms.items()}
 
 
-def _s_polynomial(p_i: NcPoly, p_j: NcPoly, ob: Obstruction) -> tuple:
+def _s_polynomial(form_i: tuple, form_j: tuple, ob: Obstruction) -> tuple:
     """left_i*p_i*right_i - left_j*p_j*right_j in integer form (den, terms),
-    over the lcm of the two polynomials' denominators, for any leading
-    coefficients."""
-    den_i, ints_i = p_i.int_form()
-    den_j, ints_j = p_j.int_form()
+    from the integer forms (den, terms) of p_i and p_j, over the lcm of
+    their denominators, for any leading coefficients."""
+    den_i, ints_i = form_i
+    den_j, ints_j = form_j
     den = lcm(den_i, den_j)
     a, b = den // den_i, den // den_j
     left, right = ob.left_i, ob.right_i
@@ -265,13 +283,15 @@ def normal_form(p: NcPoly, basis) -> NcPoly:
 
     Terms are rewritten largest first, each by the reducer whose leading
     monomial occurs leftmost in it, in integer arithmetic over one common
-    denominator, so any nonzero leading coefficient is exact.  Zero basis
-    elements generate nothing and are ignored.  The result is a canonical
-    representative once the basis is closed under the ambiguities below its
-    degree.
+    denominator, so any nonzero leading coefficient is exact.  The reducers
+    are the basis elements' cached integer forms, on tuple words.  Zero
+    basis elements generate nothing and are ignored.  The result is a
+    canonical representative once the basis is closed under the ambiguities
+    below its degree.
     """
     try:
-        index = ReducerIndex(b for b in basis if not b.is_zero)
+        index = ReducerIndex((b.lm(), b.int_form()[1])
+                             for b in basis if not b.is_zero)
         den, terms = _reduce_with_index(*p.int_form(), index)
     except _UnitIdeal:  # the basis [1]
         return NcPoly.zero()
@@ -280,32 +300,33 @@ def normal_form(p: NcPoly, basis) -> NcPoly:
     return NcPoly({w: Fraction(c, den) for w, c in terms.items()})
 
 
-def _interreduce(polys, deadline: float | None = None) -> list:
-    """Repeatedly reduce each element against the others; drop zeros.
-    Past ``deadline`` (checked before each element) return the set reached
-    so far, which generates the same ideal."""
-    current = [_monic(p.int_form()[1]) for p in polys if not p.is_zero]
+def _interreduce(rows, deadline: float | None = None) -> list:
+    """Repeatedly reduce each primitive row (lm, row) against the others;
+    drop zeros.  The result is primitive rows in ascending order of their
+    leading monomials.  Past ``deadline`` (checked before each element)
+    return the set reached so far, which generates the same ideal."""
+    current = list(rows)
     changed = True
     while changed:
         changed = False
         # ascending leading monomials: small reducers first
-        current.sort(key=lambda p: deglex_key(p.lm()))
+        current.sort(key=lambda r: deglex_key(r[0]))
         # while current[idx] is reduced, slot k < idx holds the reduced
         # current[k] (inactive if it reduced to zero) and slot k > idx the
         # original, so reducers are tried earlier elements first
         index = ReducerIndex(current)
-        for idx, p in enumerate(current):
+        for idx, (lm, row) in enumerate(current):
             if _past(deadline):
                 return index.active()
             index.deactivate(idx)
-            terms = _reduce_with_index(*p.int_form(), index)[1]
+            terms = _reduce_with_index(row[lm], row, index)[1]
             if not terms:
                 changed = True
                 continue
-            r = _monic(terms)
-            if r != p:
+            r = _primitive(terms)
+            if r[1] != row:
                 changed = True
-            index.replace(idx, r)
+            index.replace(idx, *r)
         current = index.active()
     return current
 
@@ -329,15 +350,26 @@ def buchberger(gens, max_degree: int,
     if max_degree < gen_deg:
         raise GroebnerError(
             f"degree cap {max_degree} below generator degree {gen_deg}")
+    labels = sorted({x for g in gens for w in g.terms for x in w})
+    code = {x: chr(rank) for rank, x in enumerate(labels)}
+
+    def polys(rows):
+        return [NcPoly({tuple(labels[ord(ch)] for ch in w): Fraction(c, row[lm])
+                        for w, c in row.items()}) for lm, row in rows]
 
     heap = []
     discarded = 0
     counter = 0
 
+    def form(k):
+        # the integer form of the monic element in slot k
+        row = index.rows[k]
+        return row[index.lms[k]], row
+
     def push_obstructions(new_idx):
         nonlocal discarded, counter
         new_lm = index.lms[new_idx]
-        for other in range(len(index.polys)):
+        for other in range(len(index.rows)):
             if not index.alive[other]:
                 continue
             if other == new_idx:
@@ -352,32 +384,31 @@ def buchberger(gens, max_degree: int,
                 counter += 1
                 heapq.heappush(heap, (ob.degree(), ob.word, counter, ob))
 
-    def add_element(h):
+    def add_element(lm_h, row_h):
         # deactivate anything whose leading monomial the new one divides,
         # re-reducing the remainder so nothing leaves the ideal
-        new_idx = index.add(h)
-        lm_h = h.lm()
+        new_idx = index.add(lm_h, row_h)
         for k in range(new_idx):
-            if not index.alive[k]:
-                continue
-            if find_subword(index.lms[k], lm_h) >= 0:
+            if index.alive[k] and lm_h in index.lms[k]:
                 index.deactivate(k)
-                leftover = _reduce_with_index(*index.polys[k].int_form(),
-                                              index)[1]
+                leftover = _reduce_with_index(*form(k), index)[1]
                 if leftover:
-                    add_element(_monic(leftover))
+                    add_element(*_primitive(leftover))
         push_obstructions(new_idx)
 
     steps = 0
     truncated = False
     try:
-        index = ReducerIndex(_interreduce(gens, deadline))
+        index = ReducerIndex(_interreduce(
+            (_primitive({"".join(map(code.__getitem__, w)): c
+                         for w, c in g.int_form()[1].items()})
+             for g in gens), deadline))
         if _past(deadline):
             # equal leading monomials may remain, and overlaps() gives no
             # obstruction for those, so no degree is certified complete
-            return PartialGB(index.active(), 0, exhausted=False,
+            return PartialGB(polys(index.active()), 0, exhausted=False,
                              truncated=True)
-        for idx in range(len(index.polys)):
+        for idx in range(len(index.rows)):
             push_obstructions(idx)
         while heap:
             if _past(deadline):
@@ -391,10 +422,10 @@ def buchberger(gens, max_degree: int,
             if index.find_reducer(ob.word, skip=(ob.i, ob.j)) is not None:
                 continue
             steps += 1
-            s_poly = _s_polynomial(index.polys[ob.i], index.polys[ob.j], ob)
+            s_poly = _s_polynomial(form(ob.i), form(ob.j), ob)
             rem = _reduce_with_index(*s_poly, index)[1]
             if rem:
-                add_element(_monic(rem))
+                add_element(*_primitive(rem))
     except _UnitIdeal:
         return PartialGB([NcPoly.one()], max_degree, exhausted=True,
                          steps=steps)
@@ -409,7 +440,7 @@ def buchberger(gens, max_degree: int,
     final = _interreduce(index.active(), deadline)
     if _past(deadline):  # keep the completeness the loop established
         final, truncated = index.active(), True
-    return PartialGB(basis=final, complete_up_to_degree=complete,
+    return PartialGB(basis=polys(final), complete_up_to_degree=complete,
                      exhausted=exhausted, truncated=truncated, steps=steps,
                      discarded_over_cap=discarded)
 

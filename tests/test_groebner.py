@@ -4,6 +4,7 @@ import bisect
 import functools
 import hashlib
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -340,6 +341,45 @@ def test_containment_criterion_skips_an_ambiguity_inside_a_degree_5_word():
         "u[1,1]*u[1,2]*u[1,2]", "u[1,2]*u[1,2]*u[1,2]"]
 
 
+def _shifted(p, k):
+    """p with every label (i, j) renamed (i + k, j + k)."""
+    return NcPoly({tuple((i + k, j + k) for i, j in w): c
+                   for w, c in p.terms.items()})
+
+
+@pytest.mark.parametrize("g, cap", [(complete_graph(3), 4),
+                                    (cycle_graph(4), 4)], ids=["K3", "C4"])
+def test_completion_is_equivariant_under_an_order_preserving_relabelling(
+        g, cap):
+    """Shifting every label by 8 moves the vertices 1..4 to 9..12, so the
+    labels cross from one decimal digit to two.  The shift keeps the label
+    order, so the completion must give the shifted basis in as many steps;
+    an alphabet that ordered the labels as decimal text would put (10, 10)
+    before (9, 9) and change both."""
+    rels = quantum_relations(g)
+    gb = buchberger(rels, max_degree=cap)
+    moved = buchberger([_shifted(p, 8) for p in rels], max_degree=cap)
+    assert moved.basis == [_shifted(p, 8) for p in gb.basis]
+    assert (moved.steps, moved.complete_up_to_degree, moved.exhausted,
+            moved.discarded_over_cap) == (gb.steps, gb.complete_up_to_degree,
+                                          gb.exhausted, gb.discarded_over_cap)
+
+
+def test_completion_over_more_than_256_labels():
+    """300 labels code words with characters up to chr(299), past one
+    byte.  The chain x_k - x_(k+1) makes every x_k equal to x_1, and the
+    idempotent on x_300 then reduces to one on x_1; the basis comes back
+    on tuple words."""
+    xs = [u(1, k) for k in range(1, 301)]
+    gens = [xs[k] - xs[k + 1] for k in range(299)] + [
+        xs[-1] * xs[-1] - xs[-1]]
+    gb = buchberger(gens, 3)
+    x1 = xs[0]
+    assert gb.basis == [x - x1 for x in xs[1:]] + [x1 * x1 - x1]
+    assert gb.steps == 1 and gb.exhausted and not gb.truncated
+    assert normal_form(xs[-1] * xs[-2], gb.basis) == x1
+
+
 # SHA-256 of the bases, completion statistics and commuting column pairs of
 # six inputs, as the straightforward completion (leading monomial recomputed
 # on every call, a fresh reducer index per inter-reduced element) gave them
@@ -392,7 +432,8 @@ def test_integer_s_polynomial_matches_its_definition(c5_basis):
                 range(len(basis)), 2):
             p_i, p_j = basis[i], basis[j]
             for ob in overlaps(p_i.lm(), p_j.lm(), i=i, j=j):
-                den, terms = _s_polynomial(p_i, p_j, ob)
+                den, terms = _s_polynomial(p_i.int_form(), p_j.int_form(),
+                                           ob)
                 want = p_i.conjugate_by_words(ob.left_i, ob.right_i) \
                     - p_j.conjugate_by_words(ob.left_j, ob.right_j)
                 got = NcPoly({w: Fraction(c, den) for w, c in terms.items()})
@@ -404,6 +445,18 @@ def test_integer_s_polynomial_matches_its_definition(c5_basis):
 
 def _ref_lm(p):
     return max(p.terms, key=deglex_key)
+
+
+def _row(p):
+    """The kernel's primitive row (lm, {word: int}) of a nonzero p, on
+    tuple words: the integer form of p.monic()."""
+    m = p.monic()
+    return m.lm(), m.int_form()[1]
+
+
+def _poly(lm, row):
+    """The monic NcPoly of a primitive row."""
+    return NcPoly({w: Fraction(c, row[lm]) for w, c in row.items()})
 
 
 def _ref_reduce(p, reducers):
@@ -483,7 +536,8 @@ def test_interreduce_matches_a_fresh_reducer_list(seed):
         rels = quantum_relations(g)
         for polys in (rels, _random_polys(rng, letters, 12),
                       rels + _random_ideal_elements(rng, rels, letters, 4)):
-            got = _interreduce(polys)
+            got = [_poly(*r) for r in
+                   _interreduce(_row(p) for p in polys if not p.is_zero)]
             assert got == _ref_interreduce(polys)
             for p in got:
                 assert p.lm() == max(p.terms, key=deglex_key)
@@ -500,7 +554,7 @@ def test_replaced_slots_keep_their_place_among_the_reducers(seed):
     words = [w for d in range(1, 4) for w in _words_of_degree(letters, d)]
     current = sorted((p.monic() for p in _random_polys(rng, letters, 12)
                       if not p.is_zero), key=lambda p: deglex_key(_ref_lm(p)))
-    index = ReducerIndex(current)
+    index = ReducerIndex(map(_row, current))
     nxt = []
     for idx, p in enumerate(current):
         index.deactivate(idx)
@@ -509,11 +563,12 @@ def test_replaced_slots_keep_their_place_among_the_reducers(seed):
             want = next(((b, pos) for pos in range(len(word)) for lm, b in fresh
                          if word[pos:pos + len(lm)] == lm), None)
             hit = index.find_reducer(word)
-            assert want == (hit and (index.polys[hit[0]], hit[1])), word
+            slot = hit and _poly(index.lms[hit[0]], index.rows[hit[0]])
+            assert want == (hit and (slot, hit[1])), word
         r = _ref_reduce(p, nxt + current[idx + 1:])
         if not r.is_zero:
             nxt.append(r.monic())
-            index.replace(idx, nxt[-1])
+            index.replace(idx, *_row(nxt[-1]))
 
 
 # -- dense linear-algebra membership oracle ---------------------------------
@@ -529,7 +584,11 @@ def _words_of_degree(letters, d):
 
 
 class SpanOracle:
-    """Row echelon (over Q) of all bounded-degree generator multiples."""
+    """Row echelon (over Q) of all bounded-degree generator multiples.
+
+    Fraction-free: every vector is an integer row, and each pivot row is
+    primitive (gcd 1, positive on its leading word), so it stands for the
+    monic rational row it is proportional to."""
 
     def __init__(self, gens, letters, max_deg):
         self.pivots = {}
@@ -542,11 +601,21 @@ class SpanOracle:
                             self._insert({a + w + b: c
                                           for w, c in gen.terms.items()})
 
+    @staticmethod
+    def _integral(raw):
+        """The rational vector ``raw`` times the lcm of its denominators."""
+        vec = {w: Fraction(c) for w, c in raw.items() if c}
+        den = math.lcm(*(c.denominator for c in vec.values()))
+        return {w: int(c * den) for w, c in vec.items()}
+
     def _reduce(self, vec):
-        """Eliminate the leading word of ``vec`` while a pivot has it.  The
-        words wait in one list ascending by ``deglex_key``, popped from the
-        end; a pivot row only adds words below its lead, so each goes in
-        by bisection, and a word cancelled meanwhile is skipped."""
+        """Eliminate the leading word of ``vec`` while a pivot has it: scale
+        ``vec`` by lc // g and subtract coeff // g times the pivot, where
+        lc is the pivot's leading coefficient, coeff the vector's and g
+        their gcd.  The words wait in one list ascending by ``deglex_key``,
+        popped from the end; a pivot row only adds words below its lead, so
+        each goes in by bisection, and a word cancelled meanwhile is
+        skipped."""
         todo = sorted(map(deglex_key, vec))
         while todo:
             lead = todo.pop()[1]
@@ -556,6 +625,12 @@ class SpanOracle:
             if pivot is None:
                 return vec, lead
             coeff = vec.pop(lead)
+            lc = pivot[lead]
+            g = math.gcd(coeff, lc)
+            scale, coeff = lc // g, coeff // g
+            if scale != 1:
+                for w in vec:
+                    vec[w] *= scale
             for w, c in pivot.items():
                 if w == lead:
                     continue
@@ -570,15 +645,15 @@ class SpanOracle:
         return vec, None
 
     def _insert(self, raw):
-        vec = {w: Fraction(c) for w, c in raw.items() if c}
-        vec, lead = self._reduce(vec)
+        vec, lead = self._reduce(self._integral(raw))
         if lead is not None:
-            lc = vec[lead]
-            self.pivots[lead] = {w: c / lc for w, c in vec.items()}
+            g = math.gcd(*vec.values())
+            if vec[lead] < 0:
+                g = -g
+            self.pivots[lead] = {w: c // g for w, c in vec.items()}
 
     def contains(self, poly):
-        vec = {w: Fraction(c) for w, c in poly.terms.items()}
-        _, lead = self._reduce(vec)
+        _, lead = self._reduce(self._integral(poly.terms))
         return lead is None
 
     def snapshot(self):
@@ -613,7 +688,9 @@ def test_span_oracle_pivots_are_pinned(n):
     pivots = edgeless_span_oracle(n).pivots
     digest = hashlib.sha256()
     for lead in sorted(pivots, key=deglex_key):
-        row = sorted(pivots[lead].items(), key=lambda wc: deglex_key(wc[0]))
+        lc = pivots[lead][lead]
+        monic = {w: Fraction(c, lc) for w, c in pivots[lead].items()}
+        row = sorted(monic.items(), key=lambda wc: deglex_key(wc[0]))
         digest.update(repr((lead, row)).encode())
     assert (len(pivots), digest.hexdigest()) == SPAN_ORACLE_PIVOTS[n]
 
