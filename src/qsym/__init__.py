@@ -16,7 +16,6 @@ from .graphs import (
     CirculantSpec,
     Graph,
     GraphError,
-    SemicirculantSpec,
     build_circulant,
     build_semicirculant,
     cartesian_product,

@@ -24,12 +24,12 @@ order) and embeds the graph, so a certificate file is self-contained.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import zip_longest
 from typing import Callable
 
 from .graphs import (
+    INFINITE,
     CirculantSpec,
     Graph,
     build_circulant,
@@ -367,14 +367,14 @@ def _one_common_neighbour_gen(g, kb, j, l, q):
 
 
 def _unique_in_colour(g, kb, j, l):
-    if g.distances()[j][l] == math.inf:
+    if g.distances()[j][l] == INFINITE:
         return "(j,l) disconnected"
     if narrowed(g, -1, j, l) != 1 << j:
         return "j is not the only vertex with its colour to l"
 
 
 def _choose_q_right(g, kb, j, l, q, survivors):
-    if g.distances()[j][l] == math.inf:
+    if g.distances()[j][l] == INFINITE:
         return "(j,l) disconnected"
     if not kb.knows_commute(l, q):
         return "commute({l,q}) not yet established"
@@ -390,7 +390,7 @@ def middle_ring(g, j, l, p):
     once."""
     c = g.pair_colours()
     k = c[j][l]
-    if g.distances()[j][l] == math.inf or c[p][l] != k or p == j:
+    if g.distances()[j][l] == INFINITE or c[p][l] != k or p == j:
         return None
     masks = g.colour_masks()
     return masks[j][k] & masks[p][k]
@@ -416,7 +416,7 @@ def _choose_q_middle(g, kb, j, l, p, q):
 
 
 def _adj_commute_close(g, kb, j, l):
-    if g.distances()[j][l] == math.inf:
+    if g.distances()[j][l] == INFINITE:
         return "(j,l) disconnected"
     if kb.survivors(j, l) & ~(1 << j) & ~kb.killed.get((j, l), 0):
         return "unkilled candidates remain for (j,l)"

@@ -32,13 +32,12 @@ quantum-symmetric.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
 from . import certificate as cert_mod
 from .certificate import Certificate, CommutationKB, step, verify_certificate
-from .graphs import Graph, injective_f_check
+from .graphs import INFINITE, Graph, injective_f_check
 from .perms import (
     AutGroup,
     DeadlineExceeded,
@@ -161,7 +160,7 @@ def kill_choose_q_middle(g: Graph, j, l, p):
 def prove_pair(kb: CommutationKB, j, l) -> bool:
     """Try to establish commute({j,l}); partial kills are kept either way."""
     g = kb.graph
-    if g.distances()[j][l] == math.inf:
+    if g.distances()[j][l] == INFINITE:
         raise EngineError(f"({j},{l}) lie in different components")
     if kb.knows_commute(j, l):
         return True

@@ -50,38 +50,6 @@ class CirculantSpec:
         return f"C{self.n}({','.join(str(k) for k in self.chords)})"
 
 
-@dataclass(frozen=True)
-class SemicirculantSpec:
-    """A circulant base plus extra chords anchored at alternating vertices.
-
-    Each offset l in ``plus_chords`` adds the edge {i, i+l mod n} for every
-    odd i.  Anchoring at odd vertices (with wraparound) is the convention
-    that reproduces the published pictures of these graphs and makes the
-    published automorphism witnesses hold verbatim; the even-anchored
-    variant is the same graph up to rotating all labels by one.
-    """
-
-    base: CirculantSpec
-    plus_chords: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "plus_chords", tuple(self.plus_chords))
-        seen = set()
-        for l in self.plus_chords:
-            if not (1 < l < self.base.n):
-                raise GraphError(f"offset {l} outside (1, {self.base.n})")
-            if l in seen:
-                raise GraphError("offsets must be distinct")
-            seen.add(l)
-
-    def name(self) -> str:
-        parts = [str(k) for k in self.base.chords]
-        parts += [f"{l}+" for l in self.plus_chords]
-        # conventional order lists small plain chords first, e.g. C12(2,5+)
-        parts.sort(key=lambda s: (int(s.rstrip("+"))))
-        return f"C{self.base.n}({','.join(parts)})"
-
-
 class Graph:
     """Immutable simple undirected graph on vertices 1..n."""
 
@@ -243,21 +211,29 @@ def build_circulant(spec: CirculantSpec) -> Graph:
     return Graph(n, edges, label=spec.name(), circulant=spec)
 
 
-def build_semicirculant(spec: SemicirculantSpec) -> Graph:
-    """Circulant base plus the offset chords from every odd vertex (mod n).
+def build_semicirculant(n: int, chords=(), plus=()) -> Graph:
+    """The circulant C_n(chords) plus, for each offset l in ``plus``, the
+    edge {i, i+l mod n} from every odd vertex i.
 
-    An offset edge that coincides with an existing base edge is silently
-    absorbed; the result stays a simple graph.
+    Anchoring at odd vertices (with wraparound) is the convention that
+    reproduces the published pictures of these graphs and makes the
+    published automorphism witnesses hold verbatim; the even-anchored
+    variant is the same graph up to rotating all labels by one.  An offset
+    edge that coincides with an existing base edge is silently absorbed;
+    the result stays a simple graph.  The label lists a plain chord before
+    an offset of the same size, e.g. C12(2,5+) or C12(6,6+).
     """
-    base = build_circulant(spec.base)
-    n = spec.base.n
-    edges = list(base.edges())
-    for i in range(1, n + 1, 2):
-        for l in spec.plus_chords:
-            j = (i - 1 + l) % n + 1
-            if j != i:
-                edges.append((i, j))
-    return Graph(n, edges, label=spec.name())
+    base, plus = CirculantSpec(n, chords), tuple(plus)
+    for k, l in enumerate(plus):
+        if not 1 < l < n:
+            raise GraphError(f"offset {l} outside (1, {n})")
+        if l in plus[:k]:
+            raise GraphError("offsets must be distinct")
+    edges = build_circulant(base).edges() + tuple(
+        (i, (i - 1 + l) % n + 1) for i in range(1, n + 1, 2) for l in plus)
+    parts = sorted([(k, "") for k in base.chords] + [(l, "+") for l in plus])
+    label = ",".join(f"{k}{mark}" for k, mark in parts)
+    return Graph(n, edges, label=f"C{n}({label})")
 
 
 def complement(g: Graph) -> Graph:

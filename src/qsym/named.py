@@ -12,7 +12,6 @@ from __future__ import annotations
 from .graphs import (
     CirculantSpec,
     Graph,
-    SemicirculantSpec,
     GraphError,
     build_circulant,
     build_semicirculant,
@@ -41,11 +40,6 @@ def path_graph(n: int) -> Graph:
 
 def circulant(n: int, *chords: int) -> Graph:
     return build_circulant(CirculantSpec(n, tuple(chords)))
-
-
-def semicirculant(n: int, chords=(), plus=()) -> Graph:
-    return build_semicirculant(
-        SemicirculantSpec(CirculantSpec(n, tuple(chords)), tuple(plus)))
 
 
 def cube_graph() -> Graph:
@@ -132,9 +126,9 @@ def petersen_graph() -> Graph:
     return Graph(10, edges, label="Petersen")
 
 
-def _k2_prism(h: Graph, label: str) -> Graph:
+def _k2_prism(h: Graph) -> Graph:
     """K2 [] h with the first h-copy on 1..n and the second on n+1..2n."""
-    return cartesian_product(complete_graph(2), h).relabel(label)
+    return cartesian_product(complete_graph(2), h)
 
 
 _BUILDERS = {
@@ -152,17 +146,16 @@ _BUILDERS = {
     "3C4": lambda: disjoint_copies(cycle_graph(4), 3).relabel("3C4"),
     "2K6": lambda: disjoint_copies(complete_graph(6), 2).relabel("2K6"),
     "2C6": lambda: disjoint_copies(cycle_graph(6), 2).relabel("2C6"),
-    "2(K2xK3)": lambda: disjoint_copies(
-        _k2_prism(complete_graph(3), "K2[]K3"), 2).relabel("2(K2[]K3)"),
+    "2(K2xK3)": lambda: disjoint_copies(_k2_prism(complete_graph(3)), 2),
     "2C6(2)": lambda: disjoint_copies(circulant(6, 2), 2).relabel("2C6(2)"),
     "2C6(3)": lambda: disjoint_copies(circulant(6, 3), 2).relabel("2C6(3)"),
     # products: direct for K6xK2/K3xK4, prisms K2[]h with outer ring 1..6
     "K6xK2": lambda: direct_product(complete_graph(6), complete_graph(2)),
     "K3xK4": lambda: direct_product(complete_graph(3), complete_graph(4)),
-    "K2xC6": lambda: _k2_prism(cycle_graph(6), "K2[]C6"),
-    "C4xC3": lambda: cartesian_product(cycle_graph(4), cycle_graph(3)).relabel("C4[]C3"),
-    "K2xC6(2)": lambda: _k2_prism(circulant(6, 2), "K2[]C6(2)"),
-    "K2xC6(3)": lambda: _k2_prism(circulant(6, 3), "K2[]C6(3)"),
+    "K2xC6": lambda: _k2_prism(cycle_graph(6)),
+    "C4xC3": lambda: cartesian_product(cycle_graph(4), cycle_graph(3)),
+    "K2xC6(2)": lambda: _k2_prism(circulant(6, 2)),
+    "K2xC6(3)": lambda: _k2_prism(circulant(6, 3)),
     # circulants
     "C12": lambda: circulant(12),
     "K12": lambda: complete_graph(12),
@@ -177,11 +170,11 @@ _BUILDERS = {
     "C12(4,5)": lambda: circulant(12, 4, 5),
     "C12(5,6)": lambda: circulant(12, 5, 6),
     # semicirculants
-    "C12(5+)": lambda: semicirculant(12, (), (5,)),
-    "C12(3+,6)": lambda: semicirculant(12, (6,), (3,)),
-    "C12(5+,6)": lambda: semicirculant(12, (6,), (5,)),
-    "C12(2,5+)": lambda: semicirculant(12, (2,), (5,)),
-    "C12(4,5+)": lambda: semicirculant(12, (4,), (5,)),
+    "C12(5+)": lambda: build_semicirculant(12, (), (5,)),
+    "C12(3+,6)": lambda: build_semicirculant(12, (6,), (3,)),
+    "C12(5+,6)": lambda: build_semicirculant(12, (6,), (5,)),
+    "C12(2,5+)": lambda: build_semicirculant(12, (2,), (5,)),
+    "C12(4,5+)": lambda: build_semicirculant(12, (4,), (5,)),
     # special cases
     "Cuboctahedron": cuboctahedron,
     "L(C6(2))": line_graph_c6_2,

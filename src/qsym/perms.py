@@ -45,14 +45,13 @@ class DeadlineExceeded(RuntimeError):
 
 
 class Permutation:
-    """Permutation of 1..n, stored as its image vector (1-based)."""
+    """Permutation of 1..n, built from the images p(1), ..., p(n) and
+    stored as the image vector ``(0, p(1), ..., p(n))`` (1-based)."""
 
     __slots__ = ("img",)
 
     def __init__(self, images):
-        img = tuple(images)
-        if img and img[0] != 0:
-            img = (0,) + img
+        img = (0, *images)
         n = len(img) - 1
         if sorted(img[1:]) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {img[1:]}")
@@ -133,7 +132,7 @@ def parse_cycles(text: str, n: int) -> Permutation:
     product."""
     img = list(range(n + 1))
     body = text.strip()
-    if body in ("()", "id", ""):
+    if body == "()":
         return Permutation.identity(n)
     if not (body.startswith("(") and body.endswith(")")):
         raise ValueError(f"bad cycle notation: {text!r}")

@@ -18,7 +18,7 @@ from qsym.catalog import (
 )
 from qsym.certificate import serialize_certificate
 from qsym.graphs import complement, injective_f_check
-from qsym.named import _ALIASES, build_named
+from qsym.named import _ALIASES, build_named, catalog_names
 from qsym.perms import (
     DeadlineExceeded,
     automorphism_group,
@@ -43,6 +43,10 @@ CATALOG_ROWS_SHA256 = \
 # derivation step.
 CATALOG_DERIVATIONS_SHA256 = \
     "261b473724ac31ea1dd541cdbec31d6cce4fd35144a3c0e9e1fc738cb519827b"
+# SHA-256 over every catalog graph, in ``catalog_names()`` order: its
+# name, label, order, edge tuple and circulant spec, one line each.
+NAMED_GRAPHS_SHA256 = \
+    "ed0cfa5f12e0317902ef5625b43c4b97c97847aeaf0795ba6519ff9943b35669"
 
 
 def test_catalog_shape():
@@ -220,3 +224,15 @@ def test_catalog_rows_are_pinned(monkeypatch):
 
     assert digest(str) == CATALOG_ROWS_SHA256
     assert digest(derivation) == CATALOG_DERIVATIONS_SHA256
+
+
+def test_every_named_graph_is_pinned():
+    """Each constructor rebuilds its graph, label and circulant spec
+    exactly; a changed labelling or label moves the digest."""
+    lines = []
+    for name in catalog_names():
+        g = build_named(name)
+        lines.append(
+            f"{name}|{g.label}|{g.n}|{g.edges()}|{g.circulant}\n")
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert digest == NAMED_GRAPHS_SHA256

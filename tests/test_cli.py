@@ -134,6 +134,17 @@ def test_readme_command_lines_parse():
         build_parser().parse_args(argv[1:])
 
 
+def test_readme_python_blocks_run():
+    """Every fenced ``python`` block of README.md runs as written, so a
+    renamed or removed public name cannot rot the docs unseen."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+
+
 def test_graph_file_roundtrip(tmp_path):
     g = build_named("C12(3+,6)")
     path = tmp_path / "g.txt"

@@ -11,7 +11,6 @@ from qsym.graphs import (
     CirculantSpec,
     Graph,
     GraphError,
-    SemicirculantSpec,
     build_circulant,
     build_semicirculant,
     cartesian_product,
@@ -115,9 +114,25 @@ def test_semicirculant_even_anchored_variant_is_the_same_up_to_rotation():
 
 def test_semicirculant_offset_collision_stays_simple():
     # offset 6 duplicates the diameter chords of the base; silently absorbed
-    g = build_semicirculant(
-        SemicirculantSpec(CirculantSpec(12, (6,)), (6,)))
+    g = build_semicirculant(12, (6,), (6,))
     assert g == Graph(12, circulant(12, 6).edges())
+
+
+def test_semicirculant_offsets_are_checked():
+    with pytest.raises(GraphError, match="offsets must be distinct"):
+        build_semicirculant(12, (), (5, 5))
+    for plus in ((12,), (1,)):
+        with pytest.raises(GraphError, match=r"outside \(1, 12\)"):
+            build_semicirculant(12, (), plus)
+    # the base is checked as a circulant: chords lie in (1, n//2]
+    with pytest.raises(GraphError, match=r"chord 7 outside \(1, 6\]"):
+        build_semicirculant(12, (7,), ())
+
+
+def test_semicirculant_label_lists_a_plain_chord_first():
+    assert build_semicirculant(12, (2,), (5,)).label == "C12(2,5+)"
+    assert build_semicirculant(12, (6,), (6,)).label == "C12(6,6+)"
+    assert build_semicirculant(12, (6,), (5, 3)).label == "C12(3+,5+,6)"
 
 
 def test_semicirculant_c12_3plus6_matches_published_picture():

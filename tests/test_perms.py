@@ -66,6 +66,18 @@ def test_parse_cycles_refuses_a_vertex_in_two_cycles():
     assert parse_cycles("(1,2)(3,4)", 5) == Permutation([2, 1, 4, 3, 5])
 
 
+def test_permutation_reads_only_the_written_forms():
+    """The identity is ``()``, the one spelling ``str`` writes, and a
+    Permutation takes the images of 1..n with no leading 0."""
+    assert parse_cycles(" () ", 5) == Permutation.identity(5)
+    for text in ("id", ""):
+        with pytest.raises(ValueError, match="bad cycle notation"):
+            parse_cycles(text, 5)
+    with pytest.raises(ValueError, match="not a permutation"):
+        Permutation((0, 2, 1))
+    assert Permutation([]).n == 0
+
+
 def test_parse_cycles_reads_only_decimal_digits():
     for text in ("(1,+2)", "(1_0,2)", "(-1,2)", "(1,2.0)", "(1)"):
         with pytest.raises(ValueError, match="bad cycle"):
