@@ -10,7 +10,7 @@ from itertools import combinations
 
 from qsym import automorphism_group, find_disjoint_automorphisms
 from qsym.named import build_named
-from qsym.perms import act_on_pair
+from qsym.perms import act_on_pair, walk
 
 print("orders of some automorphism groups (exact, via orbit-stabilizer "
       "counting):")
@@ -37,10 +37,11 @@ aut = automorphism_group(g)
 d = g.distances()
 seen = set()
 for i, j in combinations(g.vertices(), 2):
-    if frozenset((i, j)) in seen:
+    pair = frozenset((i, j))
+    if pair in seen:
         continue
-    orbit = aut.orbit(frozenset((i, j)), act_on_pair)
-    seen |= orbit.keys()
+    orbit = walk({pair}, (pair,), aut.generators, act_on_pair)
+    seen |= orbit
     sample = sorted(tuple(sorted(p)) for p in orbit)[:4]
     print(f"  orbit of {(i, j)}: distance {d[i][j]}, size {len(orbit)}, "
           f"e.g. {sample}")

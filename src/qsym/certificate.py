@@ -32,6 +32,7 @@ from .graphs import (
     INFINITE,
     CirculantSpec,
     Graph,
+    _decimal,
     build_circulant,
     common_neighbours,
     has_quadrangle,
@@ -134,14 +135,6 @@ def _ser_value(key, value):
     if key in ("survivors", "chords", "bases"):
         return ",".join(str(v) for v in value) or "-"
     return str(value)
-
-
-def _decimal(text):
-    """The integer that ``text`` writes in ASCII decimal digits; ``int``
-    alone would also read ``1_0`` and ``+3``, which do not write back."""
-    if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"not a decimal integer: {text!r}")
-    return int(text)
 
 
 def _parse_value(key, text, n):

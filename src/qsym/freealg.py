@@ -30,17 +30,6 @@ def deglex_key(word: Word):
     return (len(word), word)
 
 
-def find_subword(haystack: Word, needle: Word) -> int:
-    """Leftmost offset where needle occurs as a contiguous subword, else -1."""
-    nh, nn = len(haystack), len(needle)
-    if nn == 0:
-        return 0
-    for off in range(nh - nn + 1):
-        if haystack[off:off + nn] == needle:
-            return off
-    return -1
-
-
 def _exact(coeff) -> Fraction:
     if isinstance(coeff, float):
         raise TypeError(f"float coefficient {coeff!r}: coefficients must be "

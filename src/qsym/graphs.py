@@ -117,9 +117,6 @@ class Graph:
     def num_edges(self) -> int:
         return sum(self.degree(i) for i in self.vertices()) // 2
 
-    def degree_sequence(self):
-        return sorted(self.degree(i) for i in self.vertices())
-
     def relabel(self, label) -> "Graph":
         g = Graph(self.n, self.edges(), label=label, circulant=self.circulant)
         return g
@@ -445,6 +442,14 @@ def cosine_sums(spec: CirculantSpec):
 # comment.  This is the CLI ingestion format.
 
 
+def _decimal(text):
+    """The integer that ``text`` writes in ASCII decimal digits; ``int``
+    alone would also read ``1_0`` and ``+3``, which do not write back."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def write_graph(g: Graph) -> str:
     lines = []
     if g.label:
@@ -465,16 +470,17 @@ def read_graph(text: str, label="") -> Graph:
         if parts[0] == "p":
             if n is not None:
                 raise GraphError(f"line {lineno}: repeated p line")
-            if len(parts) != 2 or not parts[1].isdigit():
-                raise GraphError(f"line {lineno}: expected 'p <n>'")
-            n = int(parts[1])
+            try:
+                (n,) = map(_decimal, parts[1:])
+            except ValueError:
+                raise GraphError(f"line {lineno}: expected 'p <n>'") from None
         elif parts[0] == "e":
             if n is None:
                 raise GraphError(f"line {lineno}: edge before 'p' line")
             if len(parts) != 3:
                 raise GraphError(f"line {lineno}: expected 'e <i> <j>'")
             try:
-                i, j = int(parts[1]), int(parts[2])
+                i, j = map(_decimal, parts[1:])
             except ValueError:
                 raise GraphError(f"line {lineno}: non-integer endpoint") from None
             edges.append((i, j))

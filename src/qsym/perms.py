@@ -26,10 +26,8 @@ c(sigma x, sigma v) = c(x, u) for every outside x, and u, being moved as
 well, lies inside.  The chain and the scan check a
 ``time.monotonic()`` deadline at every node of every search, and the scan
 also on entry and once per vertex while it builds its twin masks.  Vertex
-and pair orbits come from one walk, ``walk``, which returns the points
-only, with ``act_on_pair`` as the action on unordered pairs;
-``AutGroup.orbit`` also composes a witness automorphism per point, for the
-callers that want one.
+and pair orbits come from one walk, ``walk``, which returns the points,
+with ``act_on_pair`` as the action on unordered pairs.
 """
 
 from __future__ import annotations
@@ -81,12 +79,6 @@ class Permutation:
             raise ValueError("permutations of different degrees")
         return Permutation._trusted(
             tuple(map(self.img.__getitem__, other.img)))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * (self.n + 1)
-        for v in range(1, self.n + 1):
-            inv[self.img[v]] = v
-        return Permutation._trusted(tuple(inv))
 
     def is_identity(self) -> bool:
         return all(self.img[v] == v for v in range(1, self.n + 1))
@@ -280,22 +272,6 @@ class AutGroup:
     generators: tuple
     order: int
 
-    def orbit(self, root, act=Permutation.__call__) -> dict:
-        """{x: automorphism taking root to x} over root's whole orbit, by
-        BFS over generator applications ``act(gen, x)``, for the callers
-        that want a witness per point; ``walk`` gives the points alone."""
-        reached = {root: Permutation.identity(self.n)}
-        queue = [root]
-        while queue:
-            x = queue.pop()
-            phi = reached[x]
-            for gen in self.generators:
-                y = act(gen, x)
-                if y not in reached:
-                    reached[y] = gen * phi
-                    queue.append(y)
-        return reached
-
     def vertex_orbits(self):
         """Orbits of vertices, each sorted, ordered by smallest element."""
         orbits, seen = [], set()
@@ -356,7 +332,7 @@ def is_vertex_transitive(g: Graph, group: AutGroup | None = None) -> bool:
 
 def act_on_pair(gen: Permutation, pair: frozenset) -> frozenset:
     """The image of an unordered pair {i,j}, or of a diagonal {j}, as an
-    action for ``walk`` and ``AutGroup.orbit``."""
+    action for ``walk``."""
     return frozenset(map(gen.img.__getitem__, pair))
 
 

@@ -16,7 +16,7 @@ from qsym.certificate import (
     verify_certificate,
 )
 from qsym.engine import decide, lemma_fixpoint
-from qsym.graphs import Graph, common_neighbours, triple_condition
+from qsym.graphs import Graph, GraphError, common_neighbours, triple_condition
 from qsym.named import build_named, circulant, cycle_graph
 from qsym.perms import automorphism_group, is_automorphism, parse_cycles
 
@@ -514,9 +514,17 @@ def test_parse_refuses_a_signed_integer():
         parse_certificate(text)
 
 
+def test_parse_refuses_a_signed_integer_in_a_graph_record():
+    """The graph records are read through the same decimal reader as the
+    step fields, so ``+1`` is refused before any read-back."""
+    forged = _c5_text().replace("graph e 1 2", "graph e +1 2", 1)
+    with pytest.raises(GraphError, match="non-integer endpoint"):
+        parse_certificate(forged)
+
+
 @pytest.mark.parametrize("canonical, variant", [
     ("graph e 1 2", "graph e 2 1"),
-    ("graph e 1 2", "graph e +1 2"),
+    ("graph e 1 2", "graph e 01 2"),
     ("graph e 1 2", "graph e 1 2 # x"),
     ("ADJ_COMMUTE_CLOSE j=1 l=3", "ADJ_COMMUTE_CLOSE j=01 l=3"),
     ("phi=(1,2)(3,5)", "phi=(3,5)(2,1)"),

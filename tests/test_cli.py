@@ -341,6 +341,15 @@ def test_report_subclass_and_structured(capsys, tmp_path):
     assert payload["contradictions"] == []
 
 
+def test_report_offers_only_the_subclasses_of_its_rows(capsys):
+    """``report`` runs the 37 twelve-vertex rows only, so a subclass that
+    none of them has would print an empty table and exit 0, "decided"."""
+    code, _, err = run(capsys, "report", "--subclass", "sanity")
+    assert code == EXIT_ERROR and "usage:" in err
+    assert set(qsym.catalog.SUBCLASSES) == {
+        e.subclass for e in qsym.catalog.twelve_vertex_entries()}
+
+
 def test_report_exits_2_when_a_row_is_undecided(capsys, monkeypatch,
                                                tmp_path):
     """The full report decides all 37 rows and exits 0.  With no row wrong,

@@ -24,7 +24,12 @@ from qsym.certificate import (
     verify_certificate,
 )
 from qsym.catalog import twelve_vertex_entries
-from qsym.graphs import common_neighbours, disjoint_copies, injective_f_check
+from qsym.graphs import (
+    Graph,
+    common_neighbours,
+    disjoint_copies,
+    injective_f_check,
+)
 from qsym.named import (
     build_named,
     circulant,
@@ -196,6 +201,15 @@ def test_prove_pair_c5_adjacent():
     assert prove_pair(kb, 1, 2)
     kinds = [s.kind for s in kb.log]
     assert cm.CHOOSE_Q_MIDDLE in kinds and kinds[-1] == cm.ADJ_COMMUTE_CLOSE
+
+
+def test_prove_pair_refuses_a_pair_across_components():
+    """K1 + K3: vertex 1 is isolated, so no rule may speak of (1,2)."""
+    kb = CommutationKB(Graph(4, [(2, 3), (3, 4), (2, 4)]))
+    with pytest.raises(EngineError, match=r"\(1,2\) lie in different "
+                       "components"):
+        prove_pair(kb, 1, 2)
+    assert kb.log == []
 
 
 def test_prove_pair_must_fail_on_quantum_graph():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from qsym.freealg import NcPoly, deglex_key, find_subword, parse_poly
+from qsym.freealg import NcPoly, deglex_key, parse_poly
 
 
 def u(i, j):
@@ -41,13 +41,6 @@ def test_monic_and_degree():
     assert NcPoly.zero().degree() == 0
     with pytest.raises(ValueError):
         NcPoly.zero().lm()
-
-
-def test_find_subword():
-    word = ((1, 1), (1, 2), (1, 1), (1, 2))
-    assert find_subword(word, ((1, 2), (1, 1))) == 1
-    assert find_subword(word, ((2, 2),)) == -1
-    assert find_subword(word, ()) == 0
 
 
 def test_parse_and_print():

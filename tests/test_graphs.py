@@ -376,6 +376,22 @@ def test_text_format_roundtrip():
             read_graph(bad)
 
 
+def test_read_graph_reads_only_ascii_decimal_digits():
+    """``int`` alone reads a superscript two as an error that names no
+    line, Arabic-Indic digits as numbers, ``+1`` as 1 and ``1_0`` as 10;
+    each is refused with its line number, as certificate fields are."""
+    for bad, lineno in [("p \u00b2", 1),
+                        ("p \u0663\ne \u0661 \u0662", 1),
+                        ("p 3\ne \u0661 \u0662", 2),
+                        ("p 3\ne +1 2", 2),
+                        ("p 12\ne 1_0 2", 2)]:
+        with pytest.raises(GraphError, match=f"^line {lineno}: "):
+            read_graph(bad)
+    for entry in catalog():
+        g = entry.build()
+        assert read_graph(write_graph(g)) == Graph(g.n, g.edges())
+
+
 def _check_colour_masks(g):
     """Each row of ``g.colour_masks()`` splits 1..n into disjoint masks,
     and y lies in masks[x][col] exactly when c(x, y) = col."""

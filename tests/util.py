@@ -8,7 +8,7 @@ import random
 import qsym.engine
 from qsym.graphs import Graph
 from qsym.named import circulant
-from qsym.perms import AutGroup, Permutation, find_automorphism
+from qsym.perms import Permutation, find_automorphism
 
 
 def circulants(top=16):
@@ -58,11 +58,18 @@ def elements(aut):
     one witness per chain level: level v's transversal is v's orbit, with
     its witnesses, under the generators that fix 1..v-1 (smallest moved
     vertex v or more)."""
-    elems = [Permutation.identity(aut.n)]
+    one = Permutation.identity(aut.n)
+    elems = [one]
     for v in range(aut.n, 0, -1):
-        level = AutGroup(aut.n, tuple(gen for gen in aut.generators
-                                      if gen.support()[0] >= v), 0)
-        elems = [t * e for t in level.orbit(v).values() for e in elems]
+        gens = [gen for gen in aut.generators if gen.support()[0] >= v]
+        witness, todo = {v: one}, [v]
+        while todo:
+            x = todo.pop()
+            for gen in gens:
+                if gen(x) not in witness:
+                    witness[gen(x)] = gen * witness[x]
+                    todo.append(gen(x))
+        elems = [t * e for t in witness.values() for e in elems]
     return elems
 
 
@@ -116,7 +123,8 @@ def find_isomorphism(g: Graph, h: Graph):
     """Explicit isomorphism by backtracking with degree/distance pruning."""
     if g.n != h.n or g.num_edges() != h.num_edges():
         return None
-    if g.degree_sequence() != h.degree_sequence():
+    if sorted(map(g.degree, g.vertices())) != \
+            sorted(map(h.degree, h.vertices())):
         return None
     dg, dh = g.distances(), h.distances()
 
