@@ -148,10 +148,6 @@ def entry_by_name(name: str) -> CatalogEntry:
     raise KeyError(f"no catalog entry named {name!r}")
 
 
-def quantum_flagged_names():
-    return [e.name for e in twelve_vertex_entries() if e.expected_has_qsym]
-
-
 # -- batch report ------------------------------------------------------------
 
 

@@ -41,7 +41,7 @@ from .graphs import (
     side_condition_breaker,
     triple_condition,
 )
-from .perms import act_on_pair, is_automorphism, parse_cycles, walk
+from .perms import is_automorphism, parse_cycles, walk
 
 # step kinds
 QUADRANGLE_FREE = "QUADRANGLE_FREE"
@@ -172,7 +172,8 @@ def parse_certificate(text: str) -> Certificate:
     serialization, up to blank lines and surrounding whitespace: a line
     that would read back differently (``graph e 2 1``, ``j=01``, a cycle
     written from another vertex) is refused by name."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    rows = [ln.strip() for ln in text.splitlines()]
+    lines = [ln for ln in rows if ln]
     if lines and lines[0] in RETIRED:
         raise ValueError(f"{lines[0]} is retired: {RETIRED[lines[0]]}; "
                          f"re-run `qsym certificate` on the graph")
@@ -181,15 +182,16 @@ def parse_certificate(text: str) -> Certificate:
     if len(lines) < 2 or not lines[1].startswith("verdict "):
         raise ValueError("missing verdict line")
     verdict = lines[1].split(None, 1)[1]
-    graph_lines, step_lines = [], []
+    step_lines = []
     for ln in lines[2:]:
-        if ln.startswith("graph "):
-            graph_lines.append(ln[6:])
-        elif ln.startswith("step "):
+        if ln.startswith("step "):
             step_lines.append(ln[5:])
-        else:
+        elif not ln.startswith("graph "):
             raise ValueError(f"not a graph or step record: {ln!r}")
-    g = read_graph("\n".join(graph_lines))
+    # the other lines blanked, so read_graph names a bad graph record by
+    # its line in the file
+    g = read_graph("\n".join(ln[6:] if ln.startswith("graph ") else ""
+                             for ln in rows))
     n = g.n
     steps = []
     for ln in step_lines:
@@ -228,27 +230,35 @@ def bits(mask) -> tuple:
 
 class CommutationKB:
     """Monotone store of proven facts, searched by the lemma engine and
-    replayed into by the verifier.  ``commute`` holds column pairs {j,l},
-    ``killed[(j,l)]`` the bitmask of the vertices p killed for (j,l),
-    ``candidates[(j,l)]`` that of the survivors of the reductions so far,
-    ``generators`` the automorphisms that accepted ``GENERATOR`` steps
-    have stated, and ``unwalked`` the commute pairs whose images under
-    them the next ``ORBIT_CLOSE`` must add.  For phi in Aut(G), u_ij ->
-    u_phi(i)phi(j) extends to an automorphism of the algebra, so each
-    image of a commute fact is one too.  Facts only enter through
-    :meth:`apply`."""
+    replayed into by the verifier.  ``commute`` holds column pairs {j,l}
+    as integer codes: with m = n + 1 and j <= l, {j,l} has the code
+    j*m + l, and a diagonal {j} the code j*m + j; the code is injective
+    on the vertices 0..n only, which is why the verifier refuses any
+    other vertex before a check runs.  ``killed[(j,l)]`` is the bitmask
+    of the vertices p killed for (j,l), ``candidates[(j,l)]`` that of the
+    survivors of the reductions so far, ``generators`` the automorphisms
+    that accepted ``GENERATOR`` steps have stated, ``tables`` their pair
+    tables, and ``unwalked`` the commute codes whose images under them
+    the next ``ORBIT_CLOSE`` must add.  The pair table of phi maps the
+    code of (i,j), i*m + j for any order of i and j, to the code of
+    {phi(i), phi(j)}.  For phi in Aut(G), u_ij -> u_phi(i)phi(j) extends
+    to an automorphism of the algebra, so each image of a commute fact
+    is one too.  Facts only enter through :meth:`apply`."""
 
     def __init__(self, g: Graph):
         self.graph = g
+        self.m = g.n + 1
         self.commute: set = set()
         self.killed: dict = {}
         self.candidates: dict = {}
         self.generators: list = []
+        self.tables: list = []
         self.unwalked: set = set()
         self.log: list = []
 
     def knows_commute(self, j, l) -> bool:
-        return j == l or frozenset((j, l)) in self.commute
+        return j == l or (j * self.m + l if j <= l
+                          else l * self.m + j) in self.commute
 
     def survivors(self, j, l) -> int:
         """Candidates for (j,l) as a bitmask: P0 = {p : c(p,l) = c(j,l)},
@@ -272,21 +282,25 @@ class CommutationKB:
 
     # effects: each adds the facts an accepted step's fields establish
     def _commute_edges(self):
-        edges = [frozenset(e) for e in self.graph.edges()]
-        self.commute.update(edges)
-        self.unwalked.update(edges)
+        m = self.m
+        codes = [i * m + j for i, j in self.graph.edges()]
+        self.commute.update(codes)
+        self.unwalked.update(codes)
 
     def _commute(self, j, l, **_):
-        pair = frozenset((j, l))
-        self.commute.add(pair)
-        self.unwalked.add(pair)
+        code = j * self.m + l if j <= l else l * self.m + j
+        self.commute.add(code)
+        self.unwalked.add(code)
 
     def _add_generator(self, phi):
+        img, m = phi.img, self.m
         self.generators.append(phi)
+        self.tables.append([a * m + b if a <= b else b * m + a
+                            for a in img for b in img])
         self.unwalked = set(self.commute)
 
     def _close(self):
-        walk(self.commute, self.unwalked, self.generators, act_on_pair)
+        walk(self.commute, self.unwalked, self.tables, list.__getitem__)
         self.unwalked = set()
 
     def _narrow(self, j, l, survivors, **_):
@@ -389,13 +403,15 @@ def middle_ring(g, j, l, p):
     return masks[j][k] & masks[p][k]
 
 
-def middle_q_fails(g, ring, j, l, p, q):
+def middle_q_fails(colours, masks, ring, j, l, p, q):
     """Why q cannot kill u_ij u_kl u_ip by the middle rule, given
-    ``ring = middle_ring(g, j, l, p)``; None when it can."""
-    cq = g.pair_colours()[q]
+    ``ring = middle_ring(g, j, l, p)`` and the graph's tables
+    ``colours = g.pair_colours()`` and ``masks = g.colour_masks()``, which
+    a search over q fetches once; None when it can."""
+    cq = colours[q]
     if cq[j] == cq[p]:
         return "q does not separate j from p"
-    if ring & g.colour_masks()[q][cq[l]] != 1 << l:
+    if ring & masks[q][cq[l]] != 1 << l:
         return "l not unique for the middle rule"
 
 
@@ -405,7 +421,8 @@ def _choose_q_middle(g, kb, j, l, p, q):
     ring = middle_ring(g, j, l, p)
     if ring is None:
         return "bad p for the middle rule on (j,l)"
-    return middle_q_fails(g, ring, j, l, p, q)
+    return middle_q_fails(g.pair_colours(), g.colour_masks(), ring,
+                          j, l, p, q)
 
 
 def _adj_commute_close(g, kb, j, l):

@@ -152,9 +152,10 @@ def kill_choose_q_middle(g: Graph, j, l, p):
     ring = cert_mod.middle_ring(g, j, l, p)
     if ring is None:
         return None
+    colours, masks = g.pair_colours(), g.colour_masks()
     return next((q for q in g.vertices()
-                 if cert_mod.middle_q_fails(g, ring, j, l, p, q) is None),
-                None)
+                 if cert_mod.middle_q_fails(colours, masks, ring,
+                                            j, l, p, q) is None), None)
 
 
 def prove_pair(kb: CommutationKB, j, l) -> bool:

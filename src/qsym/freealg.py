@@ -141,11 +141,6 @@ class NcPoly:
                 out[w] = out.get(w, 0) + c1 * c2
         return NcPoly(out)
 
-    def conjugate_by_words(self, left: Word, right: Word) -> "NcPoly":
-        """left * self * right for plain words, without building monomials."""
-        return NcPoly({tuple(left) + w + tuple(right): c
-                       for w, c in self.terms.items()})
-
     def __eq__(self, other):
         return isinstance(other, NcPoly) and self.terms == other.terms
 

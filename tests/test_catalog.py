@@ -10,7 +10,6 @@ from qsym.catalog import (
     CatalogEntry,
     catalog,
     entry_by_name,
-    quantum_flagged_names,
     report_markdown,
     run_entry,
     run_report,
@@ -64,7 +63,8 @@ def test_catalog_shape():
 
 
 def test_quantum_flags():
-    assert set(quantum_flagged_names()) == EXPECTED_QUANTUM
+    assert {e.name for e in twelve_vertex_entries()
+            if e.expected_has_qsym} == EXPECTED_QUANTUM
     assert len(EXPECTED_QUANTUM) == 21
 
 

@@ -80,7 +80,7 @@ def test_render_markdown_groups_tables():
     assert "| 1 | 7 | 8 | 3 |" in md  # (1,7) now closes by kills alone
     # the published reduction row still holds once commute{7,2} is known
     kb = cm.CommutationKB(g)
-    kb.commute.add(frozenset((7, 2)))
+    kb._commute(7, 2)
     assert cm.RULES[cm.CHOOSE_Q_RIGHT].check(g, kb, 1, 7, 2, (1, 8)) is None
 
 
@@ -156,7 +156,8 @@ def test_mask_predicates_agree_with_a_list_reference():
                             why = "l not unique for the middle rule"
                         else:
                             why = None
-                        assert cm.middle_q_fails(g, got, j, l, p, q) == why, \
+                        assert cm.middle_q_fails(
+                            c, g.colour_masks(), got, j, l, p, q) == why, \
                             (g, j, l, p, q)
 
 
@@ -519,6 +520,22 @@ def test_parse_refuses_a_signed_integer_in_a_graph_record():
     step fields, so ``+1`` is refused before any read-back."""
     forged = _c5_text().replace("graph e 1 2", "graph e +1 2", 1)
     with pytest.raises(GraphError, match="non-integer endpoint"):
+        parse_certificate(forged)
+
+
+@pytest.mark.parametrize("blank_lines, canonical, variant, line", [
+    (0, "graph e 1 2", "graph e +1 2", 4),
+    (2, "graph e 2 3", "graph e 2 x", 8),
+])
+def test_parse_names_a_bad_graph_record_by_its_line_in_the_file(
+        blank_lines, canonical, variant, line):
+    """A bad graph record is reported with its line number in the whole
+    text, blank lines included, not its position among the graph
+    records."""
+    forged = "\n" * blank_lines + _c5_text().replace(canonical, variant, 1)
+    assert forged.splitlines()[line - 1] == variant
+    with pytest.raises(GraphError,
+                       match=f"^line {line}: non-integer endpoint"):
         parse_certificate(forged)
 
 

@@ -45,11 +45,13 @@ from qsym.perms import (
     act_on_pair,
     automorphism_group,
     find_disjoint_automorphisms,
+    walk,
 )
 
 from replayer import IndependentReplayer, closure
 from util import (
     circulants,
+    commute_pairs,
     derivation,
     discrete_colouring,
     latin_square_graph,
@@ -151,7 +153,7 @@ def test_reduce_candidates_c5():
 def test_reduce_candidates_k2c6():
     g = build_named("K2xC6")
     kb = CommutationKB(g)
-    kb.commute.add(frozenset((7, 2)))  # the distance-2 fact the reduction uses
+    kb._commute(7, 2)  # the distance-2 fact the reduction uses
     survivors = reduce_candidates(kb, 1, 7)
     assert survivors == {1, 8}
     step = _pairs_with(kb, cm.CHOOSE_Q_RIGHT, j=1, l=7)[0]
@@ -236,7 +238,7 @@ def test_close_transfers_through_the_mirror():
     kb.apply(cm.step(cm.ORBIT_CLOSE))
     orbit = closure({frozenset((1, 3))}, aut.generators)
     assert kb.knows_commute(1, 5) and frozenset((1, 5)) in orbit
-    assert kb.commute == orbit
+    assert commute_pairs(kb) == orbit
 
 
 def test_close_under_automorphisms_idempotent():
@@ -249,11 +251,11 @@ def test_close_under_automorphisms_idempotent():
     assert closed and kb.generators == list(aut.generators)
     kb.apply(cm.step(cm.ORBIT_CLOSE))
     assert not kb.unwalked
-    before = set(kb.commute)
+    before = commute_pairs(kb)
     kb.apply(cm.step(cm.ORBIT_CLOSE))
-    assert kb.commute == before
-    assert all(act_on_pair(gen, pair) in kb.commute
-               for gen in kb.generators for pair in kb.commute)
+    assert commute_pairs(kb) == before
+    assert all(act_on_pair(gen, pair) in before
+               for gen in kb.generators for pair in before)
 
 
 def test_a_generator_stated_after_commute_facts_transports_them():
@@ -299,7 +301,55 @@ def test_a_diagonal_fact_closes_under_the_generators():
     kb = CommutationKB(g)
     for s in steps[:-1]:
         kb.apply(s)
-    assert {frozenset((v,)) for v in g.vertices()} <= kb.commute
+    assert {frozenset((v,)) for v in g.vertices()} <= commute_pairs(kb)
+
+
+def test_pair_tables_map_each_pair_code_as_act_on_pair_maps_the_pair():
+    """The pair table of a stated generator phi sends the code of (i, j),
+    i*(n+1) + j in either order, to the code a*(n+1) + b of {phi(i),
+    phi(j)} = {a, b}, a <= b: every generator of the 37 catalog rows and
+    of the circulants with n <= 12, every pair of vertices 1..n, the
+    diagonal and vertex n included."""
+    graphs = [e.build() for e in twelve_vertex_entries()] + circulants(12)
+    checked = 0
+    for g in graphs:
+        kb = CommutationKB(g)
+        for phi in automorphism_group(g).generators:
+            kb.apply(cm.step(cm.GENERATOR, phi=phi))
+        m = g.n + 1
+        for phi, table in zip(kb.generators, kb.tables):
+            assert len(table) == m * m
+            for i in g.vertices():
+                for j in g.vertices():
+                    a, b = divmod(table[i * m + j], m)
+                    assert a <= b and {a, b} == \
+                        act_on_pair(phi, frozenset((i, j))), (g.label, i, j)
+            checked += 1
+    assert checked > len(graphs)
+
+
+def test_orbit_close_adds_exactly_the_closure_of_the_known_facts():
+    """Replaying each closed circulant certificate with n <= 12 step by
+    step, every ORBIT_CLOSE leaves the commute facts equal to the closure
+    of the facts before it under the stated generators, walked with
+    ``act_on_pair``: nothing is missed, and no fact outside the orbits
+    is added."""
+    replayed = closes = 0
+    for g in circulants(12):
+        v = decide(g, engine="lemmas")
+        if v.kind != "NoQuantumSymmetry":
+            continue
+        replayed += 1
+        kb, m = CommutationKB(g), g.n + 1
+        for s in v.certificate.steps:
+            before = commute_pairs(kb)
+            kb.apply(s)
+            if s.kind == cm.ORBIT_CLOSE:
+                after = walk(before, before, kb.generators, act_on_pair)
+                assert kb.commute == {min(p) * m + max(p) for p in after}, \
+                    g.label
+                closes += 1
+    assert replayed == 54 and closes > replayed
 
 
 def test_kb_is_union_of_pair_orbits_after_fixpoint():
@@ -307,8 +357,9 @@ def test_kb_is_union_of_pair_orbits_after_fixpoint():
         g = build_named(name)
         aut = automorphism_group(g)
         kb, _, _ = lemma_fixpoint(g, aut)
-        assert all(act_on_pair(gen, pair) in kb.commute
-                   for gen in aut.generators for pair in kb.commute), name
+        pairs = commute_pairs(kb)
+        assert all(act_on_pair(gen, pair) in pairs
+                   for gen in aut.generators for pair in pairs), name
 
 
 def test_fixpoint_monotone_and_deterministic():

@@ -37,6 +37,8 @@ from qsym.named import (
     edgeless_graph,
 )
 
+from util import conjugate
+
 
 def u(i, j):
     return NcPoly.generator(i, j)
@@ -191,8 +193,8 @@ def test_confluence_up_to_reported_degree():
                 for ob in overlaps(basis[i].lm(), basis[j].lm(), i=i, j=j):
                     if ob.degree() > gb.complete_up_to_degree:
                         continue
-                    s = basis[ob.i].conjugate_by_words(ob.left_i, ob.right_i) \
-                        - basis[ob.j].conjugate_by_words(ob.left_j, ob.right_j)
+                    s = conjugate(basis[ob.i], ob.left_i, ob.right_i) \
+                        - conjugate(basis[ob.j], ob.left_j, ob.right_j)
                     assert normal_form(s, basis).is_zero, (graph.label, ob)
 
 
@@ -208,8 +210,7 @@ def test_ideal_membership_of_generator_multiples():
                      for _ in range(rng.randint(0, 5 - rel.degree())))
         room = 5 - rel.degree() - len(left)
         right = tuple(rng.choice(letters) for _ in range(rng.randint(0, room)))
-        assert normal_form(rel.conjugate_by_words(left, right),
-                           gb.basis).is_zero
+        assert normal_form(conjugate(rel, left, right), gb.basis).is_zero
 
 
 def test_k3_commutators_all_reduce():
@@ -434,8 +435,8 @@ def test_integer_s_polynomial_matches_its_definition(c5_basis):
             for ob in overlaps(p_i.lm(), p_j.lm(), i=i, j=j):
                 den, terms = _s_polynomial(p_i.int_form(), p_j.int_form(),
                                            ob)
-                want = p_i.conjugate_by_words(ob.left_i, ob.right_i) \
-                    - p_j.conjugate_by_words(ob.left_j, ob.right_j)
+                want = conjugate(p_i, ob.left_i, ob.right_i) \
+                    - conjugate(p_j, ob.left_j, ob.right_j)
                 got = NcPoly({w: Fraction(c, den) for w, c in terms.items()})
                 assert got == want, (i, j, ob)
                 assert all(type(c) is int and c for c in terms.values())
@@ -522,7 +523,7 @@ def _random_ideal_elements(rng, rels, letters, count):
     # again no reduction can produce the unit
     def word():
         return tuple(rng.choice(letters) for _ in range(rng.randint(0, 1)))
-    return [sum((rng.choice(rels).conjugate_by_words(word(), word())
+    return [sum((conjugate(rng.choice(rels), word(), word())
                  .scale(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
                  for _ in range(3)), NcPoly.zero())
             for _ in range(count)]
@@ -709,7 +710,7 @@ def test_membership_agrees_with_dense_oracle(n):
         rel = rng.choice(rels)
         a = tuple(rng.choice(letters) for _ in range(rng.randint(0, 1)))
         b = tuple(rng.choice(letters) for _ in range(rng.randint(0, 1)))
-        tests.append(rel.conjugate_by_words(a, b))
+        tests.append(conjugate(rel, a, b))
     for _ in range(25):
         terms = {tuple(rng.choice(letters)
                        for _ in range(rng.randint(0, 3))): rng.randint(-3, 3)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from qsym.catalog import quantum_flagged_names, twelve_vertex_entries
+from qsym.catalog import twelve_vertex_entries
 from qsym.engine import EngineError, decide, lemma_fixpoint
 from qsym.graphs import complement
 from qsym.named import build_named
@@ -40,7 +40,8 @@ def test_complement_aut_groups_coincide_catalogwide():
 def test_lemma_fixpoint_never_certifies_a_quantum_graph():
     """The 21 flagged entries, with the witness search skipped entirely:
     connected ones must stay open, disconnected ones are refused."""
-    for name in quantum_flagged_names():
+    for name in [e.name for e in twelve_vertex_entries()
+                 if e.expected_has_qsym]:
         g = build_named(name)
         if g.is_connected():
             kb, closed, _ = lemma_fixpoint(g)

@@ -6,6 +6,7 @@ import math
 import random
 
 import qsym.engine
+from qsym.freealg import NcPoly
 from qsym.graphs import Graph
 from qsym.named import circulant
 from qsym.perms import Permutation, find_automorphism
@@ -39,6 +40,19 @@ def _transversal_chain(n, edges):
         order *= 1 + len(level)
         prefix[v] = v
     return tuple(gens), order
+
+
+def commute_pairs(kb):
+    """``kb.commute`` decoded: the code j*(n+1) + l of each fact, j <= l,
+    back to the column pair {j, l} (a diagonal fact to {j})."""
+    m = kb.graph.n + 1
+    return {frozenset(divmod(code, m)) for code in kb.commute}
+
+
+def conjugate(poly, left, right):
+    """left * poly * right for the plain words ``left`` and ``right``."""
+    return NcPoly({tuple(left) + w + tuple(right): c
+                   for w, c in poly.terms.items()})
 
 
 def derivation(text):
