@@ -229,7 +229,7 @@ def report_markdown(report: dict) -> str:
     """Markdown table mirroring the published layout."""
     lines = [
         "| Graph | Automorphism Group | Quantum Automorphism Group | "
-        "|Aut| | Verdict | Expected | OK | s |",
+        r"\|Aut\| | Verdict | Expected | OK | s |",
         "|---|---|---|---|---|---|---|---|",
     ]
     for r in report["records"]:

@@ -230,7 +230,10 @@ def bits(mask) -> tuple:
 
 class CommutationKB:
     """Monotone store of proven facts, searched by the lemma engine and
-    replayed into by the verifier.  ``commute`` holds column pairs {j,l}
+    replayed into by the verifier.  It is the only input of a rule check:
+    ``graph`` is the graph the facts are about, and ``dist``, ``colours``
+    and ``masks`` its tables ``distances()``, ``pair_colours()`` and
+    ``colour_masks()``, read once.  ``commute`` holds column pairs {j,l}
     as integer codes: with m = n + 1 and j <= l, {j,l} has the code
     j*m + l, and a diagonal {j} the code j*m + j; the code is injective
     on the vertices 0..n only, which is why the verifier refuses any
@@ -247,6 +250,8 @@ class CommutationKB:
 
     def __init__(self, g: Graph):
         self.graph = g
+        self.dist, self.colours, self.masks = (
+            g.distances(), g.pair_colours(), g.colour_masks())
         self.m = g.n + 1
         self.commute: set = set()
         self.killed: dict = {}
@@ -265,7 +270,7 @@ class CommutationKB:
         c the pair colour, until a candidate reduction narrows it."""
         cand = self.candidates.get((j, l))
         if cand is None:
-            cand = self.candidates[(j, l)] = narrowed(self.graph, -1, j, l)
+            cand = self.candidates[(j, l)] = narrowed(self, -1, j, l)
         return cand
 
     def open_column_pair(self, bases):
@@ -323,36 +328,37 @@ class CommutationKB:
 
 # -- the rules -------------------------------------------------------------
 #
-# A check takes the graph, the replay state (None will do for the checks
-# that read only the graph) and the step's fields in table order, and
-# returns None when the step is justified, else the reason it is not.  The
-# engine calls checks as search predicates, where rejection is the common
-# case, so a reason that only restates the step's fields names them.
+# A check takes the replay state, the only place it reads the graph from,
+# and the step's fields in table order, and returns None when the step is
+# justified, else the reason it is not.  The engine calls checks as search
+# predicates, where rejection is the common case, so a reason that only
+# restates the step's fields names them.
 #
 # The candidate and middle rules rest on one fact: u_ij u_kl = 0 whenever
-# the pairs (i,k) and (j,l) differ in colour, c = ``g.pair_colours()``,
-# the class of (distance, number of common neighbours).  Both parts are
+# the pairs (i,k) and (j,l) differ in colour, c = ``kb.colours``, the
+# class of (distance, number of common neighbours).  Both parts are
 # constant on each class of the coherent closure, and every quantum
 # orbital lies inside one such class (Lupini, Mancinska and Roberson,
 # "Nonlocal games and quantum permutation groups", JFA 2020).  A step
 # names vertices only; a verifier recomputes the colours from the graph.
-# Vertex sets are bitmasks, and a colour class of ``g.colour_masks()`` is
-# tested with one AND.
+# Vertex sets are bitmasks, and a colour class of ``kb.masks`` is tested
+# with one AND.
 
 
-def narrowed(g, cand, j, q):
+def narrowed(kb, cand, j, q):
     """The members of the bitmask ``cand`` whose colour with q is that of
     j; with -1 (every vertex) as ``cand`` and q = l, that is P0 for
     (j,l)."""
-    return cand & g.colour_masks()[q][g.pair_colours()[q][j]]
+    return cand & kb.masks[q][kb.colours[q][j]]
 
 
-def _quadrangle_free(g, kb):
-    if has_quadrangle(g):
+def _quadrangle_free(kb):
+    if has_quadrangle(kb.graph):
         return "graph contains a quadrangle"
 
 
-def _one_common_neighbour(g, kb):
+def _one_common_neighbour(kb):
+    g = kb.graph
     if not g.num_edges():
         return "graph has no edges"
     for i, j in g.edges():
@@ -360,7 +366,8 @@ def _one_common_neighbour(g, kb):
             return f"adjacent pair ({i},{j}) lacks a unique common neighbour"
 
 
-def _one_common_neighbour_gen(g, kb, j, l, q):
+def _one_common_neighbour_gen(kb, j, l, q):
+    g = kb.graph
     if not g.adjacent(j, l):
         return "(j,l) not adjacent"
     if common_neighbours(g, j, l) != [q]:
@@ -373,77 +380,73 @@ def _one_common_neighbour_gen(g, kb, j, l, q):
         return f"adjacent pair ({a},{b}) breaks the global side condition"
 
 
-def _unique_in_colour(g, kb, j, l):
-    if g.distances()[j][l] == INFINITE:
+def _unique_in_colour(kb, j, l):
+    if kb.dist[j][l] == INFINITE:
         return "(j,l) disconnected"
-    if narrowed(g, -1, j, l) != 1 << j:
+    if narrowed(kb, -1, j, l) != 1 << j:
         return "j is not the only vertex with its colour to l"
 
 
-def _choose_q_right(g, kb, j, l, q, survivors):
-    if g.distances()[j][l] == INFINITE:
+def _choose_q_right(kb, j, l, q, survivors):
+    if kb.dist[j][l] == INFINITE:
         return "(j,l) disconnected"
     if not kb.knows_commute(l, q):
         return "commute({l,q}) not yet established"
-    new = narrowed(g, kb.survivors(j, l), j, q)
+    new = narrowed(kb, kb.survivors(j, l), j, q)
     if bits(new) != tuple(survivors):
         return "survivor set mismatch"
 
 
-def middle_ring(g, j, l, p):
+def middle_ring(kb, j, l, p):
     """The bitmask of the vertices with the colour c(j,l) to both j and p,
     l among them, or None when p is no candidate for the middle rule on
     (j,l).  The ring does not depend on q, so a search over q builds it
     once."""
-    c = g.pair_colours()
+    c = kb.colours
     k = c[j][l]
-    if g.distances()[j][l] == INFINITE or c[p][l] != k or p == j:
+    if kb.dist[j][l] == INFINITE or c[p][l] != k or p == j:
         return None
-    masks = g.colour_masks()
-    return masks[j][k] & masks[p][k]
+    return kb.masks[j][k] & kb.masks[p][k]
 
 
-def middle_q_fails(colours, masks, ring, j, l, p, q):
+def middle_q_fails(kb, ring, j, l, p, q):
     """Why q cannot kill u_ij u_kl u_ip by the middle rule, given
-    ``ring = middle_ring(g, j, l, p)`` and the graph's tables
-    ``colours = g.pair_colours()`` and ``masks = g.colour_masks()``, which
-    a search over q fetches once; None when it can."""
-    cq = colours[q]
+    ``ring = middle_ring(kb, j, l, p)``; None when it can."""
+    cq = kb.colours[q]
     if cq[j] == cq[p]:
         return "q does not separate j from p"
-    if ring & masks[q][cq[l]] != 1 << l:
+    if ring & kb.masks[q][cq[l]] != 1 << l:
         return "l not unique for the middle rule"
 
 
-def _choose_q_middle(g, kb, j, l, p, q):
+def _choose_q_middle(kb, j, l, p, q):
     """q kills u_ij u_kl u_ip when c(j,q) != c(q,p) and l is the only
     vertex with colour c(l,q) to q, c(j,l) to j and c(p,l) to p."""
-    ring = middle_ring(g, j, l, p)
+    ring = middle_ring(kb, j, l, p)
     if ring is None:
         return "bad p for the middle rule on (j,l)"
-    return middle_q_fails(g.pair_colours(), g.colour_masks(), ring,
-                          j, l, p, q)
+    return middle_q_fails(kb, ring, j, l, p, q)
 
 
-def _adj_commute_close(g, kb, j, l):
-    if g.distances()[j][l] == INFINITE:
+def _adj_commute_close(kb, j, l):
+    if kb.dist[j][l] == INFINITE:
         return "(j,l) disconnected"
     if kb.survivors(j, l) & ~(1 << j) & ~kb.killed.get((j, l), 0):
         return "unkilled candidates remain for (j,l)"
 
 
-def _generator(g, kb, phi):
-    if not is_automorphism(g, phi):
+def _generator(kb, phi):
+    if not is_automorphism(kb.graph, phi):
         return "phi is not an automorphism"
 
 
-def _orbit_close(g, kb):
+def _orbit_close(kb):
     return None
 
 
-def _conclusion(g, kb, bases):
+def _conclusion(kb, bases):
     covered = walk(set(bases), bases, kb.generators)
-    missing = set(g.vertices()) - covered
+    missing = set(kb.graph.vertices()) - covered
     if missing:
         return f"vertices {sorted(missing)} not reached from any base"
     pair = kb.open_column_pair(bases)
@@ -451,18 +454,18 @@ def _conclusion(g, kb, bases):
         return f"column pair ({pair[0]},{pair[1]}) never proved to commute"
 
 
-def _disjoint_witness(g, kb, sigma, tau):
+def _disjoint_witness(kb, sigma, tau):
     if sigma.is_identity() or tau.is_identity():
         return "witness permutation is the identity"
-    if not (is_automorphism(g, sigma) and is_automorphism(g, tau)):
+    if not all(is_automorphism(kb.graph, w) for w in (sigma, tau)):
         return "witness is not an automorphism"
     if set(sigma.support()) & set(tau.support()):
         return "witness supports are not disjoint"
 
 
-def _injective_f(g, kb, n, chords):
+def _injective_f(kb, n, chords):
     spec = CirculantSpec(n, tuple(chords))
-    if n != g.n or build_circulant(spec) != g:
+    if n != kb.graph.n or build_circulant(spec) != kb.graph:
         return "circulant spec does not rebuild the graph"
     if not injective_f_check(spec)[0]:
         return "eigenvalues are not injective on s = 1..n//2"
@@ -556,7 +559,7 @@ def verify_certificate(g: Graph, cert: Certificate) -> VerificationResult:
             if rule is None:
                 return _fail(idx, f"unknown step kind {s.kind}")
             why = (_vertex_out_of_range(s, vertices)
-                   or rule.check(g, kb, **s.fields))
+                   or rule.check(kb, **s.fields))
             if why is None and rule.final and idx != last:
                 why = "conclusion must be the final step"
             if why is None and rule.verdict not in (None, cert.verdict):

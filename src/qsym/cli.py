@@ -205,9 +205,19 @@ def cmd_report(args) -> int:
     return EXIT_UNDECIDED if undecided else EXIT_OK
 
 
+def seconds(text) -> float:
+    """A timeout: a number of seconds >= 0, ``inf`` included.  ``nan``
+    would never expire, as every comparison with it is false."""
+    value = float(text)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(
+            f"not a number of seconds >= 0: {text!r}")
+    return value
+
+
 GRAPH = ("graph",), {"help": "catalog name or graph file path"}
 OPTIONAL_GRAPH = ("graph",), {**GRAPH[1], "nargs": "?"}
-TIMEOUT = ("--timeout",), {"type": float, "default": DEFAULT_TIMEOUT}
+TIMEOUT = ("--timeout",), {"type": seconds, "default": DEFAULT_TIMEOUT}
 OUTPUT = ("--output", "-o"), {"default": None}
 
 

@@ -81,7 +81,7 @@ class Undecided:
 
 def _propose(kb: CommutationKB, kind, **fields) -> bool:
     """Record the step iff its rule's check accepts it; the check runs once."""
-    if cert_mod.RULES[kind].check(kb.graph, kb, **fields) is not None:
+    if cert_mod.RULES[kind].check(kb, **fields) is not None:
         return False
     kb.apply(cert_mod.ProofStep(kind, fields))
     return True
@@ -133,35 +133,32 @@ def reduce_candidates(kb: CommutationKB, j, l):
     ``kb.survivors(j, l)`` holds its result as one, and the return value
     is that set.
     """
-    g = kb.graph
     cand = kb.survivors(j, l)
-    for q in g.vertices():
+    for q in kb.graph.vertices():
         if cand.bit_count() == 1:
             break
         if not kb.knows_commute(l, q):
             continue
-        new = cert_mod.narrowed(g, cand, j, q)
+        new = cert_mod.narrowed(kb, cand, j, q)
         if new != cand and _propose(kb, cert_mod.CHOOSE_Q_RIGHT, j=j, l=l,
                                     q=q, survivors=cert_mod.bits(new)):
             cand = new
     return set(cert_mod.bits(cand))
 
 
-def kill_choose_q_middle(g: Graph, j, l, p):
+def kill_choose_q_middle(kb: CommutationKB, j, l, p):
     """Smallest q for which the middle rule kills u_ij u_kl u_ip, if any."""
-    ring = cert_mod.middle_ring(g, j, l, p)
+    ring = cert_mod.middle_ring(kb, j, l, p)
     if ring is None:
         return None
-    colours, masks = g.pair_colours(), g.colour_masks()
-    return next((q for q in g.vertices()
-                 if cert_mod.middle_q_fails(colours, masks, ring,
-                                            j, l, p, q) is None), None)
+    return next((q for q in kb.graph.vertices()
+                 if cert_mod.middle_q_fails(kb, ring, j, l, p, q) is None),
+                None)
 
 
 def prove_pair(kb: CommutationKB, j, l) -> bool:
     """Try to establish commute({j,l}); partial kills are kept either way."""
-    g = kb.graph
-    if g.distances()[j][l] == INFINITE:
+    if kb.dist[j][l] == INFINITE:
         raise EngineError(f"({j},{l}) lie in different components")
     if kb.knows_commute(j, l):
         return True
@@ -172,7 +169,7 @@ def prove_pair(kb: CommutationKB, j, l) -> bool:
     reduce_candidates(kb, j, l)
     left = kb.survivors(j, l) & ~(1 << j) & ~kb.killed.get((j, l), 0)
     for p in cert_mod.bits(left):
-        q = kill_choose_q_middle(g, j, l, p)
+        q = kill_choose_q_middle(kb, j, l, p)
         if q is not None:
             kb.apply(step(cert_mod.CHOOSE_Q_MIDDLE, j=j, l=l, p=p, q=q))
     return _propose(kb, cert_mod.ADJ_COMMUTE_CLOSE, j=j, l=l)
@@ -203,7 +200,6 @@ def lemma_fixpoint(g: Graph, aut: AutGroup | None = None,
         _propose(kb, cert_mod.GENERATOR, phi=phi)
     _propose(kb, cert_mod.ORBIT_CLOSE)
     reps = tuple(orbit[0] for orbit in aut.vertex_orbits())
-    d = g.distances()
 
     while kb.open_column_pair(reps) is not None:
         added_this_round = False
@@ -211,7 +207,7 @@ def lemma_fixpoint(g: Graph, aut: AutGroup | None = None,
             by_dist = {}
             for l in g.vertices():
                 if l != j0:
-                    by_dist.setdefault(d[j0][l], []).append(l)
+                    by_dist.setdefault(kb.dist[j0][l], []).append(l)
             for m in sorted(by_dist):
                 class_added = False
                 for l in sorted(by_dist[m]):

@@ -50,6 +50,14 @@ class CirculantSpec:
         return f"C{self.n}({','.join(str(k) for k in self.chords)})"
 
 
+def _edge_fault(n, i, j):
+    """Why (i, j) is no edge of a simple graph on 1..n, else None."""
+    if not (1 <= i <= n and 1 <= j <= n):
+        return f"edge ({i},{j}) out of range 1..{n}"
+    if i == j:
+        return f"loop at vertex {i}"
+
+
 class Graph:
     """Immutable simple undirected graph on vertices 1..n."""
 
@@ -61,10 +69,9 @@ class Graph:
             raise GraphError(f"need at least one vertex, got n={n}")
         rows = [0] * (n + 1)
         for i, j in edges:
-            if not (1 <= i <= n and 1 <= j <= n):
-                raise GraphError(f"edge ({i},{j}) out of range 1..{n}")
-            if i == j:
-                raise GraphError(f"loop at vertex {i}")
+            fault = _edge_fault(n, i, j)
+            if fault is not None:
+                raise GraphError(fault)
             rows[i] |= 1 << j
             rows[j] |= 1 << i
         object.__setattr__(self, "n", n)
@@ -483,6 +490,9 @@ def read_graph(text: str, label="") -> Graph:
                 i, j = map(_decimal, parts[1:])
             except ValueError:
                 raise GraphError(f"line {lineno}: non-integer endpoint") from None
+            fault = _edge_fault(n, i, j)
+            if fault is not None:
+                raise GraphError(f"line {lineno}: {fault}")
             edges.append((i, j))
         else:
             raise GraphError(f"line {lineno}: unknown record {parts[0]!r}")

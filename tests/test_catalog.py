@@ -1,6 +1,7 @@
 """Catalog shape, frozen expectations, and the batch report contract."""
 
 import hashlib
+import re
 import time
 
 import pytest
@@ -191,6 +192,24 @@ def test_run_report_subset_and_markdown():
     assert "HasQuantumSymmetry" in md and "NoQuantumSymmetry" in md
     empty = run_report([])
     assert empty["records"] == [] and report_markdown(empty)
+
+
+def test_report_markdown_rows_have_as_many_cells_as_their_delimiter_row():
+    """GitHub-flavoured Markdown renders no table whose rows and delimiter
+    row differ in cell count; ``|`` inside a cell must be escaped."""
+    report = run_report([entry_by_name(n) for n in ("K2xC6", "C12")])
+    lines = report_markdown(report).splitlines()
+    tables = [[]]
+    for line in lines:
+        if line.startswith("|"):
+            tables[-1].append(re.split(r"(?<!\\)\|", line.strip("|")))
+        elif tables[-1]:
+            tables.append([])
+    tables = [t for t in tables if t]
+    assert [len(t) for t in tables] == [4, 4]
+    for header, delimiter, *rows in tables:
+        assert set("".join(delimiter)) == {"-"}
+        assert all(len(row) == len(delimiter) for row in [header] + rows)
 
 
 def test_catalog_rows_are_pinned(monkeypatch):

@@ -2,6 +2,7 @@
 
 import inspect
 import re
+from collections import Counter
 
 import pytest
 
@@ -16,7 +17,13 @@ from qsym.certificate import (
     verify_certificate,
 )
 from qsym.engine import decide, lemma_fixpoint
-from qsym.graphs import Graph, GraphError, common_neighbours, triple_condition
+from qsym.graphs import (
+    Graph,
+    GraphError,
+    common_neighbours,
+    read_graph,
+    triple_condition,
+)
 from qsym.named import build_named, circulant, cycle_graph
 from qsym.perms import automorphism_group, is_automorphism, parse_cycles
 
@@ -81,7 +88,7 @@ def test_render_markdown_groups_tables():
     # the published reduction row still holds once commute{7,2} is known
     kb = cm.CommutationKB(g)
     kb._commute(7, 2)
-    assert cm.RULES[cm.CHOOSE_Q_RIGHT].check(g, kb, 1, 7, 2, (1, 8)) is None
+    assert cm.RULES[cm.CHOOSE_Q_RIGHT].check(kb, 1, 7, 2, (1, 8)) is None
 
 
 def test_render_empty_certificate_is_header_only():
@@ -130,14 +137,15 @@ def test_mask_predicates_agree_with_a_list_reference():
               Graph(7, [(1, 2), (2, 3), (3, 4), (4, 1), (4, 5), (5, 6),
                         (6, 7), (2, 6)])]
     for g in graphs:
+        kb = cm.CommutationKB(g)
         c, d, vs = g.pair_colours(), g.distances(), list(g.vertices())
         for j in vs:
             for l in vs:
                 cand = [p for p in vs if c[l][p] == c[l][j]]
-                assert cm.narrowed(g, -1, j, l) == _as_mask(cand)
+                assert cm.narrowed(kb, -1, j, l) == _as_mask(cand)
                 for q in vs:
                     ref = [p for p in cand if c[q][p] == c[q][j]]
-                    assert cm.narrowed(g, _as_mask(cand), j, q) \
+                    assert cm.narrowed(kb, _as_mask(cand), j, q) \
                         == _as_mask(ref), (g, j, l, q)
                 for p in vs:
                     k = c[j][l]
@@ -145,7 +153,7 @@ def test_mask_predicates_agree_with_a_list_reference():
                         ring = None
                     else:
                         ring = [x for x in vs if c[j][x] == k and c[p][x] == k]
-                    got = cm.middle_ring(g, j, l, p)
+                    got = cm.middle_ring(kb, j, l, p)
                     assert got == (ring and _as_mask(ring)), (g, j, l, p)
                     if ring is None:
                         continue
@@ -157,8 +165,26 @@ def test_mask_predicates_agree_with_a_list_reference():
                         else:
                             why = None
                         assert cm.middle_q_fails(
-                            c, g.colour_masks(), got, j, l, p, q) == why, \
+                            kb, got, j, l, p, q) == why, \
                             (g, j, l, p, q)
+
+
+def test_a_replay_reads_each_graph_table_at_most_twice(monkeypatch):
+    """The replay state reads the distances, pair colours and colour
+    classes once, when it is built, and every check reads them from it.
+    A table computed on that read fetches the one it is built from, so
+    no method runs more than twice in one replay."""
+    _, cert = _lemma_certificate("C12(2)")
+    back = parse_certificate(serialize_certificate(cert))
+    calls = Counter()
+    for name in ("distances", "pair_colours", "colour_masks"):
+        def counted(self, _name=name, _method=getattr(Graph, name)):
+            calls[_name] += 1
+            return _method(self)
+        monkeypatch.setattr(Graph, name, counted)
+    assert verify_certificate(back.graph(), back)
+    assert set(calls) == {"distances", "pair_colours", "colour_masks"}
+    assert max(calls.values()) <= 2, calls
 
 
 def test_premise_cited_before_derivation_is_rejected():
@@ -233,6 +259,148 @@ def test_pair_rules_refuse_columns_in_different_components(lone):
     assert (result.ok, result.step_index, result.message) == \
         (False, 0, f"{lone.kind}: (j,l) disconnected")
     assert not IndependentReplayer(g.n, g.edges()).accepts(cert)
+
+
+def _cert(g, steps, verdict=cm.VERDICT_NONE):
+    return Certificate.for_graph(g, verdict, steps)
+
+
+def _cycles(text, n=5):
+    return parse_cycles(text, n)
+
+
+C4, C5 = cycle_graph(4), cycle_graph(5)
+K1 = Graph(1, [])
+# K4 less the edge {2,4}: CN(1,2) = {3}, but CN(1,3) = {2,4}
+DIAMOND = Graph(4, [(1, 2), (1, 3), (1, 4), (2, 3), (3, 4)])
+# a triangle, whose pairs meet the triple condition, beside a diamond
+K3_DIAMOND = Graph(7, [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (4, 7),
+                       (5, 6), (6, 7)])
+TWO_K2, K33 = Graph(4, [(1, 2), (3, 4)]), circulant(6, 3)
+QF = step(cm.QUADRANGLE_FREE)
+
+# id: (verification graph, certificate, failing step, message, whether
+# tests/replayer.py has the condition).  One case per refusal reason of a
+# rule check or of the verifier, each as small as its reason allows; the
+# ``(j,l) disconnected`` refusals are pinned by the test above.
+REFUSALS = {
+    "quadrangle": (C4, _cert(C4, [QF]), 0,
+                   "QUADRANGLE_FREE: graph contains a quadrangle", True),
+    "no-edges": (K1, _cert(K1, [step(cm.ONE_COMMON_NEIGHBOUR)]), 0,
+                 "ONE_COMMON_NEIGHBOUR: graph has no edges", True),
+    "no-unique-cn": (
+        C5, _cert(C5, [step(cm.ONE_COMMON_NEIGHBOUR)]), 0,
+        "ONE_COMMON_NEIGHBOUR: adjacent pair (1,2) lacks a unique common "
+        "neighbour", True),
+    "gen-not-adjacent": (
+        C5, _cert(C5, [step(cm.ONE_COMMON_NEIGHBOUR_GEN, j=1, l=3, q=2)]), 0,
+        "ONE_COMMON_NEIGHBOUR_GEN: (j,l) not adjacent", True),
+    "gen-cn": (
+        C5, _cert(C5, [step(cm.ONE_COMMON_NEIGHBOUR_GEN, j=1, l=2, q=3)]), 0,
+        "ONE_COMMON_NEIGHBOUR_GEN: CN(j,l) is not exactly {q}", True),
+    "gen-triple": (
+        DIAMOND,
+        _cert(DIAMOND, [step(cm.ONE_COMMON_NEIGHBOUR_GEN, j=1, l=2, q=3)]),
+        0, "ONE_COMMON_NEIGHBOUR_GEN: triple condition fails for (j,l)",
+        True),
+    "gen-side-condition": (
+        K3_DIAMOND,
+        _cert(K3_DIAMOND, [step(cm.ONE_COMMON_NEIGHBOUR_GEN, j=1, l=2, q=3)]),
+        0, "ONE_COMMON_NEIGHBOUR_GEN: adjacent pair (4,5) breaks the global "
+        "side condition", True),
+    "unique-in-colour": (
+        C5, _cert(C5, [step(cm.UNIQUE_IN_COLOUR, j=1, l=2)]), 0,
+        "UNIQUE_IN_COLOUR: j is not the only vertex with its colour to l",
+        True),
+    "right-premise": (
+        C5, _cert(C5, [step(cm.CHOOSE_Q_RIGHT, j=1, l=3, q=2,
+                            survivors=(1,))]), 0,
+        "CHOOSE_Q_RIGHT: commute({l,q}) not yet established", True),
+    "right-survivors": (
+        C5, _cert(C5, [QF, step(cm.CHOOSE_Q_RIGHT, j=1, l=3, q=2,
+                                survivors=(1, 5))]), 1,
+        "CHOOSE_Q_RIGHT: survivor set mismatch", True),
+    "middle-bad-p": (
+        C5, _cert(C5, [step(cm.CHOOSE_Q_MIDDLE, j=1, l=2, p=1, q=1)]), 0,
+        "CHOOSE_Q_MIDDLE: bad p for the middle rule on (j,l)", True),
+    "middle-separation": (
+        C5, _cert(C5, [step(cm.CHOOSE_Q_MIDDLE, j=1, l=2, p=3, q=2)]), 0,
+        "CHOOSE_Q_MIDDLE: q does not separate j from p", True),
+    "middle-unique-l": (
+        C4, _cert(C4, [step(cm.CHOOSE_Q_MIDDLE, j=1, l=2, p=3, q=1)]), 0,
+        "CHOOSE_Q_MIDDLE: l not unique for the middle rule", True),
+    "close-unkilled": (
+        C5, _cert(C5, [step(cm.ADJ_COMMUTE_CLOSE, j=1, l=2)]), 0,
+        "ADJ_COMMUTE_CLOSE: unkilled candidates remain for (j,l)", True),
+    "generator": (
+        C5, _cert(C5, [step(cm.GENERATOR, phi=_cycles("(1,3)"))]), 0,
+        "GENERATOR: phi is not an automorphism", True),
+    "conclusion-coverage": (
+        C5, _cert(C5, [step(cm.CONCLUSION_COMMUTATIVE, bases=(1,))]), 0,
+        "CONCLUSION_COMMUTATIVE: vertices [2, 3, 4, 5] not reached from any "
+        "base", True),
+    "conclusion-open-pair": (
+        C5, _cert(C5, [step(cm.CONCLUSION_COMMUTATIVE,
+                            bases=(1, 2, 3, 4, 5))]), 0,
+        "CONCLUSION_COMMUTATIVE: column pair (1,2) never proved to commute",
+        True),
+    "witness-identity": (
+        C5, _cert(C5, [step(cm.DISJOINT_WITNESS, sigma=_cycles("()"),
+                            tau=_cycles("(2,5)(3,4)"))], cm.VERDICT_HAS), 0,
+        "DISJOINT_WITNESS: witness permutation is the identity", True),
+    "witness-automorphism": (
+        C5, _cert(C5, [step(cm.DISJOINT_WITNESS, sigma=_cycles("(1,2)"),
+                            tau=_cycles("(3,4)"))], cm.VERDICT_HAS), 0,
+        "DISJOINT_WITNESS: witness is not an automorphism", True),
+    "witness-overlap": (
+        C5, _cert(C5, [step(cm.DISJOINT_WITNESS,
+                            sigma=_cycles("(1,2,3,4,5)"),
+                            tau=_cycles("(2,5)(3,4)"))], cm.VERDICT_HAS), 0,
+        "DISJOINT_WITNESS: witness supports are not disjoint", True),
+    "injective-rebuild": (
+        C5, _cert(C5, [step(cm.INJECTIVE_F, n=6, chords=())]), 0,
+        "INJECTIVE_F: circulant spec does not rebuild the graph", True),
+    "injective-spectrum": (
+        K33, _cert(K33, [step(cm.INJECTIVE_F, n=6, chords=(3,))]), 0,
+        "INJECTIVE_F: eigenvalues are not injective on s = 1..n//2", True),
+    # the replayer is built from one graph and reads none from the
+    # certificate, so it has no binding to check
+    "bound-to-another-graph": (
+        cycle_graph(6), _cert(C5, [step(cm.INJECTIVE_F, n=5, chords=())]),
+        -1, "certificate is bound to a different graph", False),
+    "unknown-kind": (C5, _cert(C5, [cm.ProofStep("BOGUS", {})]), 0,
+                     "unknown step kind BOGUS", True),
+    "vertex-range": (
+        C5, _cert(C5, [step(cm.UNIQUE_IN_COLOUR, j=6, l=1)]), 0,
+        "UNIQUE_IN_COLOUR: j=6 is outside the vertices 1..5", True),
+    "conclusion-not-final": (
+        K1, _cert(K1, [step(cm.CONCLUSION_COMMUTATIVE, bases=(1,))] * 2), 0,
+        "CONCLUSION_COMMUTATIVE: conclusion must be the final step", True),
+    "contradicts-verdict": (
+        TWO_K2, _cert(TWO_K2, [step(cm.DISJOINT_WITNESS,
+                                    sigma=_cycles("(1,2)", 4),
+                                    tau=_cycles("(3,4)", 4))]), 0,
+        "DISJOINT_WITNESS: DISJOINT_WITNESS contradicts the verdict", True),
+    "malformed": (
+        C4, _cert(C4, [step(cm.INJECTIVE_F, n=4, chords=())]), 0,
+        "malformed step: the injectivity criterion excludes n = 4", True),
+    "no-final-step": (
+        C5, _cert(C5, [QF]), 0,
+        "no final step proves the verdict no_quantum_symmetry", True),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_every_refusal_reason_is_pinned(case):
+    """Each certificate is refused at exactly its step, with exactly its
+    reason, and the independent replayer refuses it too wherever it has
+    the condition."""
+    g, cert, idx, message, replayer_has_it = REFUSALS[case]
+    result = verify_certificate(g, cert)
+    assert (result.ok, result.step_index, result.message) == \
+        (False, idx, message)
+    if replayer_has_it:
+        assert not IndependentReplayer(g.n, g.edges()).accepts(cert)
 
 
 def test_truncated_certificate_is_rejected():
@@ -421,7 +589,7 @@ def test_rule_checks_take_their_fields_in_table_order():
         params = [p.name for p in
                   inspect.signature(rule.check).parameters.values()
                   if p.default is inspect.Parameter.empty]
-        assert tuple(params[2:]) == rule.fields, kind
+        assert tuple(params[1:]) == rule.fields, kind
 
 
 # the fields that name a vertex, one or a list of them
@@ -536,6 +704,23 @@ def test_parse_names_a_bad_graph_record_by_its_line_in_the_file(
     assert forged.splitlines()[line - 1] == variant
     with pytest.raises(GraphError,
                        match=f"^line {line}: non-integer endpoint"):
+        parse_certificate(forged)
+
+
+@pytest.mark.parametrize("variant, fault", [
+    ("e 4 9", "edge (4,9) out of range 1..5"),
+    ("e 4 4", "loop at vertex 4"),
+])
+def test_an_edge_that_leaves_a_simple_graph_is_named_by_its_line(
+        variant, fault):
+    """An endpoint outside 1..n and a loop are refused with the line of
+    their record, in a graph file and in a certificate's graph records."""
+    with pytest.raises(GraphError, match=re.escape(f"line 4: {fault}")):
+        read_graph(f"p 5\ne 1 2\n\n{variant}\n")
+    forged = _c5_text().replace("graph e 4 5", f"graph {variant}", 1)
+    line = forged.splitlines().index(f"graph {variant}") + 1
+    with pytest.raises(GraphError,
+                       match="^" + re.escape(f"line {line}: {fault}") + "$"):
         parse_certificate(forged)
 
 

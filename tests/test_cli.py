@@ -100,6 +100,18 @@ def test_usage_error_exit_1(capsys):
     assert code == 0 and "--engine" in out
 
 
+@pytest.mark.parametrize("value", ["nan", "-1"])
+@pytest.mark.parametrize("argv", [("decide", "C5"), ("certificate", "C5"),
+                                  ("groebner", "K3"), ("report",)],
+                         ids=lambda argv: argv[0])
+def test_timeout_is_a_number_of_seconds_at_least_0(capsys, argv, value):
+    """``nan`` would never expire, and a negative timeout would read as
+    Undecided: both are usage errors."""
+    code, _, err = run(capsys, *argv, "--timeout", value)
+    assert code == EXIT_ERROR and "usage:" in err
+    assert f"not a number of seconds >= 0: {value!r}" in err
+
+
 def test_each_subcommand_declares_only_the_options_it_reads():
     subparsers = next(action for action in build_parser()._actions
                       if action.dest == "command")

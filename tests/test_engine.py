@@ -170,13 +170,13 @@ def test_reduce_candidates_without_usable_q_is_p0():
 
 
 def test_kill_choose_q_middle_examples():
-    assert kill_choose_q_middle(cycle_graph(5), 1, 2, 3) == 1
-    g = build_named("K2xC6")
-    assert kill_choose_q_middle(g, 1, 3, 5) == 1
+    assert kill_choose_q_middle(CommutationKB(cycle_graph(5)), 1, 2, 3) == 1
+    kb = CommutationKB(build_named("K2xC6"))
+    assert kill_choose_q_middle(kb, 1, 3, 5) == 1
     # |CN(3,8)| = 0 and |CN(3,10)| = 2 differ from |CN(1,3)| = 1, so the
     # colour of (l,p) differs from that of (j,l): no candidate for any q
-    assert kill_choose_q_middle(g, 1, 3, 8) is None
-    assert kill_choose_q_middle(g, 1, 3, 10) is None
+    assert kill_choose_q_middle(kb, 1, 3, 8) is None
+    assert kill_choose_q_middle(kb, 1, 3, 10) is None
 
 
 def test_p0_excludes_common_neighbour_mismatches():
