@@ -24,6 +24,7 @@ order) and embeds the graph, so a certificate file is self-contained.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from itertools import zip_longest
 from typing import Callable
@@ -233,11 +234,13 @@ class CommutationKB:
     replayed into by the verifier.  It is the only input of a rule check:
     ``graph`` is the graph the facts are about, and ``dist``, ``colours``
     and ``masks`` its tables ``distances()``, ``pair_colours()`` and
-    ``colour_masks()``, read once.  ``commute`` holds column pairs {j,l}
-    as integer codes: with m = n + 1 and j <= l, {j,l} has the code
-    j*m + l, and a diagonal {j} the code j*m + j; the code is injective
-    on the vertices 0..n only, which is why the verifier refuses any
-    other vertex before a check runs.  ``killed[(j,l)]`` is the bitmask
+    ``colour_masks()``, each read on first use and then kept as a plain
+    attribute, so a replay of a witness or an injectivity step builds none
+    of them.  ``commute`` holds column pairs {j,l} as integer codes: with
+    m = n + 1 and j <= l, {j,l} has the code j*m + l, and a diagonal {j}
+    the code j*m + j; the code is injective on the vertices 0..n only,
+    which is why the verifier refuses any other vertex before a check
+    runs.  ``killed[(j,l)]`` is the bitmask
     of the vertices p killed for (j,l), ``candidates[(j,l)]`` that of the
     survivors of the reductions so far, ``generators`` the automorphisms
     that accepted ``GENERATOR`` steps have stated, ``tables`` their pair
@@ -250,8 +253,6 @@ class CommutationKB:
 
     def __init__(self, g: Graph):
         self.graph = g
-        self.dist, self.colours, self.masks = (
-            g.distances(), g.pair_colours(), g.colour_masks())
         self.m = g.n + 1
         self.commute: set = set()
         self.killed: dict = {}
@@ -260,6 +261,18 @@ class CommutationKB:
         self.tables: list = []
         self.unwalked: set = set()
         self.log: list = []
+
+    @functools.cached_property
+    def dist(self):
+        return self.graph.distances()
+
+    @functools.cached_property
+    def colours(self):
+        return self.graph.pair_colours()
+
+    @functools.cached_property
+    def masks(self):
+        return self.graph.colour_masks()
 
     def knows_commute(self, j, l) -> bool:
         return j == l or (j * self.m + l if j <= l

@@ -481,6 +481,9 @@ def read_graph(text: str, label="") -> Graph:
                 (n,) = map(_decimal, parts[1:])
             except ValueError:
                 raise GraphError(f"line {lineno}: expected 'p <n>'") from None
+            if n < 1:
+                raise GraphError(
+                    f"line {lineno}: need at least one vertex, got n={n}")
         elif parts[0] == "e":
             if n is None:
                 raise GraphError(f"line {lineno}: edge before 'p' line")

@@ -5,7 +5,11 @@ backtracking search, ``_extensions``, answers every automorphism query: it
 extends a partial vertex map, pruned by each vertex's profile of pair
 colours and by exact preservation of the pair colour (distance, common
 neighbours) from ``Graph.pair_colours``, and yields the completions in
-increasing order of image vector.  The pruning is sound because an
+increasing order of image vector.  The candidate images of a vertex v are
+one bitmask: v's class of equal profiles ANDed, for each assigned pair
+w -> b, with b's colour class of the colour c(v, w) from
+``Graph.colour_masks``, so a node costs one AND per assigned pair.  The
+pruning is sound because an
 automorphism preserves distances and maps the common neighbours of x and y
 onto those of their images, so it preserves both components; it only cuts
 branches that hold no automorphism, and the order in which the rest are
@@ -14,20 +18,19 @@ queries it for both users on top.  The first is an orbit-stabilizer chain
 that tries only images outside the orbit its generators already reach,
 keeping one generator per orbit enlargement (it yields the exact group
 order without enumerating elements, so K12 with |Aut| = 12! takes 11
-generators).  The second is an exhaustive-by-construction search for a
-pair of non-trivial automorphisms with disjoint supports, which decides
-the question exactly: it scans candidate supports by size, which is
-enough because the smaller support of any disjoint pair has at most n//2
-vertices.  Only twin-closed subsets are candidates, those in which every
-vertex v has a twin u != v with the same invariants and the same pair
-colour with every vertex outside the subset.  That is necessary: if sigma
-fixes the outside pointwise and moves v to u, then c(x, v) =
-c(sigma x, sigma v) = c(x, u) for every outside x, and u, being moved as
-well, lies inside.  The chain and the scan check a
-``time.monotonic()`` deadline at every node of every search, and the scan
-also on entry and once per vertex while it builds its twin masks.  Vertex
-and pair orbits come from one walk, ``walk``, which returns the points,
-with ``act_on_pair`` as the action on unordered pairs.
+generators).  The second is an exhaustive-by-construction search for a pair
+of non-trivial automorphisms with disjoint supports, which decides the
+question exactly: it scans candidate supports by size, which is enough
+because the smaller support of any disjoint pair has at most n//2 vertices.
+Only twin-closed subsets are candidates, those in which every vertex v has
+a twin u != v with the same invariants and the same pair colour with every
+vertex outside the subset.  That is necessary: if sigma fixes the outside
+pointwise and moves v to u, then c(x, v) = c(sigma x, sigma v) = c(x, u)
+for every outside x, and u, being moved as well, lies inside.  The chain
+and the scan check a ``time.monotonic()`` deadline at every node of every
+search, and the scan also on entry and once per vertex while it builds its
+twin masks.  Vertex and pair orbits come from one walk, ``walk``, which
+returns the points, with ``act_on_pair`` as the action on unordered pairs.
 """
 
 from __future__ import annotations
@@ -162,10 +165,15 @@ def is_automorphism(g: Graph, perm: Permutation) -> bool:
 
 
 def _invariants(g: Graph):
-    """inv[v]: v's sorted row of pair colours, its degree included (the
-    diagonal colour carries it); an automorphism maps v only to a vertex
-    with the same row."""
-    return [None] + [tuple(sorted(row[1:])) for row in g.pair_colours()[1:]]
+    """inv[v]: the bitmask of the vertices whose sorted row of pair colours,
+    degree included (the diagonal colour carries it), is v's; an
+    automorphism maps v only into inv[v].  Two entries are equal exactly
+    when their vertices share that class."""
+    rows = [tuple(sorted(row[1:])) for row in g.pair_colours()[1:]]
+    classes = {}
+    for v, row in enumerate(rows, start=1):
+        classes[row] = classes.get(row, 0) | 1 << v
+    return [0] + [classes[row] for row in rows]
 
 
 def _fits(c, inv, pre: dict, v, a) -> bool:
@@ -174,7 +182,7 @@ def _fits(c, inv, pre: dict, v, a) -> bool:
     ``g.pair_colours()``.  Sound, as every automorphism preserves both.  A
     partial map is colour-consistent when each of its own pairs fits it;
     that makes it injective, as c(v,w) has d(v,w) > 0 = d(a,a)."""
-    if inv[v] != inv[a]:
+    if not inv[v] >> a & 1:
         return False
     cv, ca = c[v], c[a]
     return all(cv[w] == ca[b] for w, b in pre.items())
@@ -185,19 +193,33 @@ def _check_deadline(deadline: float | None) -> None:
         raise DeadlineExceeded("automorphism search ran past its deadline")
 
 
+def _images(masks, cv, assigned: dict, cands: int) -> int:
+    """The members a of the bitmask ``cands`` with c(a, b) = c(v, w) for
+    every assigned pair w -> b, ``cv`` being v's row of pair colours: one
+    AND per pair with b's colour class of that colour, ``masks`` being
+    ``g.colour_masks()``.  The map must be colour-consistent (see
+    ``_fits``), so b shares w's row of colours and its classes hold the
+    colour; and no assigned b survives, as c(b, b) has distance 0."""
+    for w, b in assigned.items():
+        cands &= masks[b][cv[w]]
+        if not cands:
+            break
+    return cands
+
+
 def _extensions(g: Graph, pre: dict, inv, deadline: float | None = None):
     """Every automorphism extending the colour-consistent partial map
     ``pre`` (see ``_fits``), in increasing order of image vector; ``inv`` is
     ``_invariants(g)``.  Unassigned vertices are visited in the order 1..n
     and their images tried in ascending order, so the first value is the
-    lexicographically smallest completion.  Every node of the search checks
-    ``deadline`` (see ``_check_deadline``): one search can take longer than
-    any deadline worth setting, as on strongly regular graphs, whose pair
-    colours only restate adjacency."""
+    lexicographically smallest completion.  A node's images are the
+    ``_images`` of v's invariant class under the map so far.  Every node of
+    the search checks ``deadline`` (see ``_check_deadline``): one search
+    can take longer than any deadline worth setting, as on strongly
+    regular graphs, whose pair colours only restate adjacency."""
     n = g.n
-    c = g.pair_colours()
+    c, masks = g.pair_colours(), g.colour_masks()
     assigned = dict(pre)
-    used = set(assigned.values())
     todo = [v for v in range(1, n + 1) if v not in assigned]
 
     def dfs(pos):
@@ -207,20 +229,13 @@ def _extensions(g: Graph, pre: dict, inv, deadline: float | None = None):
                 (0, *map(assigned.__getitem__, range(1, n + 1))))
             return
         v = todo[pos]
-        cv, iv = c[v], inv[v]
-        for a in range(1, n + 1):
-            if a in used or inv[a] != iv:
-                continue
-            ca = c[a]
-            for w, b in assigned.items():
-                if cv[w] != ca[b]:
-                    break
-            else:
-                assigned[v] = a
-                used.add(a)
-                yield from dfs(pos + 1)
-                del assigned[v]
-                used.discard(a)
+        cands = _images(masks, c[v], assigned, inv[v])
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            assigned[v] = low.bit_length() - 1
+            yield from dfs(pos + 1)
+            del assigned[v]
 
     return dfs(0)
 
@@ -288,12 +303,15 @@ def _moves(g: Graph, prefix: dict, v, inv, orbit,
     """For each a in ascending order that neither ``prefix`` uses nor
     ``orbit`` holds (v among it), the smallest-image-vector automorphism
     extending ``prefix`` and v -> a, where one exists, each search bounded
-    by ``deadline``.  ``orbit`` is read as each a comes up, so a caller
-    that grows it between the yields skips the images it reaches."""
-    c = g.pair_colours()
-    used = set(prefix.values())
-    for a in range(1, g.n + 1):
-        if a in used or a in orbit or not _fits(c, inv, prefix, v, a):
+    by ``deadline``.  The images of v under ``prefix`` are one ``_images``
+    mask; ``orbit`` is read as each a comes up, so a caller that grows it
+    between the yields skips the images it reaches."""
+    cands = _images(g.colour_masks(), g.pair_colours()[v], prefix, inv[v])
+    while cands:
+        low = cands & -cands
+        cands ^= low
+        a = low.bit_length() - 1
+        if a in orbit:
             continue
         phi = next(_extensions(g, {**prefix, v: a}, inv, deadline), None)
         if phi is not None:

@@ -233,10 +233,10 @@ class IndependentReplayer:
                     if s.n != self.n or s.n == 4:
                         return False
                     offsets = {1, s.n - 1}
-                    for c in s.chords:
-                        if not 1 < c <= s.n // 2:
+                    for chord in s.chords:
+                        if not 1 < chord <= s.n // 2:
                             return False
-                        offsets |= {c, s.n - c}
+                        offsets |= {chord, s.n - chord}
                     want = {frozenset((i, j))
                             for i in verts for j in verts
                             if i < j and (j - i) % s.n in offsets}

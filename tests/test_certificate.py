@@ -169,6 +169,18 @@ def test_mask_predicates_agree_with_a_list_reference():
                             (g, j, l, p, q)
 
 
+def _count_table_calls(monkeypatch):
+    """Calls of ``Graph.distances``, ``pair_colours`` and ``colour_masks``
+    from now on, by method name."""
+    calls = Counter()
+    for name in ("distances", "pair_colours", "colour_masks"):
+        def counted(self, _name=name, _method=getattr(Graph, name)):
+            calls[_name] += 1
+            return _method(self)
+        monkeypatch.setattr(Graph, name, counted)
+    return calls
+
+
 def test_a_replay_reads_each_graph_table_at_most_twice(monkeypatch):
     """The replay state reads the distances, pair colours and colour
     classes once, when it is built, and every check reads them from it.
@@ -176,15 +188,22 @@ def test_a_replay_reads_each_graph_table_at_most_twice(monkeypatch):
     no method runs more than twice in one replay."""
     _, cert = _lemma_certificate("C12(2)")
     back = parse_certificate(serialize_certificate(cert))
-    calls = Counter()
-    for name in ("distances", "pair_colours", "colour_masks"):
-        def counted(self, _name=name, _method=getattr(Graph, name)):
-            calls[_name] += 1
-            return _method(self)
-        monkeypatch.setattr(Graph, name, counted)
+    calls = _count_table_calls(monkeypatch)
     assert verify_certificate(back.graph(), back)
     assert set(calls) == {"distances", "pair_colours", "colour_masks"}
     assert max(calls.values()) <= 2, calls
+
+
+def test_a_witness_replay_builds_no_graph_table(monkeypatch):
+    """A ``DISJOINT_WITNESS`` check reads the graph's edges alone, so
+    replaying C12(5)'s witness on a freshly built graph computes no
+    distances, pair colours or colour classes."""
+    cert = decide(circulant(12, 5)).certificate
+    assert [s.kind for s in cert.steps] == [cm.DISJOINT_WITNESS]
+    calls = _count_table_calls(monkeypatch)
+    fresh = circulant(12, 5)
+    assert verify_certificate(fresh, cert)
+    assert not calls and fresh._dist is None
 
 
 def test_premise_cited_before_derivation_is_rejected():
@@ -724,6 +743,19 @@ def test_an_edge_that_leaves_a_simple_graph_is_named_by_its_line(
         parse_certificate(forged)
 
 
+def test_a_graph_without_vertices_is_named_by_its_line():
+    """``p 0`` is refused at its own record, in a graph file and in a
+    certificate's graph records, before any edge is read."""
+    with pytest.raises(GraphError, match=re.escape(
+            "line 2: need at least one vertex, got n=0")):
+        read_graph("# empty\np 0\n")
+    forged = _c5_text().replace("graph p 5", "graph p 0", 1)
+    line = forged.splitlines().index("graph p 0") + 1
+    with pytest.raises(GraphError, match="^" + re.escape(
+            f"line {line}: need at least one vertex, got n=0") + "$"):
+        parse_certificate(forged)
+
+
 @pytest.mark.parametrize("canonical, variant", [
     ("graph e 1 2", "graph e 2 1"),
     ("graph e 1 2", "graph e 01 2"),
@@ -741,3 +773,20 @@ def test_parse_refuses_text_that_does_not_read_back(canonical, variant):
             f"certificate line {line!r} does not read back: the "
             f"serialization has {line.replace(variant, canonical)!r}")):
         parse_certificate(forged)
+
+
+def test_an_injectivity_step_before_a_lemma_log_replays_in_both_verifiers():
+    """INJECTIVE_F holds for C7(2), and a closed lemma log after it still
+    proves the verdict, so both verifiers accept the two together.  The
+    step's chords are read without disturbing the pair colours that the
+    later steps are checked against."""
+    g = circulant(7, 2)
+    kb, closed, _ = lemma_fixpoint(g, automorphism_group(g))
+    assert closed
+    cert = Certificate.for_graph(g, cm.VERDICT_NONE, kb.log)
+    assert any(s.kind == cm.CHOOSE_Q_MIDDLE for s in cert.steps)
+    both = Certificate(cert.verdict, cert.n, cert.edges,
+                       (step(cm.INJECTIVE_F, n=7, chords=(2,)),) + cert.steps)
+    assert "step INJECTIVE_F n=7 chords=2\n" in serialize_certificate(both)
+    assert verify_certificate(g, both)
+    assert IndependentReplayer(g.n, g.edges()).accepts(both)

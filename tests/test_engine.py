@@ -437,8 +437,9 @@ def test_lemma_fixpoint_bounds_the_group_by_its_deadline(monkeypatch):
 
 def test_decide_honours_a_short_timeout_on_64_vertices():
     """No size bound: the caller's deadline is the only limit.  The
-    order-8 Latin square graph (64 vertices) takes 17-25 s to end
-    Undecided on 2 vCPU; told 0.05 s, decide says so within 0.5 s."""
+    order-8 Latin square graph (64 vertices) takes 0.6-1.4 s to end
+    Undecided on a shared 2-vCPU Xeon; told 0.05 s, decide says so
+    within 0.5 s."""
     g = latin_square_graph(8)
     start = time.monotonic()
     v = decide(g, timeout=0.05)

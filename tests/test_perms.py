@@ -335,6 +335,19 @@ def test_a_deadline_stops_one_search_midway(monkeypatch):
     assert next(clock) == 1002
 
 
+def test_the_full_chain_on_64_vertices_reads_the_clock_once_per_node(
+        monkeypatch):
+    """Every node of the chain's searches reads the deadline, so the clock
+    count is the node count: the whole chain on the order-8 Latin square
+    graph visits 63,986 nodes however cheap each node is."""
+    g = latin_square_graph(8)
+    clock = itertools.count()
+    monkeypatch.setattr("qsym.perms.time",
+                        SimpleNamespace(monotonic=lambda: next(clock)))
+    assert automorphism_group(g, deadline=10**12).order == 1536
+    assert next(clock) == 63986
+
+
 def test_the_scan_reads_the_deadline_while_it_builds_its_twin_masks(
         monkeypatch):
     """The disjoint scan reads the clock on entry, then once per vertex of
@@ -360,15 +373,46 @@ def test_the_scan_reads_the_deadline_while_it_builds_its_twin_masks(
     assert stopped and next(clock) == 12
 
 
+# SHA-256 over (label, pair) of the disjoint scan on the 37 catalog rows and
+# the 378 circulants, pair being None or the two automorphisms as cycles.
+DISJOINT_PAIRS_SHA256 = \
+    "cf7d48e2f9ab4bdcb5977515384ac00254be161411ec2207494db1afa0b07e8a"
+# The same graphs, each with find_automorphism(g, {1: v}) for v = 1..n.
+FIRST_IMAGE_EXTENSIONS_SHA256 = \
+    "35887136021ef3671909a1dff848a3f4a67dbf18fbd873c3914316ba2a6cc3df"
+
+
+def _catalog_and_circulants():
+    graphs = [e.build() for e in catalog() if e.subclass != "sanity"]
+    graphs += circulants()
+    assert len(graphs) == 415
+    return graphs
+
+
+def test_disjoint_pairs_are_pinned():
+    """The scan's searches may get cheaper, never different: every
+    witness and partner stays the one the pin was taken from."""
+    pairs = []
+    for g in _catalog_and_circulants():
+        pair = find_disjoint_automorphisms(g)
+        pairs.append((g.label, pair and tuple(map(str, pair))))
+    assert _digest(pairs) == DISJOINT_PAIRS_SHA256
+
+
+def test_smallest_extensions_of_each_first_image_are_pinned():
+    """find_automorphism(g, {1: v}) for every v, None included."""
+    rows = [(g.label, tuple(str(find_automorphism(g, {1: v}))
+                            for v in g.vertices()))
+            for g in _catalog_and_circulants()]
+    assert _digest(rows) == FIRST_IMAGE_EXTENSIONS_SHA256
+
+
 def test_twin_masks_match_their_definition_over_ordered_pairs():
     """On the 37 catalog graphs and the 378 circulants C_n(S), 5 <= n <=
     16, row v of the twin masks holds, for each u != v with v's
     invariants in ascending order, the bitmask of the vertices x with
     c(v, x) != c(u, x); so the masks of (v, u) and (u, v) are equal."""
-    graphs = [e.build() for e in catalog() if e.subclass != "sanity"]
-    graphs += circulants()
-    assert len(graphs) == 415
-    for g in graphs:
+    for g in _catalog_and_circulants():
         c, inv = g.pair_colours(), perms._invariants(g)
         twins, masks = perms._twin_masks(g, inv), {}
         assert len(twins) == g.n + 1 and not twins[0]
