@@ -129,13 +129,14 @@ RETIRED = {
 }
 
 
-def _ser_value(key, value):
+def _token(key, value) -> str:
+    """The written form ``key=value`` of one field."""
     if key in ("phi", "sigma", "tau"):
         # compact cycle notation, no spaces: (1,7)(3,9,5)
-        return str(value).replace(" ", ",")
+        return f"{key}={str(value).replace(' ', ',')}"
     if key in ("survivors", "chords", "bases"):
-        return ",".join(str(v) for v in value) or "-"
-    return str(value)
+        return f"{key}={','.join(map(str, value)) or '-'}"
+    return f"{key}={value}"
 
 
 def _parse_value(key, text, n):
@@ -149,9 +150,10 @@ def _parse_value(key, text, n):
 
 
 def serialize_step(s: ProofStep) -> str:
+    fields = s.fields
     parts = [s.kind]
     for key in RULES[s.kind].fields:
-        parts.append(f"{key}={_ser_value(key, s.fields[key])}")
+        parts.append(_token(key, fields[key]))
     return " ".join(parts)
 
 
@@ -159,11 +161,15 @@ def serialize_certificate(cert: Certificate) -> str:
     return "\n".join(_lines(cert)) + "\n"
 
 
+def _head(verdict, n, edges) -> list:
+    """The header, verdict and graph lines of a certificate."""
+    return [HEADER, f"verdict {verdict}", f"graph p {n}",
+            *(f"graph e {i} {j}" for i, j in edges)]
+
+
 def _lines(cert: Certificate) -> list:
-    lines = [HEADER, f"verdict {cert.verdict}", f"graph p {cert.n}"]
-    lines.extend(f"graph e {i} {j}" for i, j in cert.edges)
-    lines.extend("step " + serialize_step(s) for s in cert.steps)
-    return lines
+    return _head(cert.verdict, cert.n, cert.edges) + [
+        "step " + serialize_step(s) for s in cert.steps]
 
 
 def parse_certificate(text: str) -> Certificate:
@@ -172,7 +178,14 @@ def parse_certificate(text: str) -> Certificate:
     ``ValueError`` names it.  The text must be the certificate's own
     serialization, up to blank lines and surrounding whitespace: a line
     that would read back differently (``graph e 2 1``, ``j=01``, a cycle
-    written from another vertex) is refused by name."""
+    written from another vertex) is refused by name.
+
+    Each distinct field token (``j=3``, ``survivors=2,7``) is read once
+    per certificate: a memo keeps its value and its written form
+    ``key=value``.  The read-back is still the whole serialization, line
+    for line; a step whose fields come in table order is written back
+    from the memo's written forms, any other through
+    :func:`serialize_step`."""
     rows = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in rows if ln]
     if lines and lines[0] in RETIRED:
@@ -193,23 +206,37 @@ def parse_certificate(text: str) -> Certificate:
     # its line in the file
     g = read_graph("\n".join(ln[6:] if ln.startswith("graph ") else ""
                              for ln in rows))
-    n = g.n
+    n, edges = g.n, g.edges()
+    readback = _head(verdict, n, edges)
+    memo = {}  # token -> (value, written form)
     steps = []
     for ln in step_lines:
         kind, *tokens = ln.split()
         fields = {}
         for tok in tokens:
-            key, eq, raw = tok.partition("=")
+            key, eq, _ = tok.partition("=")
             if not eq or key in fields:
                 raise ValueError(f"malformed field {tok!r} in {kind}")
-            fields[key] = raw
+            fields[key] = tok
         # kind and field set first, so a retired field is named as such
-        _check_kind(kind, fields.keys())
-        steps.append(ProofStep(kind, {key: _parse_value(key, raw, n)
-                                      for key, raw in fields.items()}))
-    cert = Certificate(verdict=verdict, n=n, edges=g.edges(),
-                       steps=tuple(steps))
-    for line, own in zip_longest(lines, _lines(cert)):
+        rule = RULES.get(kind)
+        in_order = rule is not None and tuple(fields) == rule.fields
+        if not in_order:
+            _check_kind(kind, fields.keys())
+        written = [kind]
+        for key, tok in fields.items():
+            known = memo.get(tok)
+            if known is None:
+                value = _parse_value(key, tok[len(key) + 1:], n)
+                known = memo[tok] = (value, _token(key, value))
+            fields[key] = known[0]
+            written.append(known[1])
+        s = ProofStep(kind, fields)
+        steps.append(s)
+        readback.append("step " + (" ".join(written) if in_order
+                                   else serialize_step(s)))
+    cert = Certificate(verdict=verdict, n=n, edges=edges, steps=tuple(steps))
+    for line, own in zip_longest(lines, readback):
         if line != own:
             raise ValueError(f"certificate line {line!r} does not read back:"
                              f" the serialization has {own!r} in its place")

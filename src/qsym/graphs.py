@@ -114,11 +114,16 @@ class Graph:
 
     def edges(self) -> tuple:
         """The edges (i, j), i < j, in lexicographic order, as a cached
-        tuple."""
+        tuple, read from the set bits of each row above its vertex."""
         if self._edges is None:
-            object.__setattr__(self, "_edges", tuple(
-                (i, j) for i in self.vertices()
-                for j in range(i + 1, self.n + 1) if self.adjacent(i, j)))
+            edges = []
+            for i, row in enumerate(self.rows):
+                above = (row >> i + 1) << i + 1
+                while above:
+                    low = above & -above
+                    edges.append((i, low.bit_length() - 1))
+                    above ^= low
+            object.__setattr__(self, "_edges", tuple(edges))
         return self._edges
 
     def num_edges(self) -> int:

@@ -762,6 +762,10 @@ def test_a_graph_without_vertices_is_named_by_its_line():
     ("graph e 1 2", "graph e 1 2 # x"),
     ("ADJ_COMMUTE_CLOSE j=1 l=3", "ADJ_COMMUTE_CLOSE j=01 l=3"),
     ("phi=(1,2)(3,5)", "phi=(3,5)(2,1)"),
+    ("verdict no_quantum_symmetry", "verdict  no_quantum_symmetry"),
+    ("ADJ_COMMUTE_CLOSE j=1 l=3", "ADJ_COMMUTE_CLOSE j=1  l=3"),
+    ("ADJ_COMMUTE_CLOSE j=1 l=3", "ADJ_COMMUTE_CLOSE l=3 j=1"),
+    ("step ADJ_COMMUTE_CLOSE j=1 l=3", "step  ADJ_COMMUTE_CLOSE j=1 l=3"),
 ])
 def test_parse_refuses_text_that_does_not_read_back(canonical, variant):
     """Each variant means the same certificate as C5's own text, but it

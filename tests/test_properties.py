@@ -2,21 +2,29 @@
 
 Each property runs over all catalog graphs or over a seeded sample of
 random graphs on up to 8 vertices (200 draws), per the acceptance bar.
+The certificate-text property rewrites the closed lemma certificates of
+the circulants with n <= 10.
 """
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
 from qsym.catalog import twelve_vertex_entries
-from qsym.engine import lemma_fixpoint
+from qsym.certificate import (
+    VERDICT_NONE,
+    parse_certificate,
+    serialize_certificate,
+)
+from qsym.engine import decide, lemma_fixpoint
 from qsym.freealg import NcPoly
 from qsym.graphs import Graph, complement
 from qsym.groebner import buchberger, normal_form, quantum_relations
 from qsym.named import cycle_graph
 from qsym.perms import act_on_pair, automorphism_group, is_automorphism, walk
 
-from util import commute_pairs, floyd_warshall, random_graph
+from util import circulants, commute_pairs, floyd_warshall, random_graph
 
 SAMPLES = 200
 
@@ -54,6 +62,19 @@ def test_distance_one_iff_adjacent_randomized():
             for j in g.vertices():
                 assert d[i][j] == d[j][i]
                 assert (d[i][j] == 1) == g.adjacent(i, j)
+
+
+def _edges_by_adjacency(g):
+    return tuple((i, j) for i in g.vertices()
+                 for j in range(i + 1, g.n + 1) if g.adjacent(i, j))
+
+
+def test_edges_list_every_adjacent_pair_in_lexicographic_order():
+    graphs = [entry.build() for entry in twelve_vertex_entries()]
+    graphs += _random_graphs(seed=107)
+    graphs += [Graph(1, []), Graph(6, []), complement(Graph(6, []))]
+    for g in graphs:
+        assert g.edges() == _edges_by_adjacency(g), g
 
 
 def test_complement_is_an_involution_randomized():
@@ -174,3 +195,98 @@ def test_integer_reduction_matches_fraction_reduction():
         assert all(type(c) is Fraction for c in got.terms.values())
         fractional += any(c.denominator > 1 for c in got.terms.values())
     assert fractional >= 20
+
+
+def _token_mutants(text, rng):
+    """One rewrite of ``text`` per kind, each at the level of its tokens:
+    (kind, mutant) pairs, a kind left out where the text offers no
+    place for it."""
+    lines = text.splitlines()
+    steps = [k for k, ln in enumerate(lines) if ln.startswith("step ")]
+    records = [k for k, ln in enumerate(lines) if ln.startswith("graph ")]
+    with_fields = [k for k in steps if "=" in lines[k]]
+
+    def put(changes):
+        out = list(lines)
+        for k, ln in changes.items():
+            out[k] = ln
+        return "\n".join(out) + "\n"
+
+    k = rng.randrange(len(lines))
+    at = rng.choice([m.start() for m in re.finditer(" ", lines[k])])
+    yield "double a space", put({k: lines[k][:at] + " " + lines[k][at:]})
+    several = [k for k in steps if lines[k].count("=") >= 2]
+    if several:
+        k = rng.choice(several)
+        head, *fields = lines[k].split(" ")
+        a, b = rng.sample(range(len(fields) - 1), 2)
+        fields[a + 1], fields[b + 1] = fields[b + 1], fields[a + 1]
+        yield "swap two fields", put({k: " ".join([head, *fields])})
+    k = rng.choice([k for k in range(2, len(lines))
+                    if re.search(r"\d", lines[k])])
+    m = rng.choice(list(re.finditer(r"\d+", lines[k])))
+    yield "zero-pad a number", put(
+        {k: lines[k][:m.start()] + "0" + lines[k][m.start():]})
+    a, b = rng.sample(records, 2)
+    yield "swap two graph records", put({a: lines[b], b: lines[a]})
+    lists = [k for k in steps if re.search(r"survivors=\d+,", lines[k])]
+    if lists:
+        k = rng.choice(lists)
+        yield "reverse a survivors list", put({k: re.sub(
+            r"survivors=([\d,]+)",
+            lambda m: "survivors=" + ",".join(m[1].split(",")[::-1]),
+            lines[k])})
+    gens = [k for k in steps if "phi=(" in lines[k]]
+    if gens:
+        k = rng.choice(gens)
+        cycles = re.findall(r"\(([\d,]+)\)", lines[k])
+        c = rng.randrange(len(cycles))
+        cyc = cycles[c].split(",")
+        turn = rng.randrange(1, len(cyc))
+        cycles[c] = ",".join(cyc[turn:] + cyc[:turn])
+        yield "start a phi cycle from another vertex", put(
+            {k: "step GENERATOR phi=" + "".join(f"({c})" for c in cycles)})
+    if len(with_fields) >= 2:
+        a, b = sorted(rng.sample(with_fields, 2))
+        source = rng.choice(lines[a].split(" ")[2:])
+        parts = lines[b].split(" ")
+        parts[rng.randrange(2, len(parts))] = source
+        yield "copy an earlier token", put({b: " ".join(parts)})
+
+
+def test_a_certificate_text_parses_only_as_its_own_serialization():
+    """Token-level rewrites of the closed lemma certificates with n <= 10:
+    each mutant is refused or parses to a certificate that serializes to
+    exactly the mutant's lines, blank lines and surrounding whitespace
+    aside.  The contract of ``parse_certificate``, stated without
+    reference to how it reads a text."""
+    rng = random.Random(108)
+    texts = []
+    for g in circulants(10):
+        cert = decide(g, engine="lemmas").certificate
+        if cert is not None and cert.verdict == VERDICT_NONE:
+            texts.append(serialize_certificate(cert))
+    assert len(texts) >= 20
+    tally = {}
+    for text in texts:
+        for _ in range(3):
+            for kind, mutant in _token_mutants(text, rng):
+                try:
+                    back = parse_certificate(mutant)
+                except ValueError:  # GraphError included
+                    outcome = "refused"
+                else:
+                    assert serialize_certificate(back).splitlines() == [
+                        ln.strip() for ln in mutant.splitlines()
+                        if ln.strip()], (kind, mutant)
+                    outcome = "same" if mutant == text else "read back"
+                tally.setdefault(kind, {}).setdefault(outcome, 0)
+                tally[kind][outcome] += 1
+    assert len(tally) == 7
+    # a reversed survivors list reads back as written (the verifier, not
+    # the parser, refuses its order), and so does a copied token whose key
+    # fits its new line
+    assert tally["reverse a survivors list"].get("read back")
+    assert tally["copy an earlier token"].get("read back")
+    assert all(tally[kind].get("refused") for kind in tally
+               if kind != "reverse a survivors list")
