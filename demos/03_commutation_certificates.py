@@ -2,11 +2,13 @@
 """The lemma engine end to end: derive, render, verify, and tamper.
 
 The 5-cycle derivation below, run without the whole-graph shortcuts,
-reproduces the classic worked example: two triple-product kills settle
-the adjacent columns, the automorphisms spread the facts, and two
-candidate reductions finish the distance-2 columns.  The certificate
-states the generators of Aut(C5) once (GENERATOR) and marks where the
-known facts are closed under them (ORBIT_CLOSE)."""
+follows the classic worked example: one triple-product kill settles the
+column pair (1,2) and the automorphisms carry it to every adjacent pair,
+then one candidate reduction settles (1,3) and they carry that to every
+pair at distance 2.  The worked example's rows for (1,5) and (1,4) are
+orbit images of these two, so the certificate does not derive them.  It
+states the generators of Aut(C5) once (GENERATOR) and closes the known
+facts under them after each proved pair (ORBIT_CLOSE)."""
 
 from qsym import decide
 from qsym.certificate import (

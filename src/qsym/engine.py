@@ -181,13 +181,14 @@ def lemma_fixpoint(g: Graph, aut: AutGroup | None = None,
     """Saturate the lemma rules; returns (kb, closed, timed_out).
 
     After the seeds, one ``GENERATOR`` step states each generator of
-    ``aut``, and an ``ORBIT_CLOSE`` step adds every image of the known
-    commute facts under them.  Sweeps visit one base vertex per vertex
-    orbit and its partner columns in ascending distance order; another
-    ``ORBIT_CLOSE`` follows each distance class that proved a pair,
-    matching how the written proofs interleave the two, while a base
-    column has an open partner and until a sweep proves nothing (each
-    other sweep adds one of the n(n-1)/2 commute facts).  ``closed`` is
+    ``aut``, and when there is one an ``ORBIT_CLOSE`` step adds every
+    image of the known commute facts under them.  Sweeps visit one base
+    vertex per vertex orbit and its partner columns in ascending distance
+    order, while a base column has an open partner and until a sweep
+    proves nothing (each other sweep adds one of the n(n-1)/2 commute
+    facts).  Another ``ORBIT_CLOSE`` follows each proved pair when a
+    generator exists, so the facts stay closed under Aut(G) and the sweep
+    never derives a pair that is an image of known ones.  ``closed`` is
     the table's answer to the ``CONCLUSION_COMMUTATIVE`` step proposed
     last: a closed ``kb.log`` is the whole certificate, an open one holds
     no conclusion.  ``deadline`` also bounds the group search when ``aut``
@@ -198,28 +199,23 @@ def lemma_fixpoint(g: Graph, aut: AutGroup | None = None,
     kb = seed_kb(g, use_global_seeds=use_global_seeds)
     for phi in aut.generators:
         _propose(kb, cert_mod.GENERATOR, phi=phi)
-    _propose(kb, cert_mod.ORBIT_CLOSE)
+    if kb.generators:
+        _propose(kb, cert_mod.ORBIT_CLOSE)
     reps = tuple(orbit[0] for orbit in aut.vertex_orbits())
 
     while kb.open_column_pair(reps) is not None:
         added_this_round = False
         for j0 in reps:
-            by_dist = {}
-            for l in g.vertices():
-                if l != j0:
-                    by_dist.setdefault(kb.dist[j0][l], []).append(l)
-            for m in sorted(by_dist):
-                class_added = False
-                for l in sorted(by_dist[m]):
-                    if kb.knows_commute(j0, l):
-                        continue
-                    if deadline is not None and time.monotonic() > deadline:
-                        return kb, False, True
-                    if prove_pair(kb, j0, l):
-                        class_added = True
-                if class_added:
-                    _propose(kb, cert_mod.ORBIT_CLOSE)
+            # by distance from j0, then by vertex: the sort is stable
+            for l in sorted(g.vertices(), key=kb.dist[j0].__getitem__):
+                if kb.knows_commute(j0, l):
+                    continue
+                if deadline is not None and time.monotonic() > deadline:
+                    return kb, False, True
+                if prove_pair(kb, j0, l):
                     added_this_round = True
+                    if kb.generators:
+                        _propose(kb, cert_mod.ORBIT_CLOSE)
         if not added_this_round:
             break
     closed = _propose(kb, cert_mod.CONCLUSION_COMMUTATIVE, bases=reps)

@@ -37,12 +37,13 @@ EXPECTED_QUANTUM = {
 # order: each row's name, verdict kind, witness text and serialized
 # certificate.
 CATALOG_ROWS_SHA256 = \
-    "4a3b25b3b5b4370940486649d84e0c89dc5899e3a033142bc9692184a5c441a5"
-# The same rows with each certificate cut to its ``util.derivation``,
-# computed from the v2 certificates: stating Aut(G) once changed no
-# derivation step.
+    "12dac472420a4f9bf3847d2736f8dbf227eacfe187785d7ad8389a172646e9f8"
+# The same rows with each certificate cut to its ``util.derivation``.  It
+# is no longer that of the v2 certificates: closing the facts under the
+# generators after each proved pair dropped the steps that derived orbit
+# images.
 CATALOG_DERIVATIONS_SHA256 = \
-    "261b473724ac31ea1dd541cdbec31d6cce4fd35144a3c0e9e1fc738cb519827b"
+    "5dd38a6a1ef7e72dde557a6ff2f753d657eeb7ad59e60a5b4ac12e9f0d5d77a5"
 # SHA-256 over every catalog graph, in ``catalog_names()`` order: its
 # name, label, order, edge tuple and circulant spec, one line each.
 NAMED_GRAPHS_SHA256 = \
@@ -214,11 +215,10 @@ def test_report_markdown_rows_have_as_many_cells_as_their_delimiter_row():
 
 def test_catalog_rows_are_pinned(monkeypatch):
     """The verdicts, witnesses and certificates of the 37 rows are byte
-    for byte those pinned, and with each certificate cut to its derivation
-    they are the rows of the v2 format.  ``run_entry`` keeps the witness
-    text but not
-    the certificate, so the certificate comes from the ``decide`` call
-    that ``run_entry`` makes."""
+    for byte those pinned, also with each certificate cut to its
+    derivation.  ``run_entry`` keeps the witness text but not the
+    certificate, so the certificate comes from the ``decide`` call that
+    ``run_entry`` makes."""
     verdicts, decide = [], qsym.catalog.decide
 
     def keep(*args, **kwargs):

@@ -28,7 +28,7 @@ from qsym.named import build_named, circulant, cycle_graph
 from qsym.perms import automorphism_group, is_automorphism, parse_cycles
 
 from replayer import IndependentReplayer
-from util import discrete_colouring
+from util import discrete_colouring, replay_state
 
 
 def _lemma_certificate(name, use_global_seeds=True):
@@ -64,19 +64,31 @@ def test_certificate_bound_to_its_graph():
 
 
 def test_c5_without_seeds_reproduces_the_worked_example():
-    """The worked 5-cycle derivation: two middle-rule rows and two
-    reduction rows, exactly as published."""
+    """The worked 5-cycle derivation in 10 steps: the kill (1,2,3,1)
+    proves (1,2), the reflection carries it to (1,5), and the reduction
+    (1,3,2,{1}) proves (1,3).  The published rows for (1,5) and (1,4) are
+    orbit images of these, so the certificate does not derive them; the
+    rule table accepts each of them in the state the certificate
+    reaches."""
     g, cert = _lemma_certificate("C5", use_global_seeds=False)
+    assert len(cert.steps) == 10
     middle = [(s.j, s.l, s.p, s.q) for s in cert.steps
               if s.kind == cm.CHOOSE_Q_MIDDLE]
     right = [(s.j, s.l, s.q, s.survivors) for s in cert.steps
              if s.kind == cm.CHOOSE_Q_RIGHT]
-    assert (1, 2, 3, 1) in middle and (1, 5, 4, 1) in middle
-    assert (1, 3, 2, (1,)) in right and (1, 4, 3, (1,)) in right
+    assert middle == [(1, 2, 3, 1)] and right == [(1, 3, 2, (1,))]
+    kb = cm.CommutationKB(g)
+    for s in cert.steps:
+        kb.apply(s)
+        if kb.knows_commute(1, 5):
+            break
+    assert s.kind == cm.ORBIT_CLOSE
     rendered = render_certificate(cert, "latex")
-    assert "1 & 2 & 3 & 1" in rendered and "1 & 5 & 4 & 1" in rendered
+    assert "1 & 2 & 3 & 1" in rendered
     assert "1 & 3 & 2 & $\\{1\\}$" in rendered
-    assert "1 & 4 & 3 & $\\{1\\}$" in rendered
+    kb = replay_state(cert)
+    assert cm.RULES[cm.CHOOSE_Q_MIDDLE].check(kb, 1, 5, 4, 1) is None
+    assert cm.RULES[cm.CHOOSE_Q_RIGHT].check(kb, 1, 4, 3, (1,)) is None
 
 
 def test_render_markdown_groups_tables():
@@ -84,7 +96,12 @@ def test_render_markdown_groups_tables():
     md = render_certificate(cert, "md")
     assert "| j | l | p | q |" in md and "| j | l | q | P |" in md
     assert "| 1 | 4 | 2 | {1,8} |" in md
-    assert "| 1 | 7 | 8 | 3 |" in md  # (1,7) now closes by kills alone
+    assert "| 1 | 2 | 3 | 1 |" in md and "| 1 | 7 | 8 | {1} |" in md
+    # the published kill row for (1,7) holds in the state the
+    # certificate reaches, which proves (1,7) by a reduction instead
+    kill = (1, 7, 8, 3)
+    assert cm.RULES[cm.CHOOSE_Q_MIDDLE].check(replay_state(cert), *kill) \
+        is None
     # the published reduction row still holds once commute{7,2} is known
     kb = cm.CommutationKB(g)
     kb._commute(7, 2)

@@ -1,6 +1,7 @@
 """Lemma engine: seeding, candidate reduction, the middle rule, fixpoint
 behaviour, decide."""
 
+import functools
 import hashlib
 import time
 
@@ -56,6 +57,7 @@ from util import (
     discrete_colouring,
     latin_square_graph,
     overlapping_witness,
+    random_corpus,
     transversal_chain,
 )
 
@@ -261,9 +263,9 @@ def test_close_under_automorphisms_idempotent():
 def test_a_generator_stated_after_commute_facts_transports_them():
     """A GENERATOR step marks every known fact as unwalked, so the next
     ORBIT_CLOSE transports facts that an earlier close had walked under
-    fewer generators.  On C5 without seeds, the facts {1,2} and {1,5} are
-    walked before any generator is stated; the generators come after, and
-    the candidate reduction that needs commute({2,3}) still verifies."""
+    fewer generators.  On C5 without seeds, the fact {1,2} is walked
+    before any generator is stated; the generators come after, and the
+    candidate reduction that needs commute({2,3}) still verifies."""
     g = cycle_graph(5)
     aut = automorphism_group(g)
     kb, closed, _ = lemma_fixpoint(g, aut, use_global_seeds=False)
@@ -528,21 +530,33 @@ def test_a_criterion_that_fails_its_replay_raises(monkeypatch):
 # ``circulants()`` order, from the orbit-pruned chain of
 # ``automorphism_group``.
 PRUNED_CLOSED_CIRCULANT_CERTIFICATES_SHA256 = \
-    "8b3803077adc317a9be682d0a9787b4c701131caa2751793522e4b8d9bcbb07d"
+    "7cf2c954d4e615bd93be0d060d87a65343bc53871a96306274c7d291fba14cc0"
 # The same, from the chain that keeps every coset representative
 # (``util.transversal_chain``).
 CLOSED_CIRCULANT_CERTIFICATES_SHA256 = \
-    "a4eb97cf3b0afb72e5dbaecbb60d3869a0a3ad1ee354a5e28dfe845d56261004"
+    "d17e379eb19b6b7667e506fdd7878c5369eeeeb14af6fe1099507466c7074680"
 # SHA-256 over the ``util.derivation`` of the same texts, under either
-# chain.  It was computed from the v2 certificates, whose AUT_TRANSFER and
-# VERTEX_TRANSIT steps named one automorphism per transported fact, so
-# stating the generators once left every derivation step as it was.
+# chain.  It no longer ties these texts to the v2 certificates: closing
+# the facts under the generators after each proved pair, not once per
+# distance class, dropped the steps that derived orbit images.  A close
+# adds the orbits under the group the generators generate, which both
+# chains share, so the two still give one derivation.
 CLOSED_CIRCULANT_DERIVATIONS_SHA256 = \
-    "c2398cc5e0760670f6b372e63ecbabfcc1dede99e429a8c75141730356fbdc29"
+    "5df45313a04692e1f822c4acb51c17912fdbee2664f63fe900243bed0fb68608"
 
 
 def _digest(texts):
     return hashlib.sha256("".join(texts).encode()).hexdigest()
+
+
+@functools.cache
+def _lemma_verdicts(corpus):
+    """``decide(engine="lemmas")`` on each connected graph of ``corpus``,
+    the 378 circulants or ``util.random_corpus``, as (index, graph,
+    verdict) triples."""
+    graphs = circulants() if corpus == "circulants" else random_corpus()
+    return tuple((i, g, decide(g, engine="lemmas"))
+                 for i, g in enumerate(graphs) if g.is_connected())
 
 
 def test_lemmas_close_exactly_the_circulants_without_a_disjoint_pair():
@@ -553,8 +567,7 @@ def test_lemmas_close_exactly_the_circulants_without_a_disjoint_pair():
     certificate texts are pinned, and each reads back to itself."""
     graphs = circulants()
     closed, still_open = [], []
-    for g in graphs:
-        v = decide(g, engine="lemmas")
+    for _, g, v in _lemma_verdicts("circulants"):
         (closed if v.kind == "NoQuantumSymmetry" else still_open).append(
             (g, v.certificate))
     assert (len(closed), len(still_open)) == (285, 93)
@@ -605,8 +618,7 @@ def test_certificates_depend_only_on_the_generating_set():
     """Given the full-transversal chain's generators, the engine writes
     the 285 derivations that it writes from ``automorphism_group``'s
     pruned chain, byte for byte: the texts differ only in their GENERATOR
-    lines, and this pins the identity of the rest.  The pinned derivation
-    digest is also that of the v2 certificates."""
+    lines, and this pins the identity of the rest."""
     texts = []
     for g in circulants():
         gens, order = transversal_chain(g)
@@ -617,6 +629,72 @@ def test_certificates_depend_only_on_the_generating_set():
     assert _digest(texts) == CLOSED_CIRCULANT_CERTIFICATES_SHA256
     assert _digest(map(derivation, texts)) == \
         CLOSED_CIRCULANT_DERIVATIONS_SHA256
+
+
+# Indices, among the 300 draws of ``util.random_corpus``, of the graphs
+# that ``decide(engine="lemmas")`` closes: 172 of the 191 connected ones.
+RANDOM_CORPUS_CLOSED = (
+    2, 3, 4, 5, 9, 10, 14, 16, 18, 19, 22, 24, 25, 27, 28, 30, 31, 32, 38,
+    39, 43, 48, 55, 58, 59, 61, 65, 66, 69, 72, 74, 75, 77, 78, 80, 82, 84,
+    85, 86, 89, 91, 93, 94, 96, 97, 98, 99, 104, 105, 109, 110, 111, 112,
+    113, 119, 120, 121, 123, 124, 125, 127, 128, 130, 131, 132, 133, 134,
+    135, 136, 137, 138, 140, 141, 142, 145, 146, 149, 152, 154, 157, 158,
+    160, 161, 163, 164, 167, 169, 170, 171, 174, 177, 178, 179, 182, 183,
+    184, 185, 186, 187, 188, 189, 191, 193, 195, 196, 197, 200, 201, 202,
+    203, 204, 206, 209, 212, 213, 214, 215, 217, 218, 219, 221, 222, 223,
+    224, 225, 226, 227, 228, 232, 233, 234, 236, 237, 238, 240, 241, 243,
+    249, 250, 251, 252, 253, 254, 255, 257, 259, 261, 262, 264, 265, 266,
+    267, 268, 269, 271, 272, 277, 278, 279, 280, 281, 284, 285, 286, 287,
+    290, 292, 293, 294, 295, 297, 298,
+)
+
+
+def test_lemmas_close_a_pinned_set_of_random_graphs():
+    """The graphs the lemma engine closes on a seeded random corpus, by
+    index: a change to where the search puts its steps leaves this set as
+    it is, and a rule that closes more or fewer graphs moves it.  Every
+    closed certificate replays independently."""
+    verdicts = _lemma_verdicts("random")
+    assert len(verdicts) == 191
+    closed = [(i, g, v.certificate) for i, g, v in verdicts
+              if v.kind == "NoQuantumSymmetry"]
+    assert tuple(i for i, _, _ in closed) == RANDOM_CORPUS_CLOSED
+    for i, g, cert in closed:
+        assert IndependentReplayer(g.n, g.edges()).accepts(cert), i
+
+
+def _idle_steps(cert):
+    """Replaying ``cert``, the ADJ_COMMUTE_CLOSE and UNIQUE_IN_COLOUR
+    steps whose pair lies in the closure of the facts known before them
+    under the stated generators' pair tables, and the ORBIT_CLOSE steps
+    met before any generator: steps that an orbit image or nothing
+    justifies, as (index, kind) pairs."""
+    kb, idle = CommutationKB(cert.graph()), []
+    for idx, s in enumerate(cert.steps):
+        if s.kind in (cm.ADJ_COMMUTE_CLOSE, cm.UNIQUE_IN_COLOUR):
+            known = walk(set(kb.commute), kb.commute, kb.tables,
+                         list.__getitem__)
+            if min(s.j, s.l) * kb.m + max(s.j, s.l) in known:
+                idle.append((idx, s.kind))
+        elif s.kind == cm.ORBIT_CLOSE and not kb.generators:
+            idle.append((idx, s.kind))
+        kb.apply(s)
+    return idle
+
+
+def test_no_step_proves_an_orbit_image_or_closes_under_no_generator():
+    """The search closes the facts under the generators after each proved
+    pair, so it never derives a pair that is an image of known ones, and
+    it proposes no ORBIT_CLOSE while no generator is stated.  Checked on
+    every closed certificate of the 378 circulants and of the seeded
+    random corpus."""
+    replayed = 0
+    for corpus in ("circulants", "random"):
+        for i, g, v in _lemma_verdicts(corpus):
+            if v.kind == "NoQuantumSymmetry":
+                assert _idle_steps(v.certificate) == [], (corpus, i)
+                replayed += 1
+    assert replayed == 285 + 172
 
 
 def test_lemmas_on_17_vertices_close_only_circulants_without_a_pair():

@@ -6,6 +6,7 @@ import math
 import random
 
 import qsym.engine
+from qsym.certificate import CommutationKB
 from qsym.freealg import NcPoly
 from qsym.graphs import Graph
 from qsym.named import circulant
@@ -57,10 +58,9 @@ def conjugate(poly, left, right):
 
 def derivation(text):
     """A certificate text without its header line and its GENERATOR and
-    ORBIT_CLOSE steps: the derivation itself, which stating Aut(G) does
-    not touch.  The v2 certificates that these steps replaced give the
-    same text once their AUT_TRANSFER and VERTEX_TRANSIT steps are
-    dropped, so a digest of it ties the two formats together."""
+    ORBIT_CLOSE steps: the derivation itself, which does not depend on
+    the generating set that states Aut(G), so one digest of it covers the
+    texts written from different chains."""
     orbit_steps = ("step GENERATOR", "step ORBIT_CLOSE")
     return "".join(ln + "\n" for ln in text.splitlines()
                    if not ln.startswith("qsym-certificate")
@@ -179,6 +179,24 @@ def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
     edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
              if rng.random() < p]
     return Graph(n, edges)
+
+
+def random_corpus() -> list:
+    """300 draws from ``random.Random(12345)``: n uniform in 6..12, p from
+    {0.2, 0.3, 0.4, 0.5}, and each edge i < j kept with probability p.
+    191 of the graphs are connected."""
+    rng = random.Random(12345)
+    return [random_graph(rng, rng.randint(6, 12),
+                         rng.choice((0.2, 0.3, 0.4, 0.5)))
+            for _ in range(300)]
+
+
+def replay_state(cert):
+    """The replay state that ``cert``'s steps reach on its own graph."""
+    kb = CommutationKB(cert.graph())
+    for s in cert.steps:
+        kb.apply(s)
+    return kb
 
 
 def random_connected_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
