@@ -2,12 +2,7 @@
 """Tour of the graph layer: constructors, metrics, and the analytic
 criterion that settles some circulants without any lemma machinery."""
 
-from qsym import (
-    CirculantSpec,
-    build_circulant,
-    common_neighbours,
-    has_quadrangle,
-)
+from qsym import CirculantSpec, build_circulant, common_neighbours
 from qsym.graphs import cosine_sums
 from qsym.named import build_named, catalog_names
 
@@ -32,11 +27,6 @@ print(f"  d(1,10) = {d[1][10]}; vertices at distance 4 from 1: "
       f"{[v for v in g.vertices() if d[1][v] == 4]}")
 print(f"  |CN(1,3)| = {len(common_neighbours(g, 1, 3))}, "
       f"|CN(3,10)| = {len(common_neighbours(g, 3, 10))}")
-
-print()
-print("quadrangles gate the strongest whole-graph commutation lemma:")
-for name in ("TruncK4", "C12(2)", "Cuboctahedron"):
-    print(f"  {name:14s} has quadrangle: {has_quadrangle(build_named(name))}")
 
 print()
 print("the paper's cosine sums for circulants (decide reads the exact "

@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
 """The lemma engine end to end: derive, render, verify, and tamper.
 
-The 5-cycle derivation below, run without the whole-graph shortcuts,
-follows the classic worked example: one triple-product kill settles the
-column pair (1,2) and the automorphisms carry it to every adjacent pair,
-then one candidate reduction settles (1,3) and they carry that to every
-pair at distance 2.  The worked example's rows for (1,5) and (1,4) are
-orbit images of these two, so the certificate does not derive them.  It
-states the generators of Aut(C5) once (GENERATOR) and closes the known
-facts under them after each proved pair (ORBIT_CLOSE)."""
+The 5-cycle derivation below follows the classic worked example: one
+triple-product kill settles the column pair (1,2) and the automorphisms
+carry it to every adjacent pair, then one candidate reduction settles
+(1,3) and they carry that to every pair at distance 2.  The worked
+example's rows for (1,5) and (1,4) are orbit images of these two, so the
+certificate does not derive them.  It states the generators of Aut(C5)
+once (GENERATOR) and closes the known facts under them after each proved
+pair (ORBIT_CLOSE)."""
 
 from qsym import decide
 from qsym.certificate import (
@@ -25,7 +25,7 @@ from qsym.perms import automorphism_group
 
 g = cycle_graph(5)
 aut = automorphism_group(g)
-kb, closed, _ = lemma_fixpoint(g, aut, use_global_seeds=False)
+kb, closed, _ = lemma_fixpoint(g, aut)
 cert = Certificate.for_graph(g, VERDICT_NONE, kb.log)
 print(render_certificate(cert, "md"))
 

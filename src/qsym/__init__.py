@@ -24,7 +24,6 @@ from .graphs import (
     direct_product,
     disjoint_copies,
     distance_k_graph,
-    has_quadrangle,
     injective_f_check,
     line_graph,
     read_graph,
@@ -58,7 +57,6 @@ from .engine import (
     decide,
     lemma_fixpoint,
     prove_pair,
-    seed_kb,
 )
 
 __version__ = "0.1.0"

@@ -35,20 +35,12 @@ from .graphs import (
     Graph,
     _decimal,
     build_circulant,
-    common_neighbours,
-    has_quadrangle,
     injective_f_check,
     read_graph,
-    side_condition_breaker,
-    triple_condition,
 )
 from .perms import is_automorphism, parse_cycles, walk
 
 # step kinds
-QUADRANGLE_FREE = "QUADRANGLE_FREE"
-ONE_COMMON_NEIGHBOUR = "ONE_COMMON_NEIGHBOUR"
-ONE_COMMON_NEIGHBOUR_GEN = "ONE_COMMON_NEIGHBOUR_GEN"
-UNIQUE_IN_COLOUR = "UNIQUE_IN_COLOUR"
 CHOOSE_Q_RIGHT = "CHOOSE_Q_RIGHT"
 CHOOSE_Q_MIDDLE = "CHOOSE_Q_MIDDLE"
 GENERATOR = "GENERATOR"
@@ -326,12 +318,6 @@ class CommutationKB:
         self.log.append(s)
 
     # effects: each adds the facts an accepted step's fields establish
-    def _commute_edges(self):
-        m = self.m
-        codes = [i * m + j for i, j in self.graph.edges()]
-        self.commute.update(codes)
-        self.unwalked.update(codes)
-
     def _commute(self, j, l, **_):
         code = j * self.m + l if j <= l else l * self.m + j
         self.commute.add(code)
@@ -390,41 +376,6 @@ def narrowed(kb, cand, j, q):
     j; with -1 (every vertex) as ``cand`` and q = l, that is P0 for
     (j,l)."""
     return cand & kb.masks[q][kb.colours[q][j]]
-
-
-def _quadrangle_free(kb):
-    if has_quadrangle(kb.graph):
-        return "graph contains a quadrangle"
-
-
-def _one_common_neighbour(kb):
-    g = kb.graph
-    if not g.num_edges():
-        return "graph has no edges"
-    for i, j in g.edges():
-        if len(common_neighbours(g, i, j)) != 1:
-            return f"adjacent pair ({i},{j}) lacks a unique common neighbour"
-
-
-def _one_common_neighbour_gen(kb, j, l, q):
-    g = kb.graph
-    if not g.adjacent(j, l):
-        return "(j,l) not adjacent"
-    if common_neighbours(g, j, l) != [q]:
-        return "CN(j,l) is not exactly {q}"
-    if not triple_condition(g, j, l):
-        return "triple condition fails for (j,l)"
-    breaker = side_condition_breaker(g)
-    if breaker is not None:
-        a, b = breaker
-        return f"adjacent pair ({a},{b}) breaks the global side condition"
-
-
-def _unique_in_colour(kb, j, l):
-    if kb.dist[j][l] == INFINITE:
-        return "(j,l) disconnected"
-    if narrowed(kb, -1, j, l) != 1 << j:
-        return "j is not the only vertex with its colour to l"
 
 
 def _choose_q_right(kb, j, l, q, survivors):
@@ -526,11 +477,6 @@ class Rule:
 
 _KB = CommutationKB
 RULES = {
-    QUADRANGLE_FREE: Rule((), _quadrangle_free, _KB._commute_edges),
-    ONE_COMMON_NEIGHBOUR: Rule((), _one_common_neighbour, _KB._commute_edges),
-    ONE_COMMON_NEIGHBOUR_GEN: Rule(("j", "l", "q"), _one_common_neighbour_gen,
-                                   _KB._commute),
-    UNIQUE_IN_COLOUR: Rule(("j", "l"), _unique_in_colour, _KB._commute),
     CHOOSE_Q_RIGHT: Rule(("j", "l", "q", "survivors"), _choose_q_right,
                          _KB._narrow),
     CHOOSE_Q_MIDDLE: Rule(("j", "l", "p", "q"), _choose_q_middle, _KB._kill),

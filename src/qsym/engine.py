@@ -8,7 +8,7 @@ The decision pipeline mirrors how these questions are settled by hand:
    lambda_1..lambda_{n//2} are pairwise distinct, which rules quantum
    symmetry out wholesale;
 3. otherwise grow a monotone knowledge base of commutation facts about
-   the generators u_ij by saturating a small set of lemma rules, until
+   the generators u_ij from empty by saturating three lemma rules, until
    the rule table accepts the conclusion that one base column per vertex
    orbit commutes with everything (that is enough: automorphisms
    transport column facts along pair orbits, and the certificate states
@@ -87,39 +87,6 @@ def _propose(kb: CommutationKB, kind, **fields) -> bool:
     return True
 
 
-# -- seeding ----------------------------------------------------------------
-
-
-def seed_kb(g: Graph, use_global_seeds: bool = True) -> CommutationKB:
-    """Prime the knowledge base with the whole-graph commutation lemmas.
-
-    Adjacent columns all commute when the graph is quadrangle-free, or when
-    every adjacent pair has exactly one common neighbour.  Failing those,
-    individual adjacent pairs can be seeded through the generalized
-    one-common-neighbour rule, proposed only for the adjacent pairs with
-    exactly one common neighbour, provided every such pair satisfies its
-    triple condition (pairs with a different common-neighbour count are
-    harmless: they differ in pair colour, so the mixed products vanish).
-    Diagonal pairs {j,j} always commute and stay implicit.
-
-    ``use_global_seeds=False`` starts from an empty knowledge base, which
-    forces pairwise derivations even where a whole-graph lemma applies;
-    useful for reproducing written proofs that avoid the shortcuts.
-    """
-    if not g.is_connected():
-        raise EngineError("the lemma engine requires a connected graph")
-    kb = CommutationKB(g)
-    if not use_global_seeds or _propose(kb, cert_mod.QUADRANGLE_FREE) \
-            or _propose(kb, cert_mod.ONE_COMMON_NEIGHBOUR):
-        return kb
-    for i, j in g.edges():
-        both = g.rows[i] & g.rows[j]
-        if both.bit_count() == 1:
-            _propose(kb, cert_mod.ONE_COMMON_NEIGHBOUR_GEN,
-                     j=i, l=j, q=both.bit_length() - 1)
-    return kb
-
-
 # -- lemma rules -------------------------------------------------------------
 
 
@@ -162,9 +129,6 @@ def prove_pair(kb: CommutationKB, j, l) -> bool:
         raise EngineError(f"({j},{l}) lie in different components")
     if kb.knows_commute(j, l):
         return True
-    if (j, l) not in kb.candidates and _propose(
-            kb, cert_mod.UNIQUE_IN_COLOUR, j=j, l=l):
-        return True
 
     reduce_candidates(kb, j, l)
     left = kb.survivors(j, l) & ~(1 << j) & ~kb.killed.get((j, l), 0)
@@ -176,31 +140,33 @@ def prove_pair(kb: CommutationKB, j, l) -> bool:
 
 
 def lemma_fixpoint(g: Graph, aut: AutGroup | None = None,
-                   deadline: float | None = None,
-                   use_global_seeds: bool = True):
+                   deadline: float | None = None):
     """Saturate the lemma rules; returns (kb, closed, timed_out).
 
-    After the seeds, one ``GENERATOR`` step states each generator of
-    ``aut``, and when there is one an ``ORBIT_CLOSE`` step adds every
-    image of the known commute facts under them.  Sweeps visit one base
-    vertex per vertex orbit and its partner columns in ascending distance
-    order, while a base column has an open partner and until a sweep
-    proves nothing (each other sweep adds one of the n(n-1)/2 commute
-    facts).  Another ``ORBIT_CLOSE`` follows each proved pair when a
-    generator exists, so the facts stay closed under Aut(G) and the sweep
-    never derives a pair that is an image of known ones.  ``closed`` is
-    the table's answer to the ``CONCLUSION_COMMUTATIVE`` step proposed
-    last: a closed ``kb.log`` is the whole certificate, an open one holds
-    no conclusion.  ``deadline`` also bounds the group search when ``aut``
-    is not given: past it that search raises ``DeadlineExceeded``, while
-    the sweeps stop with ``timed_out`` set.
+    The knowledge base starts empty, on a connected graph only (else
+    ``EngineError``), and one ``GENERATOR`` step states each generator of
+    ``aut``.  Every fact is then derived by the three search rules: the
+    candidate reduction ``CHOOSE_Q_RIGHT``, the kill ``CHOOSE_Q_MIDDLE``
+    and ``ADJ_COMMUTE_CLOSE`` once no candidate but j is left.  Sweeps
+    visit one base vertex per vertex orbit and its partner columns in
+    ascending distance order, while a base column has an open partner
+    and until a sweep proves nothing (each other sweep adds one of the
+    n(n-1)/2 commute facts).  An ``ORBIT_CLOSE`` step follows each proved
+    pair when a generator exists, adding every image of the known commute
+    facts under the generators, so the facts stay closed under Aut(G) and
+    the sweep never derives a pair that is an image of known ones.
+    ``closed`` is the table's answer to the ``CONCLUSION_COMMUTATIVE``
+    step proposed last: a closed ``kb.log`` is the whole certificate, an
+    open one holds no conclusion.  ``deadline`` also bounds the group
+    search when ``aut`` is not given: past it that search raises
+    ``DeadlineExceeded``, while the sweeps stop with ``timed_out`` set.
     """
+    if not g.is_connected():
+        raise EngineError("the lemma engine requires a connected graph")
     aut = aut or automorphism_group(g, deadline=deadline)
-    kb = seed_kb(g, use_global_seeds=use_global_seeds)
+    kb = CommutationKB(g)
     for phi in aut.generators:
         _propose(kb, cert_mod.GENERATOR, phi=phi)
-    if kb.generators:
-        _propose(kb, cert_mod.ORBIT_CLOSE)
     reps = tuple(orbit[0] for orbit in aut.vertex_orbits())
 
     while kb.open_column_pair(reps) is not None:

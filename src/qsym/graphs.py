@@ -62,7 +62,7 @@ class Graph:
     """Immutable simple undirected graph on vertices 1..n."""
 
     __slots__ = ("n", "rows", "label", "circulant", "_edges", "_dist",
-                 "_colours", "_masks", "_breaker")
+                 "_colours", "_masks")
 
     def __init__(self, n, edges, label="", circulant=None):
         if n < 1:
@@ -82,7 +82,6 @@ class Graph:
         object.__setattr__(self, "_dist", None)
         object.__setattr__(self, "_colours", None)
         object.__setattr__(self, "_masks", None)
-        object.__setattr__(self, "_breaker", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -335,7 +334,7 @@ def distance_k_graph(g: Graph, k: int) -> Graph:
     return Graph(g.n, edges, label=label)
 
 
-# -- neighbourhood and cycle queries --------------------------------------
+# -- neighbourhood queries ------------------------------------------------
 
 
 def common_neighbours(g: Graph, i, j):
@@ -344,41 +343,6 @@ def common_neighbours(g: Graph, i, j):
         raise GraphError("common neighbours need two distinct vertices")
     both = g.rows[i] & g.rows[j]
     return [v for v in g.vertices() if both >> v & 1]
-
-
-def has_quadrangle(g: Graph) -> bool:
-    """True iff some 4-cycle exists, equivalently two vertices share
-    two common neighbours.  The cycle need not be induced."""
-    for i in g.vertices():
-        for j in range(i + 1, g.n + 1):
-            if (g.rows[i] & g.rows[j]).bit_count() >= 2:
-                return True
-    return False
-
-
-def triple_condition(g: Graph, i, k) -> bool:
-    """True iff i and k have exactly one common neighbour p, and each of
-    i and k is the only common neighbour of the other with p."""
-    rows = g.rows
-    both = rows[i] & rows[k]
-    if both.bit_count() != 1:
-        return False
-    p = both.bit_length() - 1
-    return rows[i] & rows[p] == 1 << k and rows[k] & rows[p] == 1 << i
-
-
-def side_condition_breaker(g: Graph):
-    """The first edge (a, b) of ``g.edges()`` whose ends have exactly one
-    common neighbour and fail the triple condition, or None when every
-    such edge meets it.  Computed once per graph and cached on it."""
-    if g._breaker is None:
-        rows = g.rows
-        breaker = next((
-            (a, b) for a, b in g.edges()
-            if (rows[a] & rows[b]).bit_count() == 1
-            and not triple_condition(g, a, b)), ())
-        object.__setattr__(g, "_breaker", breaker)
-    return g._breaker or None
 
 
 # -- analytic criteria -----------------------------------------------------

@@ -11,7 +11,6 @@ the fuzzer then demands the library verifier reject it too.
 """
 
 import math
-from itertools import combinations
 
 import qsym.certificate as cm
 
@@ -105,17 +104,6 @@ class IndependentReplayer:
                    for i in range(1, self.n + 1)
                    for j in range(i + 1, self.n + 1))
 
-    def quadrangle_free(self):
-        return all(len(self.cn(a, b)) < 2
-                   for a, b in combinations(range(1, self.n + 1), 2))
-
-    def triple(self, a, b):
-        cn = self.cn(a, b)
-        if len(cn) != 1:
-            return False
-        p = next(iter(cn))
-        return self.cn(a, p) == {b} and self.cn(b, p) == {a}
-
     def names_only_vertices(self, s):
         """Every vertex that step ``s`` names lies in 1..n; a row indexed
         by -1 would otherwise be read as the row of vertex n."""
@@ -146,34 +134,7 @@ class IndependentReplayer:
                 if not self.names_only_vertices(s):
                     return False
                 k = s.kind
-                if k == cm.QUADRANGLE_FREE:
-                    if not self.quadrangle_free():
-                        return False
-                    commute.update(frozenset(e) for e in self.edge_set)
-                elif k == cm.ONE_COMMON_NEIGHBOUR:
-                    if not self.edge_set:
-                        return False
-                    if any(len(self.cn(*sorted(e))) != 1
-                           for e in self.edge_set):
-                        return False
-                    commute.update(frozenset(e) for e in self.edge_set)
-                elif k == cm.ONE_COMMON_NEIGHBOUR_GEN:
-                    if not self.adj(s.j, s.l):
-                        return False
-                    if self.cn(s.j, s.l) != {s.q} or not self.triple(s.j, s.l):
-                        return False
-                    for e in self.edge_set:
-                        a, b = sorted(e)
-                        if len(self.cn(a, b)) == 1 and not self.triple(a, b):
-                            return False
-                    commute.add(frozenset((s.j, s.l)))
-                elif k == cm.UNIQUE_IN_COLOUR:
-                    if d[s.j][s.l] == math.inf:
-                        return False
-                    if base_cands(s.j, s.l) != frozenset((s.j,)):
-                        return False
-                    commute.add(frozenset((s.j, s.l)))
-                elif k == cm.CHOOSE_Q_RIGHT:
+                if k == cm.CHOOSE_Q_RIGHT:
                     if d[s.j][s.l] == math.inf or not knows(s.l, s.q):
                         return False
                     cur = cands.get((s.j, s.l), base_cands(s.j, s.l))

@@ -17,24 +17,18 @@ from qsym.certificate import (
     verify_certificate,
 )
 from qsym.engine import decide, lemma_fixpoint
-from qsym.graphs import (
-    Graph,
-    GraphError,
-    common_neighbours,
-    read_graph,
-    triple_condition,
-)
-from qsym.named import build_named, circulant, cycle_graph
+from qsym.graphs import Graph, GraphError, read_graph
+from qsym.named import build_named, circulant, complete_graph, cycle_graph
 from qsym.perms import automorphism_group, is_automorphism, parse_cycles
 
 from replayer import IndependentReplayer
 from util import discrete_colouring, replay_state
 
 
-def _lemma_certificate(name, use_global_seeds=True):
+def _lemma_certificate(name):
     g = build_named(name)
     aut = automorphism_group(g)
-    kb, closed, _ = lemma_fixpoint(g, aut, use_global_seeds=use_global_seeds)
+    kb, closed, _ = lemma_fixpoint(g, aut)
     assert closed, name
     return g, Certificate.for_graph(g, cm.VERDICT_NONE, kb.log)
 
@@ -64,14 +58,14 @@ def test_certificate_bound_to_its_graph():
 
 
 def test_c5_without_seeds_reproduces_the_worked_example():
-    """The worked 5-cycle derivation in 10 steps: the kill (1,2,3,1)
+    """The worked 5-cycle derivation in 9 steps: the kill (1,2,3,1)
     proves (1,2), the reflection carries it to (1,5), and the reduction
     (1,3,2,{1}) proves (1,3).  The published rows for (1,5) and (1,4) are
     orbit images of these, so the certificate does not derive them; the
     rule table accepts each of them in the state the certificate
     reaches."""
-    g, cert = _lemma_certificate("C5", use_global_seeds=False)
-    assert len(cert.steps) == 10
+    g, cert = _lemma_certificate("C5")
+    assert len(cert.steps) == 9
     middle = [(s.j, s.l, s.p, s.q) for s in cert.steps
               if s.kind == cm.CHOOSE_Q_MIDDLE]
     right = [(s.j, s.l, s.q, s.survivors) for s in cert.steps
@@ -128,7 +122,7 @@ def test_render_refuses_invalid():
 
 
 def test_mutated_middle_q_is_rejected():
-    g, cert = _lemma_certificate("C5", use_global_seeds=False)
+    g, cert = _lemma_certificate("C5")
     steps = list(cert.steps)
     for idx, s in enumerate(steps):
         if s.kind == cm.CHOOSE_Q_MIDDLE and (s.j, s.l, s.p, s.q) == (1, 2, 3, 1):
@@ -261,11 +255,12 @@ def test_forged_generator_is_rejected():
 
 
 def test_conclusion_reaches_vertices_only_through_stated_generators():
-    """On C5 the seeds give every fact that base 1 needs, so only the
-    conclusion's coverage rests on the generators.  Without the one that
-    moves vertex 1, base 1 reaches no other vertex, and both verifiers
-    refuse the conclusion."""
-    g = cycle_graph(5)
+    """On K3 the kill (1,2,3,1) proves (1,2), and the generator (2,3),
+    which fixes vertex 1, carries it to (1,3), so only the conclusion's
+    coverage rests on the generator (1,2) that moves vertex 1.  Without
+    it, base 1 reaches no other vertex, and both verifiers refuse the
+    conclusion."""
+    g = complete_graph(3)
     cert = decide(g, engine="lemmas").certificate
     assert cert.steps[-1].bases == (1,)
     kept = tuple(s for s in cert.steps
@@ -275,12 +270,11 @@ def test_conclusion_reaches_vertices_only_through_stated_generators():
     result = verify_certificate(g, forged)
     assert not result and result.step_index == len(kept) - 1
     assert result.message.endswith(
-        "vertices [2, 3, 4, 5] not reached from any base")
+        "vertices [2, 3] not reached from any base")
     assert not IndependentReplayer(g.n, g.edges()).accepts(forged)
 
 
 @pytest.mark.parametrize("lone", [
-    step(cm.UNIQUE_IN_COLOUR, j=1, l=2),
     step(cm.CHOOSE_Q_RIGHT, j=1, l=2, q=2, survivors=(1,)),
     step(cm.ADJ_COMMUTE_CLOSE, j=1, l=2),
 ], ids=lambda s: s.kind)
@@ -307,54 +301,21 @@ def _cycles(text, n=5):
 
 C4, C5 = cycle_graph(4), cycle_graph(5)
 K1 = Graph(1, [])
-# K4 less the edge {2,4}: CN(1,2) = {3}, but CN(1,3) = {2,4}
-DIAMOND = Graph(4, [(1, 2), (1, 3), (1, 4), (2, 3), (3, 4)])
-# a triangle, whose pairs meet the triple condition, beside a diamond
-K3_DIAMOND = Graph(7, [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (4, 7),
-                       (5, 6), (6, 7)])
 TWO_K2, K33 = Graph(4, [(1, 2), (3, 4)]), circulant(6, 3)
-QF = step(cm.QUADRANGLE_FREE)
 
 # id: (verification graph, certificate, failing step, message, whether
 # tests/replayer.py has the condition).  One case per refusal reason of a
 # rule check or of the verifier, each as small as its reason allows; the
 # ``(j,l) disconnected`` refusals are pinned by the test above.
 REFUSALS = {
-    "quadrangle": (C4, _cert(C4, [QF]), 0,
-                   "QUADRANGLE_FREE: graph contains a quadrangle", True),
-    "no-edges": (K1, _cert(K1, [step(cm.ONE_COMMON_NEIGHBOUR)]), 0,
-                 "ONE_COMMON_NEIGHBOUR: graph has no edges", True),
-    "no-unique-cn": (
-        C5, _cert(C5, [step(cm.ONE_COMMON_NEIGHBOUR)]), 0,
-        "ONE_COMMON_NEIGHBOUR: adjacent pair (1,2) lacks a unique common "
-        "neighbour", True),
-    "gen-not-adjacent": (
-        C5, _cert(C5, [step(cm.ONE_COMMON_NEIGHBOUR_GEN, j=1, l=3, q=2)]), 0,
-        "ONE_COMMON_NEIGHBOUR_GEN: (j,l) not adjacent", True),
-    "gen-cn": (
-        C5, _cert(C5, [step(cm.ONE_COMMON_NEIGHBOUR_GEN, j=1, l=2, q=3)]), 0,
-        "ONE_COMMON_NEIGHBOUR_GEN: CN(j,l) is not exactly {q}", True),
-    "gen-triple": (
-        DIAMOND,
-        _cert(DIAMOND, [step(cm.ONE_COMMON_NEIGHBOUR_GEN, j=1, l=2, q=3)]),
-        0, "ONE_COMMON_NEIGHBOUR_GEN: triple condition fails for (j,l)",
-        True),
-    "gen-side-condition": (
-        K3_DIAMOND,
-        _cert(K3_DIAMOND, [step(cm.ONE_COMMON_NEIGHBOUR_GEN, j=1, l=2, q=3)]),
-        0, "ONE_COMMON_NEIGHBOUR_GEN: adjacent pair (4,5) breaks the global "
-        "side condition", True),
-    "unique-in-colour": (
-        C5, _cert(C5, [step(cm.UNIQUE_IN_COLOUR, j=1, l=2)]), 0,
-        "UNIQUE_IN_COLOUR: j is not the only vertex with its colour to l",
-        True),
     "right-premise": (
         C5, _cert(C5, [step(cm.CHOOSE_Q_RIGHT, j=1, l=3, q=2,
                             survivors=(1,))]), 0,
         "CHOOSE_Q_RIGHT: commute({l,q}) not yet established", True),
+    # q = l needs no premise, and narrows P0 = {1,5} to itself
     "right-survivors": (
-        C5, _cert(C5, [QF, step(cm.CHOOSE_Q_RIGHT, j=1, l=3, q=2,
-                                survivors=(1, 5))]), 1,
+        C5, _cert(C5, [step(cm.CHOOSE_Q_RIGHT, j=1, l=3, q=3,
+                            survivors=(1,))]), 0,
         "CHOOSE_Q_RIGHT: survivor set mismatch", True),
     "middle-bad-p": (
         C5, _cert(C5, [step(cm.CHOOSE_Q_MIDDLE, j=1, l=2, p=1, q=1)]), 0,
@@ -407,8 +368,8 @@ REFUSALS = {
     "unknown-kind": (C5, _cert(C5, [cm.ProofStep("BOGUS", {})]), 0,
                      "unknown step kind BOGUS", True),
     "vertex-range": (
-        C5, _cert(C5, [step(cm.UNIQUE_IN_COLOUR, j=6, l=1)]), 0,
-        "UNIQUE_IN_COLOUR: j=6 is outside the vertices 1..5", True),
+        C5, _cert(C5, [step(cm.ADJ_COMMUTE_CLOSE, j=6, l=1)]), 0,
+        "ADJ_COMMUTE_CLOSE: j=6 is outside the vertices 1..5", True),
     "conclusion-not-final": (
         K1, _cert(K1, [step(cm.CONCLUSION_COMMUTATIVE, bases=(1,))] * 2), 0,
         "CONCLUSION_COMMUTATIVE: conclusion must be the final step", True),
@@ -421,7 +382,7 @@ REFUSALS = {
         C4, _cert(C4, [step(cm.INJECTIVE_F, n=4, chords=())]), 0,
         "malformed step: the injectivity criterion excludes n = 4", True),
     "no-final-step": (
-        C5, _cert(C5, [QF]), 0,
+        C5, _cert(C5, [step(cm.ORBIT_CLOSE)]), 0,
         "no final step proves the verdict no_quantum_symmetry", True),
 }
 
@@ -516,48 +477,6 @@ def test_malformed_step_fields_do_not_crash():
     assert not result and result.step_index == 0
 
 
-def test_one_common_neighbour_needs_an_edge():
-    """On an edgeless graph the whole-graph rule is not vacuously true:
-    the engine never emits it there, and the independent replayer
-    rejects it."""
-    g = Graph(1, [])
-    cert = Certificate.for_graph(
-        g, cm.VERDICT_NONE,
-        [step(cm.ONE_COMMON_NEIGHBOUR),
-         step(cm.CONCLUSION_COMMUTATIVE, bases=(1,))])
-    assert not IndependentReplayer(g.n, g.edges()).accepts(cert)
-    result = verify_certificate(g, cert)
-    assert not result and result.step_index == 0
-
-
-def test_one_common_neighbour_gen_checks_the_whole_graph():
-    """On C15(2,5) the step ONE_COMMON_NEIGHBOUR_GEN j=1 l=6 q=11 meets
-    every local condition, but the adjacent pair (1,3) breaks the triple
-    condition, so both verifiers refuse the step in front of a proof that
-    they accept.  The library reads the side condition from a cache on
-    the graph; the refusal is the same whether ``decide`` has filled that
-    cache or the graph is fresh."""
-    warm = circulant(15, 2, 5)
-    cert = decide(warm, engine="lemmas").certificate
-    assert warm._breaker == (1, 3)
-    forged = Certificate(
-        cert.verdict, cert.n, cert.edges,
-        (step(cm.ONE_COMMON_NEIGHBOUR_GEN, j=1, l=6, q=11),) + cert.steps)
-    fresh = circulant(15, 2, 5)
-    assert fresh._breaker is None
-    assert fresh.adjacent(1, 6) and common_neighbours(fresh, 1, 6) == [11]
-    assert triple_condition(fresh, 1, 6)
-    for g in (fresh, warm):
-        result = verify_certificate(g, forged)
-        assert not result and result.step_index == 0
-        assert result.message == ("ONE_COMMON_NEIGHBOUR_GEN: adjacent pair "
-                                  "(1,3) breaks the global side condition")
-        assert verify_certificate(g, cert)
-    assert fresh._breaker == (1, 3)
-    replayer = IndependentReplayer(fresh.n, fresh.edges())
-    assert replayer.accepts(cert) and not replayer.accepts(forged)
-
-
 def test_unknown_verdict_is_rejected():
     g = Graph(1, [])
     cert = Certificate.for_graph(g, "maybe", [])
@@ -590,32 +509,35 @@ def test_parse_refuses_a_v2_certificate_by_name():
 def test_parse_rejects_unknown_and_missing_fields():
     g, cert = _lemma_certificate("C5")
     text = serialize_certificate(cert)
-    assert "step QUADRANGLE_FREE\n" in text
-    for bad in ("step QUADRANGLE_FREE bogus=3\n",
+    assert "step ADJ_COMMUTE_CLOSE j=1 l=3\n" in text
+    for bad in ("step ADJ_COMMUTE_CLOSE j=1 l=3 bogus=3\n",
                 "step CHOOSE_Q_MIDDLE j=1 l=2 p=3\n",
-                "step ADJ_COMMUTE_CLOSE j=1 l=2 j=1\n"):
+                "step ADJ_COMMUTE_CLOSE j=1 l=3 j=1\n"):
         with pytest.raises(ValueError):
-            parse_certificate(text.replace("step QUADRANGLE_FREE\n", bad))
+            parse_certificate(text.replace("step ADJ_COMMUTE_CLOSE j=1 l=3\n",
+                                           bad))
 
 
 def test_step_takes_exactly_its_rule_fields():
     """A step missing a field used to pass ``step`` and then crash
     ``serialize_step`` with a KeyError."""
-    assert serialize_step(step(cm.ONE_COMMON_NEIGHBOUR_GEN, j=1, l=2, q=3)) \
-        == "ONE_COMMON_NEIGHBOUR_GEN j=1 l=2 q=3"
-    for fields in ({"j": 1, "l": 2}, {"j": 1, "l": 2, "q": 3, "p": 4}):
+    assert serialize_step(step(cm.CHOOSE_Q_MIDDLE, j=1, l=2, p=3, q=1)) \
+        == "CHOOSE_Q_MIDDLE j=1 l=2 p=3 q=1"
+    for fields in ({"j": 1, "l": 2, "p": 3},
+                   {"j": 1, "l": 2, "p": 3, "q": 1, "survivors": (1,)}):
         with pytest.raises(ValueError, match="takes the fields"):
-            step(cm.ONE_COMMON_NEIGHBOUR_GEN, **fields)
+            step(cm.CHOOSE_Q_MIDDLE, **fields)
     with pytest.raises(ValueError, match="takes the fields"):
-        step(cm.QUADRANGLE_FREE, kind=3)
+        step(cm.ORBIT_CLOSE, kind=3)
     with pytest.raises(ValueError, match="unknown step kind"):
         step("BOGUS")
     g, cert = _lemma_certificate("C5")
     text = serialize_certificate(cert)
-    for bad, message in (("step QUADRANGLE_FREE kind=3\n", "takes the fields"),
+    assert "step ORBIT_CLOSE\n" in text
+    for bad, message in (("step ORBIT_CLOSE kind=3\n", "takes the fields"),
                          ("step BOGUS j=1\n", "unknown step kind")):
         with pytest.raises(ValueError, match=message):
-            parse_certificate(text.replace("step QUADRANGLE_FREE\n", bad))
+            parse_certificate(text.replace("step ORBIT_CLOSE\n", bad))
 
 
 def test_rule_checks_take_their_fields_in_table_order():
@@ -644,7 +566,7 @@ def test_vertex_fields_outside_1_to_n_are_refused_by_both_verifiers(bad):
     forged = cm.ProofStep(cm.CHOOSE_Q_RIGHT,
                           {"j": bad, "l": 1, "q": 1, "survivors": (2, 5)})
     mutants = [cert.steps[:-1] + (forged,) + cert.steps[-1:]]
-    _, worked = _lemma_certificate("C5", use_global_seeds=False)
+    _, worked = _lemma_certificate("C5")
     covered = set()
     for idx, s in enumerate(worked.steps):
         for key, value in s.fields.items():
@@ -690,9 +612,46 @@ def _c5_text():
     return text
 
 
+# Step kinds that earlier v3 certificates could carry, each with a line
+# of its fields.  The search rules derive their facts, so the rule table
+# no longer has them.
+RETIRED_STEP_LINES = {
+    "QUADRANGLE_FREE": "QUADRANGLE_FREE",
+    "ONE_COMMON_NEIGHBOUR": "ONE_COMMON_NEIGHBOUR",
+    "ONE_COMMON_NEIGHBOUR_GEN": "ONE_COMMON_NEIGHBOUR_GEN j=1 l=2 q=3",
+    "UNIQUE_IN_COLOUR": "UNIQUE_IN_COLOUR j=1 l=2",
+}
+
+
+@pytest.mark.parametrize("kind", RETIRED_STEP_LINES)
+def test_retired_step_kinds_are_refused_by_name(kind):
+    """A v3 text that carries a retired step before its conclusion is
+    refused by the parser and the verifier, each naming the kind, and by
+    the replayer; without that line the same v3 text replays."""
+    g = cycle_graph(5)
+    text = _c5_text()
+    conclusion = "step CONCLUSION_COMMUTATIVE bases=1\n"
+    line = RETIRED_STEP_LINES[kind]
+    with pytest.raises(ValueError, match=f"unknown step kind '{kind}'"):
+        parse_certificate(text.replace(conclusion,
+                                       f"step {line}\n{conclusion}"))
+    cert = parse_certificate(text)
+    fields = dict(tok.split("=") for tok in line.split()[1:])
+    retired = cm.ProofStep(kind, {k: int(v) for k, v in fields.items()})
+    at = len(cert.steps) - 1
+    forged = Certificate(cert.verdict, cert.n, cert.edges,
+                         cert.steps[:at] + (retired,) + cert.steps[at:])
+    result = verify_certificate(g, forged)
+    assert (result.ok, result.step_index, result.message) == \
+        (False, at, f"unknown step kind {kind}")
+    replayer = IndependentReplayer(g.n, g.edges())
+    assert not replayer.accepts(forged)
+    assert verify_certificate(g, cert) and replayer.accepts(cert)
+
+
 def test_parse_refuses_a_line_that_is_no_record():
     text = _c5_text()
-    for bad in ("edge 1 2", "# note", "step", "steps QUADRANGLE_FREE"):
+    for bad in ("edge 1 2", "# note", "step", "steps ORBIT_CLOSE"):
         with pytest.raises(ValueError, match=f"record: '{bad}'"):
             parse_certificate(text + bad + "\n")
 

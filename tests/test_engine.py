@@ -1,6 +1,7 @@
-"""Lemma engine: seeding, candidate reduction, the middle rule, fixpoint
-behaviour, decide."""
+"""Lemma engine: candidate reduction, the middle rule, fixpoint behaviour,
+decide."""
 
+import dataclasses
 import functools
 import hashlib
 import time
@@ -17,7 +18,6 @@ from qsym.engine import (
     lemma_fixpoint,
     prove_pair,
     reduce_candidates,
-    seed_kb,
 )
 from qsym.certificate import (
     parse_certificate,
@@ -27,7 +27,6 @@ from qsym.certificate import (
 from qsym.catalog import twelve_vertex_entries
 from qsym.graphs import (
     Graph,
-    common_neighbours,
     disjoint_copies,
     injective_f_check,
 )
@@ -35,10 +34,8 @@ from qsym.named import (
     build_named,
     circulant,
     complete_graph,
-    cuboctahedron,
     cycle_graph,
     edgeless_graph,
-    truncated_tetrahedron,
 )
 from qsym.perms import (
     AutGroup,
@@ -72,80 +69,16 @@ def _pairs_with(kb, kind, **match):
     return out
 
 
-def test_seed_quadrangle_free():
-    g = truncated_tetrahedron()
-    kb = seed_kb(g)
-    assert kb.log[0].kind == cm.QUADRANGLE_FREE
-    assert all(kb.knows_commute(i, j) for i, j in g.edges())
-
-
-def test_seed_one_common_neighbour():
-    g = cuboctahedron()
-    kb = seed_kb(g)
-    assert kb.log[0].kind == cm.ONE_COMMON_NEIGHBOUR
-    assert all(kb.knows_commute(i, j) for i, j in g.edges())
-
-
-def test_seed_nothing_applies_for_c12_2():
-    kb = seed_kb(circulant(12, 2))
-    assert kb.log == [] and not kb.commute
-    # diagonal column pairs are implicitly known
-    assert kb.knows_commute(3, 3)
-
-
-def test_seed_gen_lemma_for_antip():
-    g = build_named("Antip(TruncK4)")
-    kb = seed_kb(g)
-    kinds = {s.kind for s in kb.log}
-    assert kinds == {cm.ONE_COMMON_NEIGHBOUR_GEN}
-    # exactly the triangle edges get seeded: 4 triangles, 3 edges each
-    assert len(kb.commute) == 12
-
-
-def _seed_kb_proposing_every_edge(g):
-    """seed_kb as it was when it proposed the generalized rule for every
-    edge with a common neighbour, q being the first of them."""
-    kb = CommutationKB(g)
-    if engine._propose(kb, cm.QUADRANGLE_FREE) \
-            or engine._propose(kb, cm.ONE_COMMON_NEIGHBOUR):
-        return kb
-    for i, j in g.edges():
-        cn = common_neighbours(g, i, j)
-        if cn:
-            engine._propose(kb, cm.ONE_COMMON_NEIGHBOUR_GEN, j=i, l=j, q=cn[0])
-    return kb
-
-
-def test_seed_proposes_the_generalized_rule_only_where_it_can_hold(
-        monkeypatch):
-    """Only edges with exactly one common neighbour are proposed, and the
-    log is that of proposing every edge with a common neighbour."""
-    catalog = [e.build() for e in twelve_vertex_entries()]
-    graphs = circulants() + [g for g in catalog if g.is_connected()]
-    expected = [[str(s) for s in _seed_kb_proposing_every_edge(g).log]
-                for g in graphs]
-    proposed, propose = [], engine._propose
-
-    def spy(kb, kind, **fields):
-        proposed.append((kb.graph, kind, fields))
-        return propose(kb, kind, **fields)
-
-    monkeypatch.setattr(engine, "_propose", spy)
-    assert [[str(s) for s in seed_kb(g).log] for g in graphs] == expected
-    gen = [(g, f) for g, kind, f in proposed
-           if kind == cm.ONE_COMMON_NEIGHBOUR_GEN]
-    assert gen and all(common_neighbours(g, f["j"], f["l"]) == [f["q"]]
-                       for g, f in gen)
-
-
 def test_seed_requires_connected():
-    with pytest.raises(EngineError):
-        seed_kb(disjoint_copies(complete_graph(2), 6))
+    """The lemma engine starts no knowledge base on a disconnected graph."""
+    with pytest.raises(EngineError, match="requires a connected graph"):
+        lemma_fixpoint(disjoint_copies(complete_graph(2), 6))
 
 
 def test_reduce_candidates_c5():
     g = cycle_graph(5)
-    kb = seed_kb(g)  # quadrangle-free: adjacent pairs known
+    kb = CommutationKB(g)
+    kb._commute(3, 2)  # the edge fact the reduction uses
     survivors = reduce_candidates(kb, 1, 3)
     assert survivors == {1}
     steps = _pairs_with(kb, cm.CHOOSE_Q_RIGHT, j=1, l=3)
@@ -193,15 +126,19 @@ def test_p0_excludes_common_neighbour_mismatches():
 
 
 def test_prove_pair_unique_in_colour():
+    """P0 for (1,10) is {1}: no other vertex has 1's colour to 10, so no
+    candidate is left to reduce or kill, and the close alone proves the
+    pair."""
     g = build_named("K2xC6")
     kb = CommutationKB(g)
+    assert kb.survivors(1, 10) == 1 << 1
     assert prove_pair(kb, 1, 10)
-    assert [str(s) for s in kb.log] == ["UNIQUE_IN_COLOUR j=1 l=10"]
+    assert [str(s) for s in kb.log] == ["ADJ_COMMUTE_CLOSE j=1 l=10"]
 
 
 def test_prove_pair_c5_adjacent():
     g = cycle_graph(5)
-    kb = CommutationKB(g)  # no seeds: force the middle-rule derivation
+    kb = CommutationKB(g)
     assert prove_pair(kb, 1, 2)
     kinds = [s.kind for s in kb.log]
     assert cm.CHOOSE_Q_MIDDLE in kinds and kinds[-1] == cm.ADJ_COMMUTE_CLOSE
@@ -218,7 +155,7 @@ def test_prove_pair_refuses_a_pair_across_components():
 
 def test_prove_pair_must_fail_on_quantum_graph():
     g = circulant(12, 5)
-    kb = seed_kb(g)
+    kb = CommutationKB(g)
     assert not prove_pair(kb, 1, 2)
     assert not kb.knows_commute(1, 2)
     # partial kills are retained
@@ -263,18 +200,18 @@ def test_close_under_automorphisms_idempotent():
 def test_a_generator_stated_after_commute_facts_transports_them():
     """A GENERATOR step marks every known fact as unwalked, so the next
     ORBIT_CLOSE transports facts that an earlier close had walked under
-    fewer generators.  On C5 without seeds, the fact {1,2} is walked
-    before any generator is stated; the generators come after, and the
-    candidate reduction that needs commute({2,3}) still verifies."""
+    fewer generators.  On C5, the fact {1,2} is walked before any
+    generator is stated; the generators come after, and the candidate
+    reduction that needs commute({2,3}) still verifies."""
     g = cycle_graph(5)
     aut = automorphism_group(g)
-    kb, closed, _ = lemma_fixpoint(g, aut, use_global_seeds=False)
+    kb, closed, _ = lemma_fixpoint(g, aut)
     assert closed
     steps = cm.Certificate.for_graph(g, cm.VERDICT_NONE, kb.log).steps
     gens = [s for s in steps if s.kind == cm.GENERATOR]
     rest = [s for s in steps if s.kind != cm.GENERATOR]
     closes = [idx for idx, s in enumerate(rest) if s.kind == cm.ORBIT_CLOSE]
-    at = closes[1] + 1
+    at = closes[0] + 1
     assert {s.kind for s in rest[:at]} == {
         cm.ORBIT_CLOSE, cm.CHOOSE_Q_MIDDLE, cm.ADJ_COMMUTE_CLOSE}
     late = cm.Certificate.for_graph(
@@ -530,11 +467,11 @@ def test_a_criterion_that_fails_its_replay_raises(monkeypatch):
 # ``circulants()`` order, from the orbit-pruned chain of
 # ``automorphism_group``.
 PRUNED_CLOSED_CIRCULANT_CERTIFICATES_SHA256 = \
-    "7cf2c954d4e615bd93be0d060d87a65343bc53871a96306274c7d291fba14cc0"
+    "a028476a18f67da92c1fc0600e110e58c7b9376e68f5d7fa36511858a0cf8765"
 # The same, from the chain that keeps every coset representative
 # (``util.transversal_chain``).
 CLOSED_CIRCULANT_CERTIFICATES_SHA256 = \
-    "d17e379eb19b6b7667e506fdd7878c5369eeeeb14af6fe1099507466c7074680"
+    "fa5dfb86e1fa9bd98e38087e46bb145a5982a3c11b161ad106c418a42b75f38d"
 # SHA-256 over the ``util.derivation`` of the same texts, under either
 # chain.  It no longer ties these texts to the v2 certificates: closing
 # the facts under the generators after each proved pair, not once per
@@ -542,7 +479,7 @@ CLOSED_CIRCULANT_CERTIFICATES_SHA256 = \
 # adds the orbits under the group the generators generate, which both
 # chains share, so the two still give one derivation.
 CLOSED_CIRCULANT_DERIVATIONS_SHA256 = \
-    "5df45313a04692e1f822c4acb51c17912fdbee2664f63fe900243bed0fb68608"
+    "8353df1256fdbc1d88ff5a8c71a4a4b50cd0cba518d4e065b4b3c4e3df8543e9"
 
 
 def _digest(texts):
@@ -587,10 +524,10 @@ def test_lemmas_close_exactly_the_circulants_without_a_disjoint_pair():
         CLOSED_CIRCULANT_DERIVATIONS_SHA256
 
 
-def _check_fixpoint_contract(g, **kwargs):
+def _check_fixpoint_contract(g):
     """A closed log ends in its only conclusion and verifies as it stands,
     by the library and by the replayer; an open log holds no conclusion."""
-    kb, closed, timed_out = lemma_fixpoint(g, **kwargs)
+    kb, closed, timed_out = lemma_fixpoint(g)
     assert not timed_out
     kinds = [s.kind for s in kb.log]
     if not closed:
@@ -607,11 +544,9 @@ def _check_fixpoint_contract(g, **kwargs):
 def test_a_closed_fixpoint_log_is_its_own_certificate():
     """``closed`` is the rule table's answer to the conclusion that
     ``lemma_fixpoint`` proposes last: on the 378 circulants C_n(S),
-    5 <= n <= 16, it closes 285 and leaves 93 open, and on C5 without the
-    whole-graph seeds the pairwise derivation closes too."""
+    5 <= n <= 16, it closes 285 and leaves 93 open."""
     outcomes = [_check_fixpoint_contract(g) for g in circulants()]
     assert (outcomes.count(True), outcomes.count(False)) == (285, 93)
-    assert _check_fixpoint_contract(cycle_graph(5), use_global_seeds=False)
 
 
 def test_certificates_depend_only_on_the_generating_set():
@@ -664,19 +599,20 @@ def test_lemmas_close_a_pinned_set_of_random_graphs():
 
 
 def _idle_steps(cert):
-    """Replaying ``cert``, the ADJ_COMMUTE_CLOSE and UNIQUE_IN_COLOUR
-    steps whose pair lies in the closure of the facts known before them
-    under the stated generators' pair tables, and the ORBIT_CLOSE steps
-    met before any generator: steps that an orbit image or nothing
-    justifies, as (index, kind) pairs."""
+    """Replaying ``cert``, the ADJ_COMMUTE_CLOSE steps whose pair lies in
+    the closure of the facts known before them under the stated
+    generators' pair tables, and the ORBIT_CLOSE steps met before any
+    generator or with no fact to walk: steps that an orbit image or
+    nothing justifies, as (index, kind) pairs."""
     kb, idle = CommutationKB(cert.graph()), []
     for idx, s in enumerate(cert.steps):
-        if s.kind in (cm.ADJ_COMMUTE_CLOSE, cm.UNIQUE_IN_COLOUR):
+        if s.kind == cm.ADJ_COMMUTE_CLOSE:
             known = walk(set(kb.commute), kb.commute, kb.tables,
                          list.__getitem__)
             if min(s.j, s.l) * kb.m + max(s.j, s.l) in known:
                 idle.append((idx, s.kind))
-        elif s.kind == cm.ORBIT_CLOSE and not kb.generators:
+        elif s.kind == cm.ORBIT_CLOSE and not (kb.generators
+                                               and kb.unwalked):
             idle.append((idx, s.kind))
         kb.apply(s)
     return idle
@@ -685,7 +621,8 @@ def _idle_steps(cert):
 def test_no_step_proves_an_orbit_image_or_closes_under_no_generator():
     """The search closes the facts under the generators after each proved
     pair, so it never derives a pair that is an image of known ones, and
-    it proposes no ORBIT_CLOSE while no generator is stated.  Checked on
+    it proposes no ORBIT_CLOSE while no generator is stated or no fact
+    is left to walk, as right after the generators.  Checked on
     every closed certificate of the 378 circulants and of the seeded
     random corpus."""
     replayed = 0
@@ -695,6 +632,38 @@ def test_no_step_proves_an_orbit_image_or_closes_under_no_generator():
                 assert _idle_steps(v.certificate) == [], (corpus, i)
                 replayed += 1
     assert replayed == 285 + 172
+
+
+def _still_open(graphs):
+    """The labels of ``graphs`` whose lemma fixpoint does not close."""
+    return [g.label for g in graphs if not lemma_fixpoint(g)[1]]
+
+
+def _closed_circulants():
+    closed = [g for _, g, v in _lemma_verdicts("circulants")
+              if v.kind == "NoQuantumSymmetry"]
+    assert len(closed) == 285
+    return closed
+
+
+def test_the_candidate_reduction_earns_its_place(monkeypatch):
+    """With every CHOOSE_Q_RIGHT step refused, 39 of the 285 closed
+    circulants stay open, C11(2,3,4) first."""
+    closed = _closed_circulants()
+    rule = cm.RULES[cm.CHOOSE_Q_RIGHT]
+    monkeypatch.setitem(cm.RULES, cm.CHOOSE_Q_RIGHT, dataclasses.replace(
+        rule, check=lambda kb, *fields, **named: "switched off"))
+    still_open = _still_open(closed)
+    assert len(still_open) == 39 and still_open[0] == "C11(2,3,4)"
+
+
+def test_the_middle_rule_earns_its_place(monkeypatch):
+    """With no q found for any kill, all 285 closed circulants stay
+    open, C5 first."""
+    closed = _closed_circulants()
+    monkeypatch.setattr(engine, "kill_choose_q_middle", lambda *args: None)
+    still_open = _still_open(closed)
+    assert len(still_open) == 285 and still_open[0] == "C5"
 
 
 def test_lemmas_on_17_vertices_close_only_circulants_without_a_pair():

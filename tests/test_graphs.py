@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from qsym.catalog import catalog, twelve_vertex_entries
+from qsym.catalog import catalog
 from qsym.graphs import (
     INFINITE,
     CirculantSpec,
@@ -20,11 +20,9 @@ from qsym.graphs import (
     direct_product,
     disjoint_copies,
     distance_k_graph,
-    has_quadrangle,
     injective_f_check,
     line_graph,
     read_graph,
-    side_condition_breaker,
     write_graph,
 )
 from qsym.named import (
@@ -217,7 +215,9 @@ def test_trunc_k4_properties():
     g = truncated_tetrahedron()
     assert g.n == 12 and g.num_edges() == 18
     assert all(g.degree(v) == 3 for v in g.vertices())
-    assert not has_quadrangle(g)
+    # quadrangle-free: no two vertices share two common neighbours
+    assert all(len(common_neighbours(g, i, j)) < 2
+               for i in g.vertices() for j in range(i + 1, g.n + 1))
 
 
 def test_icosahedron_properties():
@@ -261,42 +261,6 @@ def test_common_neighbours():
     assert len(common_neighbours(h, 3, 8)) == 4
     with pytest.raises(GraphError):
         common_neighbours(g, 2, 2)
-
-
-def test_has_quadrangle():
-    assert not has_quadrangle(truncated_tetrahedron())
-    assert has_quadrangle(cycle_graph(4))
-    g = circulant(12, 6)
-    assert has_quadrangle(g)  # e.g. 1-2-8-7-1
-    assert g.adjacent(1, 2) and g.adjacent(2, 8) and g.adjacent(8, 7) \
-        and g.adjacent(7, 1)
-
-
-def test_side_condition_breaker_matches_its_definition():
-    """On the 37 catalog graphs and the 378 circulants C_n(S), 5 <= n <=
-    16, the cached query names the first edge whose ends have exactly one
-    common neighbour p while some other vertex is adjacent to p and to
-    one of them, and asking twice gives the same answer."""
-
-    def cn(g, a, b):
-        return {x for x in g.vertices() if g.adjacent(a, x) and g.adjacent(b, x)}
-
-    def breaks(g, a, b):
-        common = cn(g, a, b)
-        if len(common) != 1:
-            return False
-        (p,) = common
-        return cn(g, a, p) != {b} or cn(g, b, p) != {a}
-
-    graphs = [e.build() for e in twelve_vertex_entries()] + circulants()
-    assert len(graphs) == 415
-    found = 0
-    for g in graphs:
-        want = next(((a, b) for a, b in g.edges() if breaks(g, a, b)), None)
-        assert side_condition_breaker(g) == want, g.label
-        assert side_condition_breaker(g) == want, g.label
-        found += want is not None
-    assert 0 < found < len(graphs)
 
 
 # paper-reported cosine sums (s = 1..6); the C12(3) entry at s = 3 is an
