@@ -17,7 +17,7 @@ from qsym.certificate import (
     verify_certificate,
 )
 from qsym.engine import decide, lemma_fixpoint
-from qsym.graphs import Graph, GraphError, read_graph
+from qsym.graphs import Graph, GraphError, common_neighbours, read_graph
 from qsym.named import build_named, circulant, complete_graph, cycle_graph
 from qsym.perms import automorphism_group, is_automorphism, parse_cycles
 
@@ -301,7 +301,20 @@ def _cycles(text, n=5):
 
 C4, C5 = cycle_graph(4), cycle_graph(5)
 K1 = Graph(1, [])
+# K4 less the edge {2,4}: CN(1,2) = {3}, but CN(1,3) = {2,4}
+DIAMOND = Graph(4, [(1, 2), (1, 3), (1, 4), (2, 3), (3, 4)])
+# a triangle beside a diamond
+K3_DIAMOND = Graph(7, [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (4, 7),
+                       (5, 6), (6, 7)])
 TWO_K2, K33 = Graph(4, [(1, 2), (3, 4)]), circulant(6, 3)
+
+
+def _retired(g, kind, **fields):
+    """A certificate whose only step has a kind the rule table no longer
+    has, with the verifier's refusal of it."""
+    return (g, _cert(g, [cm.ProofStep(kind, fields)]), 0,
+            f"unknown step kind {kind}", True)
+
 
 # id: (verification graph, certificate, failing step, message, whether
 # tests/replayer.py has the condition).  One case per refusal reason of a
@@ -384,6 +397,19 @@ REFUSALS = {
     "no-final-step": (
         C5, _cert(C5, [step(cm.ORBIT_CLOSE)]), 0,
         "no final step proves the verdict no_quantum_symmetry", True),
+    # Each certificate that a retired rule's check refused keeps its case:
+    # the verifier now refuses the step by its kind, on any graph.
+    "quadrangle": _retired(C4, "QUADRANGLE_FREE"),
+    "no-edges": _retired(K1, "ONE_COMMON_NEIGHBOUR"),
+    "no-unique-cn": _retired(C5, "ONE_COMMON_NEIGHBOUR"),
+    "gen-not-adjacent": _retired(C5, "ONE_COMMON_NEIGHBOUR_GEN",
+                                 j=1, l=3, q=2),
+    "gen-cn": _retired(C5, "ONE_COMMON_NEIGHBOUR_GEN", j=1, l=2, q=3),
+    "gen-triple": _retired(DIAMOND, "ONE_COMMON_NEIGHBOUR_GEN",
+                           j=1, l=2, q=3),
+    "gen-side-condition": _retired(K3_DIAMOND, "ONE_COMMON_NEIGHBOUR_GEN",
+                                   j=1, l=2, q=3),
+    "unique-in-colour": _retired(C5, "UNIQUE_IN_COLOUR", j=1, l=2),
 }
 
 
@@ -475,6 +501,47 @@ def test_malformed_step_fields_do_not_crash():
                       + cert.steps)
     result = verify_certificate(g, bad)
     assert not result and result.step_index == 0
+
+
+def test_one_common_neighbour_needs_an_edge():
+    """On an edgeless graph the retired whole-graph rule was not vacuously
+    true.  Its step there, in front of a conclusion that both verifiers
+    accept alone, is refused by both at that step."""
+    g = Graph(1, [])
+    conclusion = step(cm.CONCLUSION_COMMUTATIVE, bases=(1,))
+    cert = Certificate.for_graph(
+        g, cm.VERDICT_NONE,
+        [cm.ProofStep("ONE_COMMON_NEIGHBOUR"), conclusion])
+    replayer = IndependentReplayer(g.n, g.edges())
+    assert not replayer.accepts(cert)
+    result = verify_certificate(g, cert)
+    assert (result.ok, result.step_index, result.message) == \
+        (False, 0, "unknown step kind ONE_COMMON_NEIGHBOUR")
+    alone = Certificate.for_graph(g, cm.VERDICT_NONE, [conclusion])
+    assert verify_certificate(g, alone) and replayer.accepts(alone)
+
+
+def test_one_common_neighbour_gen_checks_the_whole_graph():
+    """On C15(2,5) the step ONE_COMMON_NEIGHBOUR_GEN j=1 l=6 q=11 meets
+    every local condition of the retired generalized rule; only its side
+    condition on the whole graph failed.  Both verifiers now refuse the
+    step by its kind in front of a proof that they accept, and the refusal
+    is the same whether ``decide`` has run on the graph or it is fresh."""
+    warm = circulant(15, 2, 5)
+    cert = decide(warm, engine="lemmas").certificate
+    forged = Certificate(
+        cert.verdict, cert.n, cert.edges,
+        (cm.ProofStep("ONE_COMMON_NEIGHBOUR_GEN", {"j": 1, "l": 6, "q": 11}),)
+        + cert.steps)
+    fresh = circulant(15, 2, 5)
+    assert fresh.adjacent(1, 6) and common_neighbours(fresh, 1, 6) == [11]
+    for g in (fresh, warm):
+        result = verify_certificate(g, forged)
+        assert (result.ok, result.step_index, result.message) == \
+            (False, 0, "unknown step kind ONE_COMMON_NEIGHBOUR_GEN")
+        assert verify_certificate(g, cert)
+    replayer = IndependentReplayer(fresh.n, fresh.edges())
+    assert replayer.accepts(cert) and not replayer.accepts(forged)
 
 
 def test_unknown_verdict_is_rejected():
