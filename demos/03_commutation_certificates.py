@@ -7,8 +7,8 @@ carry it to every adjacent pair, then one candidate reduction settles
 (1,3) and they carry that to every pair at distance 2.  The worked
 example's rows for (1,5) and (1,4) are orbit images of these two, so the
 certificate does not derive them.  It states the generators of Aut(C5)
-once (GENERATOR) and closes the known facts under them after each proved
-pair (ORBIT_CLOSE)."""
+once (GENERATOR), and the replay state closes each proved pair under
+them as it enters."""
 
 from qsym import decide
 from qsym.certificate import (

@@ -14,9 +14,10 @@ kinds of facts accumulate during replay:
 * ``commute {j,l}``  --  u_ij u_kl = u_kl u_ij for all rows i, k;
 * ``killed (j,l): p``  --  u_ij u_kl u_ip = 0 for all rows i, k.
 
-Automorphisms enter once each, as ``GENERATOR`` steps; an ``ORBIT_CLOSE``
-step closes the commute facts under them, and the conclusion reaches
-every vertex from its bases along their orbits.
+Automorphisms enter once each, as ``GENERATOR`` steps.  The replay state
+keeps the commute facts closed under the generators stated so far, so a
+fact carries its whole orbit from the step that proves it, and the
+conclusion reaches every vertex from its bases along their orbits.
 
 The serialized form is line oriented (one step per line, stable field
 order) and embeds the graph, so a certificate file is self-contained.
@@ -45,7 +46,6 @@ CHOOSE_Q_RIGHT = "CHOOSE_Q_RIGHT"
 CHOOSE_Q_MIDDLE = "CHOOSE_Q_MIDDLE"
 GENERATOR = "GENERATOR"
 ADJ_COMMUTE_CLOSE = "ADJ_COMMUTE_CLOSE"
-ORBIT_CLOSE = "ORBIT_CLOSE"
 CONCLUSION_COMMUTATIVE = "CONCLUSION_COMMUTATIVE"
 DISJOINT_WITNESS = "DISJOINT_WITNESS"
 INJECTIVE_F = "INJECTIVE_F"
@@ -262,13 +262,14 @@ class CommutationKB:
     runs.  ``killed[(j,l)]`` is the bitmask
     of the vertices p killed for (j,l), ``candidates[(j,l)]`` that of the
     survivors of the reductions so far, ``generators`` the automorphisms
-    that accepted ``GENERATOR`` steps have stated, ``tables`` their pair
-    tables, and ``unwalked`` the commute codes whose images under them
-    the next ``ORBIT_CLOSE`` must add.  The pair table of phi maps the
-    code of (i,j), i*m + j for any order of i and j, to the code of
-    {phi(i), phi(j)}.  For phi in Aut(G), u_ij -> u_phi(i)phi(j) extends
-    to an automorphism of the algebra, so each image of a commute fact
-    is one too.  Facts only enter through :meth:`apply`."""
+    that accepted ``GENERATOR`` steps have stated, and ``tables`` their
+    pair tables.  The pair table of phi maps the code of (i,j), i*m + j
+    for any order of i and j, to the code of {phi(i), phi(j)}.  For phi
+    in Aut(G), u_ij -> u_phi(i)phi(j) extends to an automorphism of the
+    algebra, so each image of a commute fact is one too, and ``commute``
+    stays closed under the tables: a new fact is walked through all of
+    them, and a new generator walks every known fact.  Facts only enter
+    through :meth:`apply`."""
 
     def __init__(self, g: Graph):
         self.graph = g
@@ -278,7 +279,6 @@ class CommutationKB:
         self.candidates: dict = {}
         self.generators: list = []
         self.tables: list = []
-        self.unwalked: set = set()
         self.log: list = []
 
     @functools.cached_property
@@ -321,18 +321,14 @@ class CommutationKB:
     def _commute(self, j, l, **_):
         code = j * self.m + l if j <= l else l * self.m + j
         self.commute.add(code)
-        self.unwalked.add(code)
+        walk(self.commute, (code,), self.tables, list.__getitem__)
 
     def _add_generator(self, phi):
         img, m = phi.img, self.m
         self.generators.append(phi)
         self.tables.append([a * m + b if a <= b else b * m + a
                             for a in img for b in img])
-        self.unwalked = set(self.commute)
-
-    def _close(self):
-        walk(self.commute, self.unwalked, self.tables, list.__getitem__)
-        self.unwalked = set()
+        walk(self.commute, self.commute, self.tables, list.__getitem__)
 
     def _narrow(self, j, l, survivors, **_):
         self.candidates[(j, l)] = sum(1 << p for p in survivors)
@@ -431,10 +427,6 @@ def _generator(kb, phi):
         return "phi is not an automorphism"
 
 
-def _orbit_close(kb):
-    return None
-
-
 def _conclusion(kb, bases):
     covered = walk(set(bases), bases, kb.generators)
     missing = set(kb.graph.vertices()) - covered
@@ -482,7 +474,6 @@ RULES = {
     CHOOSE_Q_MIDDLE: Rule(("j", "l", "p", "q"), _choose_q_middle, _KB._kill),
     GENERATOR: Rule(("phi",), _generator, _KB._add_generator),
     ADJ_COMMUTE_CLOSE: Rule(("j", "l"), _adj_commute_close, _KB._commute),
-    ORBIT_CLOSE: Rule((), _orbit_close, _KB._close),
     CONCLUSION_COMMUTATIVE: Rule(("bases",), _conclusion,
                                  verdict=VERDICT_NONE, final=True),
     DISJOINT_WITNESS: Rule(("sigma", "tau"), _disjoint_witness,

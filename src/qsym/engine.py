@@ -18,12 +18,13 @@ Every fact carries a replayable proof step, so the log of a closed run of
 step 3 is a certificate that an independent verifier can check against
 the graph alone; see :mod:`qsym.certificate`.  The lemma rules live there
 once, in its rule table.  The search below only chooses field values and
-where steps go (the smallest q, the next candidate p, when to close under
-the generators) and proposes each step to the table, whose check decides
-whether the rule applies and whose effect records the fact in the shared
-replay state.  ``decide`` replays every certificate it returns, whatever
-the stage, and raises ``EngineError`` on one that fails, so no verdict
-leaves the engine on unchecked evidence.
+where steps go (the smallest q, the next candidate p) and proposes each
+step to the table, whose check decides whether the rule applies and
+whose effect records the fact in the shared replay state, which closes
+each commute fact under the stated generators as it enters.  ``decide``
+replays every certificate it returns, whatever the stage, and raises
+``EngineError`` on one that fails, so no verdict leaves the engine on
+unchecked evidence.
 
 The rules are one-sided: they can prove commutation, never refute it.  A
 graph the engine cannot close stays Undecided rather than being declared
@@ -151,10 +152,10 @@ def lemma_fixpoint(g: Graph, aut: AutGroup | None = None,
     visit one base vertex per vertex orbit and its partner columns in
     ascending distance order, while a base column has an open partner
     and until a sweep proves nothing (each other sweep adds one of the
-    n(n-1)/2 commute facts).  An ``ORBIT_CLOSE`` step follows each proved
-    pair when a generator exists, adding every image of the known commute
-    facts under the generators, so the facts stay closed under Aut(G) and
-    the sweep never derives a pair that is an image of known ones.
+    n(n-1)/2 commute facts).  The replay state adds every image of a
+    proved pair under the generators with the pair itself, so the facts
+    stay closed under Aut(G) and the sweep never derives a pair that is
+    an image of known ones.
     ``closed`` is the table's answer to the ``CONCLUSION_COMMUTATIVE``
     step proposed last: a closed ``kb.log`` is the whole certificate, an
     open one holds no conclusion.  ``deadline`` also bounds the group
@@ -180,8 +181,6 @@ def lemma_fixpoint(g: Graph, aut: AutGroup | None = None,
                     return kb, False, True
                 if prove_pair(kb, j0, l):
                     added_this_round = True
-                    if kb.generators:
-                        _propose(kb, cert_mod.ORBIT_CLOSE)
         if not added_this_round:
             break
     closed = _propose(kb, cert_mod.CONCLUSION_COMMUTATIVE, bases=reps)

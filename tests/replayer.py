@@ -163,12 +163,12 @@ class IndependentReplayer:
                     if cur - {s.j} - killed.get((s.j, s.l), set()):
                         return False
                     commute.add(frozenset((s.j, s.l)))
+                    commute = closure(commute, gens)
                 elif k == cm.GENERATOR:
                     if not self.is_aut(s.phi):
                         return False
                     gens.append(s.phi)
-                elif k == cm.ORBIT_CLOSE:
-                    commute |= closure(commute, gens)
+                    commute = closure(commute, gens)
                 elif k == cm.CONCLUSION_COMMUTATIVE:
                     bases = {frozenset((b,)) for b in s.bases}
                     if closure(bases, gens) != {frozenset((v,))

@@ -58,14 +58,14 @@ def test_certificate_bound_to_its_graph():
 
 
 def test_c5_without_seeds_reproduces_the_worked_example():
-    """The worked 5-cycle derivation in 9 steps: the kill (1,2,3,1)
-    proves (1,2), the reflection carries it to (1,5), and the reduction
-    (1,3,2,{1}) proves (1,3).  The published rows for (1,5) and (1,4) are
-    orbit images of these, so the certificate does not derive them; the
-    rule table accepts each of them in the state the certificate
-    reaches."""
+    """The worked 5-cycle derivation in 7 steps: the kill (1,2,3,1)
+    proves (1,2), which the reflection carries to (1,5) at once, and the
+    reduction (1,3,2,{1}) proves (1,3).  The published rows for (1,5)
+    and (1,4) are orbit images of these, so the certificate does not
+    derive them; the rule table accepts each of them in the state the
+    certificate reaches."""
     g, cert = _lemma_certificate("C5")
-    assert len(cert.steps) == 9
+    assert len(cert.steps) == 7
     middle = [(s.j, s.l, s.p, s.q) for s in cert.steps
               if s.kind == cm.CHOOSE_Q_MIDDLE]
     right = [(s.j, s.l, s.q, s.survivors) for s in cert.steps
@@ -76,7 +76,7 @@ def test_c5_without_seeds_reproduces_the_worked_example():
         kb.apply(s)
         if kb.knows_commute(1, 5):
             break
-    assert s.kind == cm.ORBIT_CLOSE
+    assert (s.kind, s.j, s.l) == (cm.ADJ_COMMUTE_CLOSE, 1, 2)
     rendered = render_certificate(cert, "latex")
     assert "1 & 2 & 3 & 1" in rendered
     assert "1 & 3 & 2 & $\\{1\\}$" in rendered
@@ -395,7 +395,7 @@ REFUSALS = {
         C4, _cert(C4, [step(cm.INJECTIVE_F, n=4, chords=())]), 0,
         "malformed step: the injectivity criterion excludes n = 4", True),
     "no-final-step": (
-        C5, _cert(C5, [step(cm.ORBIT_CLOSE)]), 0,
+        C5, _cert(C5, [step(cm.GENERATOR, phi=_cycles("(2,5)(3,4)"))]), 0,
         "no final step proves the verdict no_quantum_symmetry", True),
     # Each certificate that a retired rule's check refused keeps its case:
     # the verifier now refuses the step by its kind, on any graph.
@@ -595,16 +595,19 @@ def test_step_takes_exactly_its_rule_fields():
         with pytest.raises(ValueError, match="takes the fields"):
             step(cm.CHOOSE_Q_MIDDLE, **fields)
     with pytest.raises(ValueError, match="takes the fields"):
-        step(cm.ORBIT_CLOSE, kind=3)
+        step(cm.CONCLUSION_COMMUTATIVE, bases=(1,), kind=3)
     with pytest.raises(ValueError, match="unknown step kind"):
         step("BOGUS")
     g, cert = _lemma_certificate("C5")
     text = serialize_certificate(cert)
-    assert "step ORBIT_CLOSE\n" in text
-    for bad, message in (("step ORBIT_CLOSE kind=3\n", "takes the fields"),
-                         ("step BOGUS j=1\n", "unknown step kind")):
+    line = "step CONCLUSION_COMMUTATIVE bases=1\n"
+    assert line in text
+    for bad, message in (
+            ("step CONCLUSION_COMMUTATIVE bases=1 kind=3\n",
+             "takes the fields"),
+            ("step BOGUS j=1\n", "unknown step kind")):
         with pytest.raises(ValueError, match=message):
-            parse_certificate(text.replace("step ORBIT_CLOSE\n", bad))
+            parse_certificate(text.replace(line, bad))
 
 
 def test_rule_checks_take_their_fields_in_table_order():
@@ -680,13 +683,15 @@ def _c5_text():
 
 
 # Step kinds that earlier v3 certificates could carry, each with a line
-# of its fields.  The search rules derive their facts, so the rule table
-# no longer has them.
+# of its fields.  The search rules derive the facts of the first four,
+# and the replay state closes every commute fact under the generators
+# itself, so the rule table no longer has them.
 RETIRED_STEP_LINES = {
     "QUADRANGLE_FREE": "QUADRANGLE_FREE",
     "ONE_COMMON_NEIGHBOUR": "ONE_COMMON_NEIGHBOUR",
     "ONE_COMMON_NEIGHBOUR_GEN": "ONE_COMMON_NEIGHBOUR_GEN j=1 l=2 q=3",
     "UNIQUE_IN_COLOUR": "UNIQUE_IN_COLOUR j=1 l=2",
+    "ORBIT_CLOSE": "ORBIT_CLOSE",
 }
 
 
@@ -718,7 +723,7 @@ def test_retired_step_kinds_are_refused_by_name(kind):
 
 def test_parse_refuses_a_line_that_is_no_record():
     text = _c5_text()
-    for bad in ("edge 1 2", "# note", "step", "steps ORBIT_CLOSE"):
+    for bad in ("edge 1 2", "# note", "step", "steps GENERATOR"):
         with pytest.raises(ValueError, match=f"record: '{bad}'"):
             parse_certificate(text + bad + "\n")
 

@@ -214,6 +214,37 @@ def test_certificate_verify_v2_file_exit_1(capsys, tmp_path):
     assert code == EXIT_ERROR and "v2" in err
 
 
+# The C5 certificate as the engine wrote it while ORBIT_CLOSE was a step
+# kind: a close after each proved pair.
+C5_WITH_ORBIT_CLOSE = """qsym-certificate v3
+verdict no_quantum_symmetry
+graph p 5
+graph e 1 2
+graph e 1 5
+graph e 2 3
+graph e 3 4
+graph e 4 5
+step GENERATOR phi=(2,5)(3,4)
+step GENERATOR phi=(1,2)(3,5)
+step CHOOSE_Q_MIDDLE j=1 l=2 p=3 q=1
+step ADJ_COMMUTE_CLOSE j=1 l=2
+step ORBIT_CLOSE
+step CHOOSE_Q_RIGHT j=1 l=3 q=2 survivors=1
+step ADJ_COMMUTE_CLOSE j=1 l=3
+step ORBIT_CLOSE
+step CONCLUSION_COMMUTATIVE bases=1
+"""
+
+
+def test_certificate_verify_orbit_close_file_exit_1(capsys, tmp_path):
+    """The replay state closes each fact under the generators itself, so a
+    text that still carries the retired close step is refused by name."""
+    path = tmp_path / "c5.cert"
+    path.write_text(C5_WITH_ORBIT_CLOSE, encoding="utf-8")
+    code, _, err = run(capsys, "certificate", "--verify", str(path))
+    assert code == EXIT_ERROR and "ORBIT_CLOSE" in err
+
+
 def test_certificate_refuses_quantum_graph(capsys):
     code, out, _ = run(capsys, "certificate", "C12(5)")
     assert code == 1

@@ -163,9 +163,9 @@ def test_prove_pair_must_fail_on_quantum_graph():
 
 
 def test_close_transfers_through_the_mirror():
-    """Knowing only commute({1,3}) on the hexagonal prism, ORBIT_CLOSE must
-    reach {1,5} through the mirror fixing vertex 1, in the library and in
-    the replayer's own closure."""
+    """Proving only commute({1,3}) on the hexagonal prism must reach {1,5}
+    through the mirror fixing vertex 1, in the library and in the
+    replayer's own closure."""
     g = build_named("K2xC6")
     aut = automorphism_group(g)
     assert any(phi(1) == 1 and {phi(3), phi(5)} == {3, 5}
@@ -174,66 +174,53 @@ def test_close_transfers_through_the_mirror():
     for phi in aut.generators:
         kb.apply(cm.step(cm.GENERATOR, phi=phi))
     kb.apply(cm.step(cm.ADJ_COMMUTE_CLOSE, j=1, l=3))
-    kb.apply(cm.step(cm.ORBIT_CLOSE))
     orbit = closure({frozenset((1, 3))}, aut.generators)
     assert kb.knows_commute(1, 5) and frozenset((1, 5)) in orbit
     assert commute_pairs(kb) == orbit
 
 
-def test_close_under_automorphisms_idempotent():
-    """After the fixpoint, an ORBIT_CLOSE leaves nothing unwalked, a second
-    one adds nothing, and the commute set is closed under every stated
-    generator."""
+def test_a_generator_stated_after_commute_facts_transports_them(
+        monkeypatch):
+    """A GENERATOR step walks every known fact under all the generators
+    stated so far.  On C5, the fact {1,2} is proved before any generator
+    is stated; the generators come after it, with no other step, and the
+    candidate reduction that needs commute({2,3}) still verifies in both
+    verifiers.  A generator effect that walks no earlier fact refuses
+    that certificate."""
     g = cycle_graph(5)
-    aut = automorphism_group(g)
-    kb, closed, _ = lemma_fixpoint(g, aut)
-    assert closed and kb.generators == list(aut.generators)
-    kb.apply(cm.step(cm.ORBIT_CLOSE))
-    assert not kb.unwalked
-    before = commute_pairs(kb)
-    kb.apply(cm.step(cm.ORBIT_CLOSE))
-    assert commute_pairs(kb) == before
-    assert all(act_on_pair(gen, pair) in before
-               for gen in kb.generators for pair in before)
+    cert = decide(g, engine="lemmas").certificate
+    gens = [s for s in cert.steps if s.kind == cm.GENERATOR]
+    rest = [s for s in cert.steps if s.kind != cm.GENERATOR]
+    at = [s.kind for s in rest].index(cm.ADJ_COMMUTE_CLOSE) + 1
+    assert [(s.j, s.l) for s in rest[:at]] == [(1, 2)] * 2
+    late = cm.Certificate.for_graph(g, cm.VERDICT_NONE,
+                                    rest[:at] + gens + rest[at:])
+    assert verify_certificate(g, late)
+    assert IndependentReplayer(g.n, g.edges()).accepts(late)
 
+    add_generator = cm.CommutationKB._add_generator
 
-def test_a_generator_stated_after_commute_facts_transports_them():
-    """A GENERATOR step marks every known fact as unwalked, so the next
-    ORBIT_CLOSE transports facts that an earlier close had walked under
-    fewer generators.  On C5, the fact {1,2} is walked before any
-    generator is stated; the generators come after, and the candidate
-    reduction that needs commute({2,3}) still verifies."""
-    g = cycle_graph(5)
-    aut = automorphism_group(g)
-    kb, closed, _ = lemma_fixpoint(g, aut)
-    assert closed
-    steps = cm.Certificate.for_graph(g, cm.VERDICT_NONE, kb.log).steps
-    gens = [s for s in steps if s.kind == cm.GENERATOR]
-    rest = [s for s in steps if s.kind != cm.GENERATOR]
-    closes = [idx for idx, s in enumerate(rest) if s.kind == cm.ORBIT_CLOSE]
-    at = closes[0] + 1
-    assert {s.kind for s in rest[:at]} == {
-        cm.ORBIT_CLOSE, cm.CHOOSE_Q_MIDDLE, cm.ADJ_COMMUTE_CLOSE}
-    late = cm.Certificate.for_graph(
-        g, cm.VERDICT_NONE,
-        rest[:at] + gens + [cm.step(cm.ORBIT_CLOSE)] + rest[at:])
-    without = cm.Certificate.for_graph(g, cm.VERDICT_NONE, rest)
-    replayer = IndependentReplayer(g.n, g.edges())
-    assert verify_certificate(g, late) and replayer.accepts(late)
-    result = verify_certificate(g, without)
-    assert not result and "commute({l,q}) not yet established" \
-        in result.message
-    assert not replayer.accepts(without)
+    def walks_no_earlier_fact(kb, phi):
+        known, kb.commute = kb.commute, set()
+        add_generator(kb, phi)
+        kb.commute = known
+
+    monkeypatch.setitem(cm.RULES, cm.GENERATOR, dataclasses.replace(
+        cm.RULES[cm.GENERATOR], effect=walks_no_earlier_fact))
+    assert verify_certificate(g, cert)
+    result = verify_certificate(g, late)
+    assert (result.step_index, result.message) == (
+        at + len(gens), "CHOOSE_Q_RIGHT: commute({l,q}) not yet established")
 
 
 def test_a_diagonal_fact_closes_under_the_generators():
     """ADJ_COMMUTE_CLOSE j=l holds (the only candidate is j), and its fact
-    {j} is a one-vertex set; ORBIT_CLOSE must carry it to {phi(j)} in
-    both verifiers rather than fail on it."""
+    {j} is a one-vertex set; the replay state must carry it to {phi(j)}
+    in both verifiers rather than fail on it."""
     g = cycle_graph(5)
     cert = decide(g, engine="lemmas").certificate
-    steps = (cert.steps[:-1] + (cm.step(cm.ADJ_COMMUTE_CLOSE, j=2, l=2),
-                                cm.step(cm.ORBIT_CLOSE)) + cert.steps[-1:])
+    steps = (cert.steps[:-1] + (cm.step(cm.ADJ_COMMUTE_CLOSE, j=2, l=2),)
+             + cert.steps[-1:])
     forged = cm.Certificate(cert.verdict, cert.n, cert.edges, steps)
     assert verify_certificate(g, forged)
     assert IndependentReplayer(g.n, g.edges()).accepts(forged)
@@ -267,28 +254,28 @@ def test_pair_tables_map_each_pair_code_as_act_on_pair_maps_the_pair():
     assert checked > len(graphs)
 
 
-def test_orbit_close_adds_exactly_the_closure_of_the_known_facts():
-    """Replaying each closed circulant certificate with n <= 12 step by
-    step, every ORBIT_CLOSE leaves the commute facts equal to the closure
-    of the facts before it under the stated generators, walked with
+def test_commute_facts_are_the_closure_of_the_stated_ones_after_every_step():
+    """Replaying each closed certificate of the circulants with n <= 12
+    and of ``util.random_corpus`` step by step, the commute facts after
+    every step equal the closure of the pairs that the ADJ_COMMUTE_CLOSE
+    steps so far stated, under the generators stated so far, walked with
     ``act_on_pair``: nothing is missed, and no fact outside the orbits
     is added."""
-    replayed = closes = 0
-    for g in circulants(12):
-        v = decide(g, engine="lemmas")
-        if v.kind != "NoQuantumSymmetry":
-            continue
-        replayed += 1
-        kb, m = CommutationKB(g), g.n + 1
-        for s in v.certificate.steps:
-            before = commute_pairs(kb)
-            kb.apply(s)
-            if s.kind == cm.ORBIT_CLOSE:
-                after = walk(before, before, kb.generators, act_on_pair)
-                assert kb.commute == {min(p) * m + max(p) for p in after}, \
-                    g.label
-                closes += 1
-    assert replayed == 54 and closes > replayed
+    replayed = 0
+    for corpus in ("circulants", "random"):
+        for i, g, v in _lemma_verdicts(corpus):
+            if v.kind != "NoQuantumSymmetry" or g.n > 12:
+                continue
+            replayed += 1
+            kb, m, stated = CommutationKB(g), g.n + 1, set()
+            for s in v.certificate.steps:
+                kb.apply(s)
+                if s.kind == cm.ADJ_COMMUTE_CLOSE:
+                    stated.add(frozenset((s.j, s.l)))
+                known = walk(set(stated), stated, kb.generators, act_on_pair)
+                assert kb.commute == {min(p) * m + max(p) for p in known}, \
+                    (corpus, i)
+    assert replayed == 54 + 172
 
 
 def test_kb_is_union_of_pair_orbits_after_fixpoint():
@@ -467,17 +454,17 @@ def test_a_criterion_that_fails_its_replay_raises(monkeypatch):
 # ``circulants()`` order, from the orbit-pruned chain of
 # ``automorphism_group``.
 PRUNED_CLOSED_CIRCULANT_CERTIFICATES_SHA256 = \
-    "a028476a18f67da92c1fc0600e110e58c7b9376e68f5d7fa36511858a0cf8765"
+    "29fd6f56926c875d4f61537d7d567029a0792a182b81e944abf37d75a20bdab6"
 # The same, from the chain that keeps every coset representative
 # (``util.transversal_chain``).
 CLOSED_CIRCULANT_CERTIFICATES_SHA256 = \
-    "fa5dfb86e1fa9bd98e38087e46bb145a5982a3c11b161ad106c418a42b75f38d"
+    "d8d219e3e4214e360d256379b2ee0383c3ccbc447a09643020ce9f3a02acba63"
 # SHA-256 over the ``util.derivation`` of the same texts, under either
 # chain.  It no longer ties these texts to the v2 certificates: closing
 # the facts under the generators after each proved pair, not once per
-# distance class, dropped the steps that derived orbit images.  A close
-# adds the orbits under the group the generators generate, which both
-# chains share, so the two still give one derivation.
+# distance class, dropped the steps that derived orbit images.  The
+# replay state adds the orbits under the group the generators generate,
+# which both chains share, so the two still give one derivation.
 CLOSED_CIRCULANT_DERIVATIONS_SHA256 = \
     "8353df1256fdbc1d88ff5a8c71a4a4b50cd0cba518d4e065b4b3c4e3df8543e9"
 
@@ -601,9 +588,8 @@ def test_lemmas_close_a_pinned_set_of_random_graphs():
 def _idle_steps(cert):
     """Replaying ``cert``, the ADJ_COMMUTE_CLOSE steps whose pair lies in
     the closure of the facts known before them under the stated
-    generators' pair tables, and the ORBIT_CLOSE steps met before any
-    generator or with no fact to walk: steps that an orbit image or
-    nothing justifies, as (index, kind) pairs."""
+    generators' pair tables: steps that an orbit image justifies, as
+    (index, kind) pairs."""
     kb, idle = CommutationKB(cert.graph()), []
     for idx, s in enumerate(cert.steps):
         if s.kind == cm.ADJ_COMMUTE_CLOSE:
@@ -611,20 +597,16 @@ def _idle_steps(cert):
                          list.__getitem__)
             if min(s.j, s.l) * kb.m + max(s.j, s.l) in known:
                 idle.append((idx, s.kind))
-        elif s.kind == cm.ORBIT_CLOSE and not (kb.generators
-                                               and kb.unwalked):
-            idle.append((idx, s.kind))
         kb.apply(s)
     return idle
 
 
 def test_no_step_proves_an_orbit_image_or_closes_under_no_generator():
-    """The search closes the facts under the generators after each proved
-    pair, so it never derives a pair that is an image of known ones, and
-    it proposes no ORBIT_CLOSE while no generator is stated or no fact
-    is left to walk, as right after the generators.  Checked on
-    every closed certificate of the 378 circulants and of the seeded
-    random corpus."""
+    """The replay state closes the facts under the generators as each
+    pair is proved, so the search never derives a pair that is an image
+    of known ones, and no step of a certificate closes anything.
+    Checked on every closed certificate of the 378 circulants and of the
+    seeded random corpus."""
     replayed = 0
     for corpus in ("circulants", "random"):
         for i, g, v in _lemma_verdicts(corpus):
