@@ -305,6 +305,10 @@ class CommutationKB:
             cand = self.candidates[(j, l)] = narrowed(self, -1, j, l)
         return cand
 
+    def unkilled(self, j, l) -> int:
+        """The candidates for (j,l) but j not yet killed, as a bitmask."""
+        return self.survivors(j, l) & ~(1 << j) & ~self.killed.get((j, l), 0)
+
     def open_column_pair(self, bases):
         """The first (base, l) not yet known to commute, or None."""
         return next(((b, l) for b in bases for l in self.graph.vertices()
@@ -384,41 +388,41 @@ def _choose_q_right(kb, j, l, q, survivors):
         return "survivor set mismatch"
 
 
-def middle_ring(kb, j, l, p):
-    """The bitmask of the vertices with the colour c(j,l) to both j and p,
-    l among them, or None when p is no candidate for the middle rule on
-    (j,l).  The ring does not depend on q, so a search over q builds it
-    once."""
-    c = kb.colours
+def middle_qs(kb, j, l, p):
+    """None when p is no candidate for the middle rule on (j,l), else two
+    bitmasks over q: the q with c(j,q) != c(q,p), and among them the q
+    that kill u_ij u_kl u_ip, those for which l is the only vertex with
+    colour c(l,q) to q, c(j,l) to j and c(p,l) to p."""
+    c, masks = kb.colours, kb.masks
     k = c[j][l]
     if kb.dist[j][l] == INFINITE or c[p][l] != k or p == j:
         return None
-    return kb.masks[j][k] & kb.masks[p][k]
-
-
-def middle_q_fails(kb, ring, j, l, p, q):
-    """Why q cannot kill u_ij u_kl u_ip by the middle rule, given
-    ``ring = middle_ring(kb, j, l, p)``; None when it can."""
-    cq = kb.colours[q]
-    if cq[j] == cq[p]:
-        return "q does not separate j from p"
-    if ring & kb.masks[q][cq[l]] != 1 << l:
-        return "l not unique for the middle rule"
+    ring = masks[j][k] & masks[p][k]
+    lone = 1 << l
+    separate = kill = 0
+    for q in kb.graph.vertices():
+        cq = c[q]
+        if cq[j] != cq[p]:
+            separate |= 1 << q
+            if ring & masks[q][cq[l]] == lone:
+                kill |= 1 << q
+    return separate, kill
 
 
 def _choose_q_middle(kb, j, l, p, q):
-    """q kills u_ij u_kl u_ip when c(j,q) != c(q,p) and l is the only
-    vertex with colour c(l,q) to q, c(j,l) to j and c(p,l) to p."""
-    ring = middle_ring(kb, j, l, p)
-    if ring is None:
+    qs = middle_qs(kb, j, l, p)
+    if qs is None:
         return "bad p for the middle rule on (j,l)"
-    return middle_q_fails(kb, ring, j, l, p, q)
+    if not qs[0] >> q & 1:
+        return "q does not separate j from p"
+    if not qs[1] >> q & 1:
+        return "l not unique for the middle rule"
 
 
 def _adj_commute_close(kb, j, l):
     if kb.dist[j][l] == INFINITE:
         return "(j,l) disconnected"
-    if kb.survivors(j, l) & ~(1 << j) & ~kb.killed.get((j, l), 0):
+    if kb.unkilled(j, l):
         return "unkilled candidates remain for (j,l)"
 
 

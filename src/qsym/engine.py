@@ -33,6 +33,7 @@ quantum-symmetric.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -114,16 +115,6 @@ def reduce_candidates(kb: CommutationKB, j, l):
     return set(cert_mod.bits(cand))
 
 
-def kill_choose_q_middle(kb: CommutationKB, j, l, p):
-    """Smallest q for which the middle rule kills u_ij u_kl u_ip, if any."""
-    ring = cert_mod.middle_ring(kb, j, l, p)
-    if ring is None:
-        return None
-    return next((q for q in kb.graph.vertices()
-                 if cert_mod.middle_q_fails(kb, ring, j, l, p, q) is None),
-                None)
-
-
 def prove_pair(kb: CommutationKB, j, l) -> bool:
     """Try to establish commute({j,l}); partial kills are kept either way."""
     if kb.dist[j][l] == INFINITE:
@@ -132,11 +123,11 @@ def prove_pair(kb: CommutationKB, j, l) -> bool:
         return True
 
     reduce_candidates(kb, j, l)
-    left = kb.survivors(j, l) & ~(1 << j) & ~kb.killed.get((j, l), 0)
-    for p in cert_mod.bits(left):
-        q = kill_choose_q_middle(kb, j, l, p)
-        if q is not None:
-            kb.apply(step(cert_mod.CHOOSE_Q_MIDDLE, j=j, l=l, p=p, q=q))
+    for p in cert_mod.bits(kb.unkilled(j, l)):
+        kill = cert_mod.middle_qs(kb, j, l, p)[1]  # p is a candidate
+        if kill:  # the smallest q that kills
+            _propose(kb, cert_mod.CHOOSE_Q_MIDDLE, j=j, l=l, p=p,
+                     q=cert_mod.bits(kill)[0])
     return _propose(kb, cert_mod.ADJ_COMMUTE_CLOSE, j=j, l=l)
 
 
@@ -203,7 +194,8 @@ def decide(g: Graph, timeout: float = DEFAULT_TIMEOUT,
     fixpoint's log) has been replayed once by ``verify_certificate``; one
     that fails raises ``EngineError``.
     ``timeout`` is the one bound: past it, the scan, the group or the
-    fixpoint ends in ``Undecided(reason="timeout")``.  The deadline is
+    fixpoint ends in ``Undecided(reason="timeout")``; a nan one, which
+    would never expire, raises ``ValueError``.  The deadline is
     checked between searches, so the overrun is at most one search: over
     the 3,066 circulants C_n(S), 5 <= n <= 22, the longest gap between two
     checks (or the call's ends) is about 16 ms on Python 3.11 and 2 vCPU,
@@ -216,6 +208,8 @@ def decide(g: Graph, timeout: float = DEFAULT_TIMEOUT,
     """
     if engine not in ("auto", "lemmas"):
         raise ValueError(f"unknown engine {engine!r}")
+    if math.isnan(timeout):
+        raise ValueError("timeout is nan")
     try:
         verdict = _decide(g, time.monotonic() + timeout, engine, aut)
     except DeadlineExceeded:

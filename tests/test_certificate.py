@@ -57,6 +57,17 @@ def test_certificate_bound_to_its_graph():
     assert not result and "different graph" in result.message
 
 
+def test_a_certificate_is_bound_to_its_edges_not_only_its_order():
+    """This graph has C5's vertex count and is isomorphic to it, but
+    shares none of its edges: C5's certificate does not prove it."""
+    _, cert = _lemma_certificate("C5")
+    other = Graph(5, [(1, 3), (3, 5), (2, 5), (2, 4), (1, 4)])
+    assert not set(other.edges()) & set(cert.edges)
+    result = verify_certificate(other, cert)
+    assert not result and result.step_index == -1
+    assert result.message == "certificate is bound to a different graph"
+
+
 def test_c5_without_seeds_reproduces_the_worked_example():
     """The worked 5-cycle derivation in 7 steps: the kill (1,2,3,1)
     proves (1,2), which the reflection carries to (1,5) at once, and the
@@ -139,9 +150,9 @@ def _as_mask(vertices):
 
 
 def test_mask_predicates_agree_with_a_list_reference():
-    """``narrowed``, ``middle_ring`` and ``middle_q_fails`` test whole
-    colour classes as bitmasks; a vertex-by-vertex reading of the pair
-    colours gives the same answers for every (j, l, p, q)."""
+    """``narrowed`` and ``middle_qs`` test whole colour classes as
+    bitmasks; a vertex-by-vertex reading of the pair colours gives the
+    same answers for every (j, l, p, q)."""
     graphs = [cycle_graph(5), build_named("K2xC6"), build_named("2C6"),
               build_named("Cuboctahedron"), circulant(12, 4, 6),
               discrete_colouring(circulant(6, 3)),
@@ -164,10 +175,12 @@ def test_mask_predicates_agree_with_a_list_reference():
                         ring = None
                     else:
                         ring = [x for x in vs if c[j][x] == k and c[p][x] == k]
-                    got = cm.middle_ring(kb, j, l, p)
-                    assert got == (ring and _as_mask(ring)), (g, j, l, p)
+                    got = cm.middle_qs(kb, j, l, p)
+                    assert (got is None) == (ring is None), (g, j, l, p)
                     if ring is None:
                         continue
+                    separate, kill = got
+                    assert not (separate | kill) & ~_as_mask(vs)
                     for q in vs:
                         if c[q][j] == c[q][p]:
                             why = "q does not separate j from p"
@@ -175,9 +188,11 @@ def test_mask_predicates_agree_with_a_list_reference():
                             why = "l not unique for the middle rule"
                         else:
                             why = None
-                        assert cm.middle_q_fails(
-                            kb, got, j, l, p, q) == why, \
-                            (g, j, l, p, q)
+                        got_why = ("q does not separate j from p"
+                                   if not separate >> q & 1 else
+                                   "l not unique for the middle rule"
+                                   if not kill >> q & 1 else None)
+                        assert got_why == why, (g, j, l, p, q)
 
 
 def _count_table_calls(monkeypatch):

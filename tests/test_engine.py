@@ -14,7 +14,6 @@ from qsym.engine import (
     CommutationKB,
     EngineError,
     decide,
-    kill_choose_q_middle,
     lemma_fixpoint,
     prove_pair,
     reduce_candidates,
@@ -24,7 +23,7 @@ from qsym.certificate import (
     serialize_certificate,
     verify_certificate,
 )
-from qsym.catalog import twelve_vertex_entries
+from qsym.catalog import entry_by_name, run_entry, twelve_vertex_entries
 from qsym.graphs import (
     Graph,
     disjoint_copies,
@@ -104,14 +103,43 @@ def test_reduce_candidates_without_usable_q_is_p0():
     assert not _pairs_with(kb, cm.CHOOSE_Q_RIGHT)
 
 
+def _smallest_kill(kb, j, l, p):
+    """The q the engine proposes for killing u_ij u_kl u_ip, or None."""
+    qs = cm.middle_qs(kb, j, l, p)
+    return cm.bits(qs[1])[0] if qs is not None and qs[1] else None
+
+
 def test_kill_choose_q_middle_examples():
-    assert kill_choose_q_middle(CommutationKB(cycle_graph(5)), 1, 2, 3) == 1
+    assert _smallest_kill(CommutationKB(cycle_graph(5)), 1, 2, 3) == 1
     kb = CommutationKB(build_named("K2xC6"))
-    assert kill_choose_q_middle(kb, 1, 3, 5) == 1
+    assert _smallest_kill(kb, 1, 3, 5) == 1
     # |CN(3,8)| = 0 and |CN(3,10)| = 2 differ from |CN(1,3)| = 1, so the
     # colour of (l,p) differs from that of (j,l): no candidate for any q
-    assert kill_choose_q_middle(kb, 1, 3, 8) is None
-    assert kill_choose_q_middle(kb, 1, 3, 10) is None
+    assert _smallest_kill(kb, 1, 3, 8) is None
+    assert _smallest_kill(kb, 1, 3, 10) is None
+
+
+def test_every_logged_step_passed_its_check(monkeypatch):
+    """The search applies no step its rule's check has not accepted: each
+    step of a lemma log was accepted in the state it was applied in, the
+    state named by the log's length at the time."""
+    accepted = set()
+    for kind, rule in list(cm.RULES.items()):
+        def check(kb, _kind=kind, _check=rule.check, **fields):
+            why = _check(kb, **fields)
+            if why is None:
+                accepted.add((id(kb), len(kb.log),
+                              str(cm.ProofStep(_kind, fields))))
+            return why
+        monkeypatch.setitem(cm.RULES, kind,
+                            dataclasses.replace(rule, check=check))
+    for name in ("C5", "K2xC6", "C12(2)"):
+        kb, closed, _ = lemma_fixpoint(build_named(name))
+        assert closed, name
+        kinds = {s.kind for s in kb.log}
+        assert cm.CHOOSE_Q_MIDDLE in kinds, name
+        for idx, s in enumerate(kb.log):
+            assert (id(kb), idx, str(s)) in accepted, (name, idx, str(s))
 
 
 def test_p0_excludes_common_neighbour_mismatches():
@@ -322,6 +350,19 @@ def test_decide_timeout_returns_undecided():
     g = build_named("K2xC6(2)")  # quantum; the fixpoint cannot close it
     v = decide(g, engine="lemmas", timeout=0.0)
     assert v.kind == "Undecided" and v.reason == "timeout"
+
+
+def test_decide_refuses_a_nan_timeout():
+    """Every deadline test against nan reads False, so a nan timeout
+    would never expire; decide refuses it as it does an unknown engine,
+    and run_entry records the refusal as an error row."""
+    g = circulant(16, 2, 3, 4, 6, 7, 8)
+    assert decide(g, engine="lemmas", timeout=1e-9).reason == "timeout"
+    for engine_name in ("auto", "lemmas"):
+        with pytest.raises(ValueError, match="timeout is nan"):
+            decide(g, engine=engine_name, timeout=float("nan"))
+    record = run_entry(entry_by_name("C4"), timeout=float("nan"))
+    assert record["error"] == "ValueError: timeout is nan"
 
 
 def test_decide_timeout_covers_disjoint_scan(monkeypatch):
@@ -640,10 +681,12 @@ def test_the_candidate_reduction_earns_its_place(monkeypatch):
 
 
 def test_the_middle_rule_earns_its_place(monkeypatch):
-    """With no q found for any kill, all 285 closed circulants stay
-    open, C5 first."""
+    """With every CHOOSE_Q_MIDDLE step refused, all 285 closed circulants
+    stay open, C5 first."""
     closed = _closed_circulants()
-    monkeypatch.setattr(engine, "kill_choose_q_middle", lambda *args: None)
+    rule = cm.RULES[cm.CHOOSE_Q_MIDDLE]
+    monkeypatch.setitem(cm.RULES, cm.CHOOSE_Q_MIDDLE, dataclasses.replace(
+        rule, check=lambda kb, *fields, **named: "switched off"))
     still_open = _still_open(closed)
     assert len(still_open) == 285 and still_open[0] == "C5"
 
