@@ -35,7 +35,7 @@ from .graphs import (
     CirculantSpec,
     Graph,
     _decimal,
-    build_circulant,
+    circulant_spec,
     injective_f_check,
     read_graph,
 )
@@ -261,15 +261,13 @@ class CommutationKB:
     which is why the verifier refuses any other vertex before a check
     runs.  ``killed[(j,l)]`` is the bitmask
     of the vertices p killed for (j,l), ``candidates[(j,l)]`` that of the
-    survivors of the reductions so far, ``generators`` the automorphisms
-    that accepted ``GENERATOR`` steps have stated, and ``tables`` their
-    pair tables.  The pair table of phi maps the code of (i,j), i*m + j
-    for any order of i and j, to the code of {phi(i), phi(j)}.  For phi
+    survivors of the reductions so far, and ``generators`` the
+    automorphisms that accepted ``GENERATOR`` steps have stated.  For phi
     in Aut(G), u_ij -> u_phi(i)phi(j) extends to an automorphism of the
     algebra, so each image of a commute fact is one too, and ``commute``
-    stays closed under the tables: a new fact is walked through all of
-    them, and a new generator walks every known fact.  Facts only enter
-    through :meth:`apply`."""
+    stays closed under the generators' action :meth:`act` on codes: a
+    new fact is walked under all of them, and a new generator walks
+    every known fact.  Facts only enter through :meth:`apply`."""
 
     def __init__(self, g: Graph):
         self.graph = g
@@ -278,7 +276,6 @@ class CommutationKB:
         self.killed: dict = {}
         self.candidates: dict = {}
         self.generators: list = []
-        self.tables: list = []
         self.log: list = []
 
     @functools.cached_property
@@ -321,18 +318,21 @@ class CommutationKB:
             effect(self, **s.fields)
         self.log.append(s)
 
+    def act(self, phi, code):
+        """The code of {phi(a), phi(b)}, given the code of {a, b}."""
+        m, img = self.m, phi.img
+        a, b = img[code // m], img[code % m]
+        return a * m + b if a <= b else b * m + a
+
     # effects: each adds the facts an accepted step's fields establish
     def _commute(self, j, l, **_):
         code = j * self.m + l if j <= l else l * self.m + j
         self.commute.add(code)
-        walk(self.commute, (code,), self.tables, list.__getitem__)
+        walk(self.commute, (code,), self.generators, self.act)
 
     def _add_generator(self, phi):
-        img, m = phi.img, self.m
         self.generators.append(phi)
-        self.tables.append([a * m + b if a <= b else b * m + a
-                            for a in img for b in img])
-        walk(self.commute, self.commute, self.tables, list.__getitem__)
+        walk(self.commute, self.commute, self.generators, self.act)
 
     def _narrow(self, j, l, survivors, **_):
         self.candidates[(j, l)] = sum(1 << p for p in survivors)
@@ -452,7 +452,7 @@ def _disjoint_witness(kb, sigma, tau):
 
 def _injective_f(kb, n, chords):
     spec = CirculantSpec(n, tuple(chords))
-    if n != kb.graph.n or build_circulant(spec) != kb.graph:
+    if circulant_spec(kb.graph) != spec:
         return "circulant spec does not rebuild the graph"
     if not injective_f_check(spec)[0]:
         return "eigenvalues are not injective on s = 1..n//2"

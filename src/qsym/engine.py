@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 from . import certificate as cert_mod
 from .certificate import Certificate, CommutationKB, step, verify_certificate
-from .graphs import INFINITE, Graph, injective_f_check
+from .graphs import INFINITE, Graph, circulant_spec, injective_f_check
 from .perms import (
     AutGroup,
     DeadlineExceeded,
@@ -186,9 +186,10 @@ def decide(g: Graph, timeout: float = DEFAULT_TIMEOUT,
     """Decide whether ``g`` has quantum symmetries.
 
     ``engine`` selects the pipeline: "auto" runs the disjoint-automorphism
-    test, then (for circulants) the injectivity criterion, then the lemma
-    fixpoint; "lemmas" runs only the fixpoint.  ``aut``, if given, is
-    ``automorphism_group(g)``, which the fixpoint then does not recompute.
+    test, then the injectivity criterion if ``circulant_spec(g)`` reads a
+    spec from the edges, then the lemma fixpoint; "lemmas" runs only the
+    fixpoint.  Only ``g.n`` and ``g.edges()`` are read.  ``aut``, if given,
+    is ``automorphism_group(g)``, which the fixpoint then does not recompute.
     Returns a verdict object; Undecided is the fallback, never a wrong
     answer.  Each certificate returned (a lemma one is the closed
     fixpoint's log) has been replayed once by ``verify_certificate``; one
@@ -233,7 +234,7 @@ def _decide(g: Graph, deadline: float, engine: str, aut: AutGroup | None):
                 [step(cert_mod.DISJOINT_WITNESS, sigma=sigma, tau=tau)])
             return HasQuantumSymmetry(witness=pair, certificate=cert)
 
-        spec = g.circulant
+        spec = circulant_spec(g)
         if spec is not None and spec.n != 4 and injective_f_check(spec)[0]:
             cert = Certificate.for_graph(
                 g, cert_mod.VERDICT_NONE,

@@ -59,12 +59,13 @@ def _edge_fault(n, i, j):
 
 
 class Graph:
-    """Immutable simple undirected graph on vertices 1..n."""
+    """Immutable simple undirected graph on vertices 1..n, given by its
+    order and edges alone; ``label`` is display text."""
 
-    __slots__ = ("n", "rows", "label", "circulant", "_edges", "_dist",
-                 "_colours", "_masks")
+    __slots__ = ("n", "rows", "label", "_edges", "_dist", "_colours",
+                 "_masks")
 
-    def __init__(self, n, edges, label="", circulant=None):
+    def __init__(self, n, edges, label=""):
         if n < 1:
             raise GraphError(f"need at least one vertex, got n={n}")
         rows = [0] * (n + 1)
@@ -77,7 +78,6 @@ class Graph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", tuple(rows))
         object.__setattr__(self, "label", label)
-        object.__setattr__(self, "circulant", circulant)
         object.__setattr__(self, "_edges", None)
         object.__setattr__(self, "_dist", None)
         object.__setattr__(self, "_colours", None)
@@ -129,8 +129,7 @@ class Graph:
         return sum(self.degree(i) for i in self.vertices()) // 2
 
     def relabel(self, label) -> "Graph":
-        g = Graph(self.n, self.edges(), label=label, circulant=self.circulant)
-        return g
+        return Graph(self.n, self.edges(), label=label)
 
     # -- metric structure -------------------------------------------------
 
@@ -216,7 +215,18 @@ def build_circulant(spec: CirculantSpec) -> Graph:
         offsets.add(n - k)
     edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
              if (j - i) % n in offsets]
-    return Graph(n, edges, label=spec.name(), circulant=spec)
+    return Graph(n, edges, label=spec.name())
+
+
+def circulant_spec(g: Graph) -> CirculantSpec | None:
+    """The spec whose ``build_circulant`` is ``g`` in g's own labels, else
+    None.  It is read from vertex 1's offsets, which must include +-1,
+    and checked by rebuilding; n <= 2 gives None."""
+    n, offsets = g.n, {v - 1 for v in g.neighbours(1)}
+    if n < 3 or not {1, n - 1} <= offsets:
+        return None
+    spec = CirculantSpec(n, sorted(k for k in offsets if 1 < k <= n // 2))
+    return spec if build_circulant(spec) == g else None
 
 
 def build_semicirculant(n: int, chords=(), plus=()) -> Graph:

@@ -17,7 +17,7 @@ from qsym.catalog import (
     twelve_vertex_entries,
 )
 from qsym.certificate import serialize_certificate
-from qsym.graphs import complement, injective_f_check
+from qsym.graphs import circulant_spec, complement, injective_f_check
 from qsym.named import _ALIASES, build_named, catalog_names
 from qsym.perms import (
     DeadlineExceeded,
@@ -45,9 +45,10 @@ CATALOG_ROWS_SHA256 = \
 CATALOG_DERIVATIONS_SHA256 = \
     "09b01c5359d7b68ed757ee95c028de2e7eabc5d12a390daf3808a70f0ad66f6c"
 # SHA-256 over every catalog graph, in ``catalog_names()`` order: its
-# name, label, order, edge tuple and circulant spec, one line each.
+# name, label, order, edge tuple and ``circulant_spec``, one line each.
+# Read from the edges, the spec is no longer None for K3 and K12.
 NAMED_GRAPHS_SHA256 = \
-    "ed0cfa5f12e0317902ef5625b43c4b97c97847aeaf0795ba6519ff9943b35669"
+    "6f39701d6b83d1b3250cc1b0bdde638b151b17fe8d36212c348eb7e326c5d1a8"
 
 
 def test_catalog_shape():
@@ -92,7 +93,7 @@ def test_injective_f_rows_pass_the_exact_criterion_except_c12_6():
     """The proof-kind column records the published argument.  For C12(6)
     that argument counts chord 6 twice; its true spectrum has
     lambda_3 = lambda_6 = -1, and the lemmas prove the row instead."""
-    rows = {e.name: injective_f_check(e.build().circulant)
+    rows = {e.name: injective_f_check(circulant_spec(e.build()))
             for e in twelve_vertex_entries()
             if e.paper_proof_kind == "injective_f"}
     assert rows.pop("C12(6)") == (False, 6)
@@ -252,6 +253,6 @@ def test_every_named_graph_is_pinned():
     for name in catalog_names():
         g = build_named(name)
         lines.append(
-            f"{name}|{g.label}|{g.n}|{g.edges()}|{g.circulant}\n")
+            f"{name}|{g.label}|{g.n}|{g.edges()}|{circulant_spec(g)}\n")
     digest = hashlib.sha256("".join(lines).encode()).hexdigest()
     assert digest == NAMED_GRAPHS_SHA256

@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 import qsym.certificate as cm
+import qsym.graphs
 from qsym.certificate import (
     Certificate,
     parse_certificate,
@@ -468,14 +469,15 @@ def test_forged_injectivity_rejected():
 def test_injectivity_step_for_a_foreign_n_is_refused_before_any_rebuild(
         monkeypatch):
     """A step naming another ``n`` is refused without building its
-    circulant, whose cost grows as n^2: ``n=4000`` on C5 must not wait."""
-    build = cm.build_circulant
+    circulant, whose cost grows as n^2: ``n=4000`` on C5 must not wait.
+    The check reads the graph's own spec, so only C5 is rebuilt."""
+    build = qsym.graphs.build_circulant
 
     def own_n_only(spec):
         assert spec.n == 5, f"built the circulant of n={spec.n}"
         return build(spec)
 
-    monkeypatch.setattr(cm, "build_circulant", own_n_only)
+    monkeypatch.setattr(qsym.graphs, "build_circulant", own_n_only)
     g = cycle_graph(5)
     for n in (4000, 6):
         cert = Certificate.for_graph(

@@ -362,6 +362,21 @@ def test_show_writes_graph_file(capsys, tmp_path):
     assert back.n == 12 and back.num_edges() == 18
 
 
+def test_a_circulant_read_from_a_file_is_decided_as_by_its_name(
+        capsys, tmp_path):
+    """Circulance is read from the edges: C5 written to a file decides by
+    the one-step criterion, as by name, and ``certificate`` still prints
+    its lemma proof."""
+    path = tmp_path / "c5.txt"
+    assert run(capsys, "show", "C5", "-o", str(path))[0] == 0
+    for source in ("C5", str(path)):
+        code, out, _ = run(capsys, "decide", source)
+        assert code == 0 and "certificate steps: 1\n" in out, source
+    code, out, _ = run(capsys, "certificate", str(path))
+    assert code == 0 and "CONCLUSION_COMMUTATIVE" in out
+    assert "INJECTIVE_F" not in out
+
+
 def test_groebner_k3(capsys):
     code, out, _ = run(capsys, "groebner", "K3", "--max-degree", "4")
     assert code == 0

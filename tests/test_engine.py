@@ -26,11 +26,13 @@ from qsym.certificate import (
 from qsym.catalog import entry_by_name, run_entry, twelve_vertex_entries
 from qsym.graphs import (
     Graph,
+    circulant_spec,
     disjoint_copies,
     injective_f_check,
 )
 from qsym.named import (
     build_named,
+    catalog_names,
     circulant,
     complete_graph,
     cycle_graph,
@@ -47,6 +49,7 @@ from qsym.perms import (
 
 from replayer import IndependentReplayer, closure
 from util import (
+    c7_2_with_1_and_2_swapped,
     circulants,
     commute_pairs,
     derivation,
@@ -258,9 +261,9 @@ def test_a_diagonal_fact_closes_under_the_generators():
     assert {frozenset((v,)) for v in g.vertices()} <= commute_pairs(kb)
 
 
-def test_pair_tables_map_each_pair_code_as_act_on_pair_maps_the_pair():
-    """The pair table of a stated generator phi sends the code of (i, j),
-    i*(n+1) + j in either order, to the code a*(n+1) + b of {phi(i),
+def test_the_pair_action_maps_each_pair_code_as_act_on_pair_maps_the_pair():
+    """``kb.act`` sends the code of (i, j), i*(n+1) + j in either order,
+    under a stated generator phi to the code a*(n+1) + b of {phi(i),
     phi(j)} = {a, b}, a <= b: every generator of the 37 catalog rows and
     of the circulants with n <= 12, every pair of vertices 1..n, the
     diagonal and vertex n included."""
@@ -271,11 +274,10 @@ def test_pair_tables_map_each_pair_code_as_act_on_pair_maps_the_pair():
         for phi in automorphism_group(g).generators:
             kb.apply(cm.step(cm.GENERATOR, phi=phi))
         m = g.n + 1
-        for phi, table in zip(kb.generators, kb.tables):
-            assert len(table) == m * m
+        for phi in kb.generators:
             for i in g.vertices():
                 for j in g.vertices():
-                    a, b = divmod(table[i * m + j], m)
+                    a, b = divmod(kb.act(phi, i * m + j), m)
                     assert a <= b and {a, b} == \
                         act_on_pair(phi, frozenset((i, j))), (g.label, i, j)
             checked += 1
@@ -328,6 +330,24 @@ def test_decide_c5():
     v = decide(cycle_graph(5))
     assert v.kind == "NoQuantumSymmetry"
     assert verify_certificate(cycle_graph(5), v.certificate)
+
+
+def test_decide_depends_only_on_the_order_and_the_edges():
+    """``decide`` reads circulance from the edges, so a graph rebuilt from
+    its order and edges alone gets the same verdict and certificate text:
+    every named graph and the 378 circulants.  C7(2) with vertices 1 and
+    2 exchanged is no circulant in its own labels, and the lemmas still
+    prove it."""
+    def outcome(g):
+        v = decide(g)
+        return v.kind, v.certificate and serialize_certificate(v.certificate)
+
+    graphs = [build_named(name) for name in catalog_names()] + circulants()
+    for g in graphs:
+        assert outcome(Graph(g.n, g.edges())) == outcome(g), g.label
+    v = decide(c7_2_with_1_and_2_swapped())
+    assert v.kind == "NoQuantumSymmetry"
+    assert v.certificate.steps[-1].kind == cm.CONCLUSION_COMMUTATIVE
 
 
 def test_decide_c12_5_has_witness():
@@ -538,7 +558,7 @@ def test_lemmas_close_exactly_the_circulants_without_a_disjoint_pair():
     assert (len(closed), len(still_open)) == (285, 93)
     assert all(find_disjoint_automorphisms(g) for g, _ in still_open)
     assert not any(find_disjoint_automorphisms(g) for g, _ in closed)
-    injective = {g for g in graphs if injective_f_check(g.circulant)[0]}
+    injective = {g for g in graphs if injective_f_check(circulant_spec(g))[0]}
     assert len(injective) == 207 and injective <= {g for g, _ in closed}
     small = [(g, cert) for g, cert in closed if g.n <= 12]
     assert len(small) == 54
@@ -629,13 +649,12 @@ def test_lemmas_close_a_pinned_set_of_random_graphs():
 def _idle_steps(cert):
     """Replaying ``cert``, the ADJ_COMMUTE_CLOSE steps whose pair lies in
     the closure of the facts known before them under the stated
-    generators' pair tables: steps that an orbit image justifies, as
-    (index, kind) pairs."""
+    generators, walked with ``kb.act``: steps that an orbit image
+    justifies, as (index, kind) pairs."""
     kb, idle = CommutationKB(cert.graph()), []
     for idx, s in enumerate(cert.steps):
         if s.kind == cm.ADJ_COMMUTE_CLOSE:
-            known = walk(set(kb.commute), kb.commute, kb.tables,
-                         list.__getitem__)
+            known = walk(set(kb.commute), kb.commute, kb.generators, kb.act)
             if min(s.j, s.l) * kb.m + max(s.j, s.l) in known:
                 idle.append((idx, s.kind))
         kb.apply(s)

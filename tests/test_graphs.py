@@ -14,6 +14,7 @@ from qsym.graphs import (
     build_circulant,
     build_semicirculant,
     cartesian_product,
+    circulant_spec,
     common_neighbours,
     complement,
     cosine_sums,
@@ -42,6 +43,7 @@ from qsym.perms import find_disjoint_automorphisms, is_automorphism, parse_cycle
 from replayer import cyclotomic, polydivmod, spectrum_injective
 
 from util import (
+    c7_2_with_1_and_2_swapped,
     circulants,
     discrete_colouring,
     is_isomorphic,
@@ -90,6 +92,31 @@ def test_circulant_rotation_is_automorphism():
         g = build_circulant(CirculantSpec(12, chords))
         rot = parse_cycles("(" + " ".join(str(v) for v in range(1, 13)) + ")", 12)
         assert is_automorphism(g, rot)
+
+
+def test_circulant_spec_reads_the_spec_from_the_edges_in_their_labels():
+    """``circulant_spec`` finds the spec of every circulant C_n(S),
+    5 <= n <= 16, also when the graph is rebuilt from its edges alone;
+    K3 and K12 are circulants too.  A graph that is no circulant in its
+    own labels has none: K1 and K2 (n <= 2), the semicirculants,
+    Petersen, and C7(2) with vertices 1 and 2 exchanged, whose vertex 1
+    still has the offsets +-1, so only the rebuild refuses it."""
+    for g in circulants():
+        spec = CirculantSpec(g.n, tuple(
+            k for k in range(2, g.n // 2 + 1) if g.adjacent(1, 1 + k)))
+        assert spec.name() == g.label
+        assert circulant_spec(g) == circulant_spec(Graph(g.n, g.edges())) \
+            == spec, g.label
+    assert circulant_spec(complete_graph(3)) == CirculantSpec(3)
+    assert circulant_spec(build_named("K12")) == \
+        CirculantSpec(12, (2, 3, 4, 5, 6))
+    swapped = c7_2_with_1_and_2_swapped()
+    assert sorted(swapped.neighbours(1)) == [2, 3, 4, 7]
+    for g in (complete_graph(1), complete_graph(2), build_named("Petersen"),
+              swapped, *(build_named(name) for name in (
+                  "C12(5+)", "C12(3+,6)", "C12(5+,6)", "C12(2,5+)",
+                  "C12(4,5+)"))):
+        assert circulant_spec(g) is None, g
 
 
 def test_semicirculant_plus_edges_form_the_documented_matching():
@@ -298,7 +325,7 @@ def test_injective_f_check_is_exact_on_small_circulants():
     would force quantum symmetry)."""
     injective = []
     for g in circulants():
-        verdict, distinct = injective_f_check(g.circulant)
+        verdict, distinct = injective_f_check(circulant_spec(g))
         offsets = {(v - 1) % g.n for v in g.neighbours(1)}
         assert verdict == spectrum_injective(g.n, offsets), g.label
         assert verdict == (distinct == g.n // 2 + 1), g.label

@@ -21,6 +21,14 @@ def circulants(top=16):
             for chords in itertools.combinations(range(2, n // 2 + 1), k)]
 
 
+def c7_2_with_1_and_2_swapped():
+    """C7(2) with vertices 1 and 2 exchanged: a circulant, but not in its
+    own labels, since vertex 1 has the offsets 1, 2, 3 and 6."""
+    swap = {1: 2, 2: 1}
+    return Graph(7, [(swap.get(i, i), swap.get(j, j))
+                     for i, j in circulant(7, 2).edges()])
+
+
 def transversal_chain(g):
     """The orbit-stabilizer chain that keeps every coset representative:
     one ``find_automorphism`` query per level v and image a != v with
