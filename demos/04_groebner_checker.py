@@ -3,10 +3,11 @@
 over the quantum-symmetry relations.
 
 Reductions to zero are proofs of equalities in the quantum automorphism
-algebra; irreducible elements prove nothing, because the basis is
-truncated by degree.  The final section reproduces, at degree cap 3, the
-generator identities used to pin down the quantum automorphism group of
-C12(4,5); expect it to take a little while."""
+algebra; irreducible elements prove nothing, because the basis may be
+truncated by degree and the relations omit orthogonality.  The final
+section reproduces, at degree cap 3, the generator identities used to pin
+down the quantum automorphism group of C12(4,5); expect it to take a
+little while."""
 
 import itertools
 import time

@@ -23,9 +23,7 @@ from .graphs import (
     complement,
     direct_product,
     disjoint_copies,
-    distance_k_graph,
     injective_f_check,
-    line_graph,
     read_graph,
     write_graph,
 )

@@ -36,8 +36,8 @@ from .graphs import (
     Graph,
     _decimal,
     circulant_spec,
+    graph_from_records,
     injective_f_check,
-    read_graph,
 )
 from .perms import is_automorphism, parse_cycles, walk
 
@@ -172,14 +172,27 @@ def parse_certificate(text: str) -> Certificate:
     that would read back differently (``graph e 2 1``, ``j=01``, a cycle
     written from another vertex) is refused by name.
 
-    Each distinct field token (``j=3``, ``survivors=2,7``) is read once
-    per certificate: a memo keeps its value and its written form
-    ``key=value``.  The read-back is still the whole serialization, line
-    for line; a step whose fields come in table order is written back
-    from the memo's written forms, any other through
-    :func:`serialize_step`."""
-    rows = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in rows if ln]
+    One pass reads the lines.  The ``graph`` records go with their line
+    numbers to ``graphs.graph_from_records``, the reader of
+    ``read_graph``.  Each distinct field token (``j=3``,
+    ``survivors=2,7``) is read once per certificate: a memo keeps its
+    value and its written form ``key=value``.  The read-back is still the
+    whole serialization: a step whose fields come in table order is
+    written back from the memo's written forms, any other through
+    :func:`serialize_step`; the line lists are compared once and walked
+    only to name the first line that differs."""
+    lines, records, step_lines, stray = [], [], [], None
+    for lineno, ln in enumerate(text.splitlines(), start=1):
+        ln = ln.strip()
+        if ln.startswith("step "):
+            step_lines.append(ln[5:])
+        elif ln.startswith("graph "):
+            records.append((lineno, ln[6:]))
+        elif not ln:
+            continue
+        elif len(lines) >= 2:
+            stray = stray or ln
+        lines.append(ln)
     if lines and lines[0] in RETIRED:
         raise ValueError(f"{lines[0]} is retired: {RETIRED[lines[0]]}; "
                          f"re-run `qsym certificate` on the graph")
@@ -187,17 +200,10 @@ def parse_certificate(text: str) -> Certificate:
         raise ValueError("not a qsym certificate (missing header)")
     if len(lines) < 2 or not lines[1].startswith("verdict "):
         raise ValueError("missing verdict line")
+    if stray is not None:
+        raise ValueError(f"not a graph or step record: {stray!r}")
     verdict = lines[1].split(None, 1)[1]
-    step_lines = []
-    for ln in lines[2:]:
-        if ln.startswith("step "):
-            step_lines.append(ln[5:])
-        elif not ln.startswith("graph "):
-            raise ValueError(f"not a graph or step record: {ln!r}")
-    # the other lines blanked, so read_graph names a bad graph record by
-    # its line in the file
-    g = read_graph("\n".join(ln[6:] if ln.startswith("graph ") else ""
-                             for ln in rows))
+    g = graph_from_records(records)
     n, edges = g.n, g.edges()
     readback = _head(verdict, n, edges)
     memo = {}  # token -> (value, written form)
@@ -227,12 +233,12 @@ def parse_certificate(text: str) -> Certificate:
         steps.append(s)
         readback.append("step " + (" ".join(written) if in_order
                                    else serialize_step(s)))
-    cert = Certificate(verdict=verdict, n=n, edges=edges, steps=tuple(steps))
-    for line, own in zip_longest(lines, readback):
-        if line != own:
-            raise ValueError(f"certificate line {line!r} does not read back:"
-                             f" the serialization has {own!r} in its place")
-    return cert
+    if lines != readback:
+        line, own = next(pair for pair in zip_longest(lines, readback)
+                         if pair[0] != pair[1])
+        raise ValueError(f"certificate line {line!r} does not read back:"
+                         f" the serialization has {own!r} in its place")
+    return Certificate(verdict=verdict, n=n, edges=edges, steps=tuple(steps))
 
 
 # -- replay state ----------------------------------------------------------
@@ -265,8 +271,8 @@ class CommutationKB:
     automorphisms that accepted ``GENERATOR`` steps have stated.  For phi
     in Aut(G), u_ij -> u_phi(i)phi(j) extends to an automorphism of the
     algebra, so each image of a commute fact is one too, and ``commute``
-    stays closed under the generators' action :meth:`act` on codes: a
-    new fact is walked under all of them, and a new generator walks
+    stays closed under the generators' action on codes (:meth:`_close`):
+    a new fact is walked under all of them, and a new generator walks
     every known fact.  Facts only enter through :meth:`apply`."""
 
     def __init__(self, g: Graph):
@@ -318,21 +324,31 @@ class CommutationKB:
             effect(self, **s.fields)
         self.log.append(s)
 
-    def act(self, phi, code):
-        """The code of {phi(a), phi(b)}, given the code of {a, b}."""
-        m, img = self.m, phi.img
-        a, b = img[code // m], img[code % m]
-        return a * m + b if a <= b else b * m + a
+    def _close(self, todo):
+        """Add the images of the codes in the list ``todo`` under the
+        stated generators, walking on from each new one: ``perms.walk``
+        with the pair action inlined, no call per image."""
+        commute, m = self.commute, self.m
+        imgs = [phi.img for phi in self.generators]
+        while todo:
+            a, b = divmod(todo.pop(), m)
+            for img in imgs:
+                x, y = img[a], img[b]
+                code = x * m + y if x <= y else y * m + x
+                if code not in commute:
+                    commute.add(code)
+                    todo.append(code)
 
     # effects: each adds the facts an accepted step's fields establish
     def _commute(self, j, l, **_):
         code = j * self.m + l if j <= l else l * self.m + j
-        self.commute.add(code)
-        walk(self.commute, (code,), self.generators, self.act)
+        if code not in self.commute:  # else its orbit is in already
+            self.commute.add(code)
+            self._close([code])
 
     def _add_generator(self, phi):
         self.generators.append(phi)
-        walk(self.commute, self.commute, self.generators, self.act)
+        self._close(list(self.commute))
 
     def _narrow(self, j, l, survivors, **_):
         self.candidates[(j, l)] = sum(1 << p for p in survivors)
@@ -388,11 +404,12 @@ def _choose_q_right(kb, j, l, q, survivors):
         return "survivor set mismatch"
 
 
-def middle_qs(kb, j, l, p):
+def middle_qs(kb, j, l, p, qs):
     """None when p is no candidate for the middle rule on (j,l), else two
-    bitmasks over q: the q with c(j,q) != c(q,p), and among them the q
-    that kill u_ij u_kl u_ip, those for which l is the only vertex with
-    colour c(l,q) to q, c(j,l) to j and c(p,l) to p."""
+    bitmasks over the vertices ``qs``: the q with c(j,q) != c(q,p), and
+    among them the q that kill u_ij u_kl u_ip, those for which l is the
+    only vertex with colour c(l,q) to q, c(j,l) to j and c(p,l) to p.
+    The search asks about every vertex, a check about the q it names."""
     c, masks = kb.colours, kb.masks
     k = c[j][l]
     if kb.dist[j][l] == INFINITE or c[p][l] != k or p == j:
@@ -400,7 +417,7 @@ def middle_qs(kb, j, l, p):
     ring = masks[j][k] & masks[p][k]
     lone = 1 << l
     separate = kill = 0
-    for q in kb.graph.vertices():
+    for q in qs:
         cq = c[q]
         if cq[j] != cq[p]:
             separate |= 1 << q
@@ -410,7 +427,7 @@ def middle_qs(kb, j, l, p):
 
 
 def _choose_q_middle(kb, j, l, p, q):
-    qs = middle_qs(kb, j, l, p)
+    qs = middle_qs(kb, j, l, p, (q,))
     if qs is None:
         return "bad p for the middle rule on (j,l)"
     if not qs[0] >> q & 1:

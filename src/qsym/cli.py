@@ -182,9 +182,11 @@ def cmd_groebner(args) -> int:
         preview = ", ".join(str(p) for p in open_pairs[:8])
         lines.append(f"unsettled column pairs: {preview}"
                      + (" ..." if len(open_pairs) > 8 else ""))
+        why = ("the relations omit orthogonality" if gb.exhausted
+               else "the basis is degree-truncated")
         lines.append("note: reductions to zero prove commutation in the "
                      "quantum automorphism algebra; irreducible commutators "
-                     "prove nothing (the basis is degree-truncated)")
+                     f"prove nothing ({why})")
     _emit("\n".join(lines), args.output)
     return EXIT_OK if len(commuting) == len(pairs) else EXIT_UNDECIDED
 

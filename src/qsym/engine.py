@@ -124,7 +124,8 @@ def prove_pair(kb: CommutationKB, j, l) -> bool:
 
     reduce_candidates(kb, j, l)
     for p in cert_mod.bits(kb.unkilled(j, l)):
-        kill = cert_mod.middle_qs(kb, j, l, p)[1]  # p is a candidate
+        # p is a candidate
+        kill = cert_mod.middle_qs(kb, j, l, p, kb.graph.vertices())[1]
         if kill:  # the smallest q that kills
             _propose(kb, cert_mod.CHOOSE_Q_MIDDLE, j=j, l=l, p=p,
                      q=cert_mod.bits(kill)[0])

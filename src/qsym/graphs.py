@@ -70,9 +70,8 @@ class Graph:
             raise GraphError(f"need at least one vertex, got n={n}")
         rows = [0] * (n + 1)
         for i, j in edges:
-            fault = _edge_fault(n, i, j)
-            if fault is not None:
-                raise GraphError(fault)
+            if i == j or not (0 < i <= n and 0 < j <= n):
+                raise GraphError(_edge_fault(n, i, j))
             rows[i] |= 1 << j
             rows[j] |= 1 << i
         object.__setattr__(self, "n", n)
@@ -317,33 +316,6 @@ def _product_label(g, h, symbol):
     return ""
 
 
-def line_graph(g: Graph) -> Graph:
-    """One vertex per edge of g (edges numbered in lexicographic order)."""
-    base_edges = g.edges()
-    if not base_edges:
-        raise GraphError("line graph needs at least one edge")
-    edges = []
-    for a, b in combinations(range(len(base_edges)), 2):
-        ea, eb = base_edges[a], base_edges[b]
-        if set(ea) & set(eb):
-            edges.append((a + 1, b + 1))
-    label = f"L({g.label})" if g.label else ""
-    return Graph(len(base_edges), edges, label=label)
-
-
-def distance_k_graph(g: Graph, k: int) -> Graph:
-    """i ~ j iff d_g(i,j) = k; defined for connected g only."""
-    if not g.is_connected():
-        raise GraphError("distance-k graph needs a connected input")
-    if k < 1:
-        raise GraphError(f"need k >= 1, got {k}")
-    d = g.distances()
-    edges = [(i, j) for i in g.vertices() for j in range(i + 1, g.n + 1)
-             if d[i][j] == k]
-    label = f"dist{k}({g.label})" if g.label else ""
-    return Graph(g.n, edges, label=label)
-
-
 # -- neighbourhood queries ------------------------------------------------
 
 
@@ -446,9 +418,17 @@ def write_graph(g: Graph) -> str:
 
 
 def read_graph(text: str, label="") -> Graph:
+    return graph_from_records(enumerate(text.splitlines(), start=1), label)
+
+
+def graph_from_records(records, label="") -> Graph:
+    """The graph that the records state, each a (line number, text) pair
+    in the format above, blank and comment-only texts included: the one
+    reader of ``read_graph`` and of a certificate's ``graph`` records, so
+    a refusal names its record by the line number given with it."""
     n = None
     edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in records:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

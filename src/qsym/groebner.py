@@ -496,7 +496,8 @@ def commutator(a, b) -> NcPoly:
 def commutator_reduces(gb: PartialGB, a, b) -> bool:
     """True iff u_a u_b - u_b u_a reduces to zero: a proof that the two
     generators commute in the quantum automorphism algebra.  False proves
-    nothing (the basis is degree-truncated)."""
+    nothing: the basis may be degree-truncated, and even an exhausted one
+    comes from relations that omit orthogonality."""
     return normal_form(commutator(a, b), gb.basis).is_zero
 
 

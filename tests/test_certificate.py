@@ -153,7 +153,10 @@ def _as_mask(vertices):
 def test_mask_predicates_agree_with_a_list_reference():
     """``narrowed`` and ``middle_qs`` test whole colour classes as
     bitmasks; a vertex-by-vertex reading of the pair colours gives the
-    same answers for every (j, l, p, q)."""
+    same answers for every (j, l, p, q).  The middle rule's check, which
+    asks ``middle_qs`` about its named q only, gives the reference's
+    reason for every (j, l, p, q), the bad p included."""
+    check = cm.RULES[cm.CHOOSE_Q_MIDDLE].check
     graphs = [cycle_graph(5), build_named("K2xC6"), build_named("2C6"),
               build_named("Cuboctahedron"), circulant(12, 4, 6),
               discrete_colouring(circulant(6, 3)),
@@ -176,9 +179,12 @@ def test_mask_predicates_agree_with_a_list_reference():
                         ring = None
                     else:
                         ring = [x for x in vs if c[j][x] == k and c[p][x] == k]
-                    got = cm.middle_qs(kb, j, l, p)
+                    got = cm.middle_qs(kb, j, l, p, vs)
                     assert (got is None) == (ring is None), (g, j, l, p)
                     if ring is None:
+                        for q in vs:
+                            assert check(kb, j, l, p, q) == \
+                                "bad p for the middle rule on (j,l)"
                         continue
                     separate, kill = got
                     assert not (separate | kill) & ~_as_mask(vs)
@@ -194,6 +200,7 @@ def test_mask_predicates_agree_with_a_list_reference():
                                    "l not unique for the middle rule"
                                    if not kill >> q & 1 else None)
                         assert got_why == why, (g, j, l, p, q)
+                        assert check(kb, j, l, p, q) == why, (g, j, l, p, q)
 
 
 def _count_table_calls(monkeypatch):
@@ -818,6 +825,46 @@ def test_a_graph_without_vertices_is_named_by_its_line():
     line = forged.splitlines().index("graph p 0") + 1
     with pytest.raises(GraphError, match="^" + re.escape(
             f"line {line}: need at least one vertex, got n=0") + "$"):
+        parse_certificate(forged)
+
+
+@pytest.mark.parametrize("records, index, refusal", [
+    (["e 1 2", "p 5"], 0, "edge before 'p' line"),
+    (["p 5", "e 1 2", "p 5"], 2, "repeated p line"),
+    (["p 5", "e 1 2 3"], 1, "expected 'e <i> <j>'"),
+    (["p 5", "e 1"], 1, "expected 'e <i> <j>'"),
+    (["p 5 5", "e 1 2"], 0, "expected 'p <n>'"),
+    (["p", "e 1 2"], 0, "expected 'p <n>'"),
+    (["p 5", "v 1 2"], 1, "unknown record 'v'"),
+])
+def test_every_graph_record_refusal_is_named_by_its_line(
+        records, index, refusal):
+    """Each refusal of the graph record reader comes with the line of its
+    record: in a graph file, and in a certificate's graph records, where
+    the line counts the header, the verdict and blank lines."""
+    with pytest.raises(GraphError) as refused:
+        read_graph("\n".join(["# a comment", ""] + records) + "\n")
+    assert str(refused.value) == f"line {index + 3}: {refusal}"
+    head, rest = _c5_text().splitlines()[:2], _c5_text().splitlines()[2:]
+    steps = [ln for ln in rest if ln.startswith("step ")]
+    forged = "\n".join(head + [""] + [f"graph {r}" for r in records]
+                       + steps) + "\n"
+    with pytest.raises(GraphError) as refused:
+        parse_certificate(forged)
+    assert str(refused.value) == f"line {index + 4}: {refusal}"
+
+
+def test_a_graph_record_after_the_steps_is_refused_by_read_back():
+    """A ``graph e`` record moved after the steps still states the same
+    graph, so the record reader accepts it; the read-back then refuses the
+    text, naming the first line out of place."""
+    lines = _c5_text().splitlines()
+    moved = lines.index("graph e 4 5")
+    forged = "\n".join(lines[:moved] + lines[moved + 1:] + [lines[moved]])
+    after = lines[moved + 1]
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"certificate line {after!r} does not read back: the "
+            f"serialization has 'graph e 4 5' in its place") + "$"):
         parse_certificate(forged)
 
 

@@ -385,8 +385,22 @@ def test_groebner_k3(capsys):
 
 def test_groebner_c4_reports_caveat(capsys):
     code, out, _ = run(capsys, "groebner", "C4", "--max-degree", "6")
-    assert code == 2
-    assert "prove nothing" in out
+    assert code == 2 and "exhausted False" in out
+    assert "prove nothing (the basis is degree-truncated)" in out
+
+
+def test_groebner_names_the_missing_relations_when_the_basis_is_exhausted(
+        capsys, tmp_path):
+    """C5 plus an isolated vertex at cap 5: the basis is exhausted, yet 15
+    of the 21 column pairs stay irreducible, because the relations omit
+    orthogonality; the note says so and not that the basis is truncated."""
+    path = tmp_path / "c5k1.txt"
+    path.write_text("p 6\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 1 5\n")
+    code, out, _ = run(capsys, "groebner", str(path), "--max-degree", "5")
+    assert code == 2 and "exhausted True" in out
+    assert "provably commuting: 6 / 21" in out
+    assert "prove nothing (the relations omit orthogonality)" in out
+    assert "degree-truncated" not in out
 
 
 def test_groebner_cap_too_small(capsys):

@@ -108,7 +108,7 @@ def test_reduce_candidates_without_usable_q_is_p0():
 
 def _smallest_kill(kb, j, l, p):
     """The q the engine proposes for killing u_ij u_kl u_ip, or None."""
-    qs = cm.middle_qs(kb, j, l, p)
+    qs = cm.middle_qs(kb, j, l, p, kb.graph.vertices())
     return cm.bits(qs[1])[0] if qs is not None and qs[1] else None
 
 
@@ -262,25 +262,29 @@ def test_a_diagonal_fact_closes_under_the_generators():
 
 
 def test_the_pair_action_maps_each_pair_code_as_act_on_pair_maps_the_pair():
-    """``kb.act`` sends the code of (i, j), i*(n+1) + j in either order,
-    under a stated generator phi to the code a*(n+1) + b of {phi(i),
-    phi(j)} = {a, b}, a <= b: every generator of the 37 catalog rows and
-    of the circulants with n <= 12, every pair of vertices 1..n, the
-    diagonal and vertex n included."""
+    """One commute fact {i, j}, stated as (j, i) or (i, j), entering a
+    replay state that holds the stated generators brings exactly its
+    orbit under ``act_on_pair``, each pair {a, b}, a <= b, as the code
+    a*(n+1) + b: every generator of the 37 catalog rows and of the
+    circulants with n <= 12, every pair of vertices 1..n, the diagonal
+    and vertex n included."""
     graphs = [e.build() for e in twelve_vertex_entries()] + circulants(12)
     checked = 0
     for g in graphs:
-        kb = CommutationKB(g)
-        for phi in automorphism_group(g).generators:
-            kb.apply(cm.step(cm.GENERATOR, phi=phi))
+        gens = automorphism_group(g).generators
         m = g.n + 1
-        for phi in kb.generators:
-            for i in g.vertices():
-                for j in g.vertices():
-                    a, b = divmod(kb.act(phi, i * m + j), m)
-                    assert a <= b and {a, b} == \
-                        act_on_pair(phi, frozenset((i, j))), (g.label, i, j)
-            checked += 1
+        for i in g.vertices():
+            for j in range(i, g.n + 1):
+                kb = CommutationKB(g)
+                for phi in gens:
+                    kb.apply(cm.step(cm.GENERATOR, phi=phi))
+                kb._commute(*((j, i) if (i + j) % 2 else (i, j)))
+                pair = frozenset((i, j))
+                orbit = walk({pair}, (pair,), gens, act_on_pair)
+                assert commute_pairs(kb) == orbit, (g.label, i, j)
+                assert len(kb.commute) == len(orbit)
+                assert all(code // m <= code % m for code in kb.commute)
+                checked += len(orbit) > 1
     assert checked > len(graphs)
 
 
@@ -649,13 +653,14 @@ def test_lemmas_close_a_pinned_set_of_random_graphs():
 def _idle_steps(cert):
     """Replaying ``cert``, the ADJ_COMMUTE_CLOSE steps whose pair lies in
     the closure of the facts known before them under the stated
-    generators, walked with ``kb.act``: steps that an orbit image
-    justifies, as (index, kind) pairs."""
+    generators, walked with ``act_on_pair`` on the decoded pairs: steps
+    that an orbit image justifies, as (index, kind) pairs."""
     kb, idle = CommutationKB(cert.graph()), []
     for idx, s in enumerate(cert.steps):
         if s.kind == cm.ADJ_COMMUTE_CLOSE:
-            known = walk(set(kb.commute), kb.commute, kb.generators, kb.act)
-            if min(s.j, s.l) * kb.m + max(s.j, s.l) in known:
+            pairs = commute_pairs(kb)
+            known = walk(set(pairs), pairs, kb.generators, act_on_pair)
+            if frozenset((s.j, s.l)) in known:
                 idle.append((idx, s.kind))
         kb.apply(s)
     return idle

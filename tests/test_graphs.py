@@ -20,9 +20,7 @@ from qsym.graphs import (
     cosine_sums,
     direct_product,
     disjoint_copies,
-    distance_k_graph,
     injective_f_check,
-    line_graph,
     read_graph,
     write_graph,
 )
@@ -46,7 +44,9 @@ from util import (
     c7_2_with_1_and_2_swapped,
     circulants,
     discrete_colouring,
+    distance_k_graph,
     is_isomorphic,
+    line_graph,
     random_graph,
 )
 

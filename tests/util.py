@@ -8,7 +8,7 @@ import random
 import qsym.engine
 from qsym.certificate import CommutationKB
 from qsym.freealg import NcPoly
-from qsym.graphs import Graph
+from qsym.graphs import Graph, GraphError
 from qsym.named import circulant
 from qsym.perms import Permutation, find_automorphism
 
@@ -49,6 +49,33 @@ def _transversal_chain(n, edges):
         order *= 1 + len(level)
         prefix[v] = v
     return tuple(gens), order
+
+
+def line_graph(g: Graph) -> Graph:
+    """One vertex per edge of g (edges numbered in lexicographic order)."""
+    base_edges = g.edges()
+    if not base_edges:
+        raise GraphError("line graph needs at least one edge")
+    edges = []
+    for a, b in itertools.combinations(range(len(base_edges)), 2):
+        ea, eb = base_edges[a], base_edges[b]
+        if set(ea) & set(eb):
+            edges.append((a + 1, b + 1))
+    label = f"L({g.label})" if g.label else ""
+    return Graph(len(base_edges), edges, label=label)
+
+
+def distance_k_graph(g: Graph, k: int) -> Graph:
+    """i ~ j iff d_g(i,j) = k; defined for connected g only."""
+    if not g.is_connected():
+        raise GraphError("distance-k graph needs a connected input")
+    if k < 1:
+        raise GraphError(f"need k >= 1, got {k}")
+    d = g.distances()
+    edges = [(i, j) for i in g.vertices() for j in range(i + 1, g.n + 1)
+             if d[i][j] == k]
+    label = f"dist{k}({g.label})" if g.label else ""
+    return Graph(g.n, edges, label=label)
 
 
 def commute_pairs(kb):
