@@ -12,7 +12,8 @@ denominators and every coefficient is multiplied by it.  ``normal_form``
 reads its reducers from that form, so it runs in integer arithmetic and
 converts back to Fractions only in its result.  The Groebner completion
 reads each generator's form once and then keeps its own integer rows, on
-string words, until it returns the basis.
+string words, until it returns the basis, whose elements it builds with
+``from_int_form`` so that they carry those rows as their cached forms.
 
 No floating point enters this module: a float coefficient is a TypeError.
 """
@@ -77,6 +78,21 @@ class NcPoly:
     @staticmethod
     def monomial(word: Word, coeff=1) -> "NcPoly":
         return NcPoly({tuple(word): coeff})
+
+    @staticmethod
+    def from_int_form(lm: Word, den: int, ints: dict) -> "NcPoly":
+        """The polynomial ints/den with ``lm`` as its cached leading monomial
+        and ``(den, ints)`` as its cached integer form, which ``ints`` is
+        kept in, not copied.  The caller vouches that the words are tuples,
+        ``lm`` is the deglex-largest, the ints are nonzero, den > 0 and
+        gcd(den, *ints) == 1: then ``(den, ints)`` is the form ``int_form``
+        would compute."""
+        p = NcPoly.__new__(NcPoly)
+        object.__setattr__(p, "terms", {w: Fraction(c, den)
+                                        for w, c in ints.items()})
+        object.__setattr__(p, "_lm", lm)
+        object.__setattr__(p, "_int", (den, ints))
+        return p
 
     # structure
     @property

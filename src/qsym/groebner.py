@@ -21,9 +21,17 @@ are discarded and recorded, which is what bounds the computation.
 order of the sorted labels, so a word is a ``str`` and deglex on the
 strings is deglex on the label tuples.  Each basis element is a primitive
 integer row (gcd 1, positive leading coefficient), the integer form of the
-monic element, and becomes an ``NcPoly`` once, on return.  The reduction
+monic element, and becomes an ``NcPoly`` once, on return, with that row as
+its cached integer form and its leading monomial cached too.  The reduction
 kernel only slices and concatenates words, so ``normal_form`` runs it on
 plain tuple words against each basis element's cached integer form.
+
+The reducer index remembers which reducer each word met, None included,
+until one of its slots changes, so the completion loop's reductions do not
+search again for a word an earlier reduction rewrote under the same basis.
+Inter-reduction stops after a pass that keeps every leading monomial: the
+reducer search reads nothing else, so each row is then irreducible against
+all the others, and a further pass would return the same rows.
 """
 
 from __future__ import annotations
@@ -143,12 +151,16 @@ class ReducerIndex:
         self.rows: list = []
         self.alive: list = []
         self.buckets: dict = {}
+        # word -> find_reducer(word), None included, while the index is
+        # unchanged: every change of a slot clears it
+        self.memo: dict = {}
         for lm, row in reducers:
             self.add(lm, row)
 
     def _store(self, idx: int, lm, row: dict):
         if not lm:
             raise _UnitIdeal
+        self.memo.clear()
         self.lms[idx] = lm
         self.rows[idx] = row
         self.alive[idx] = True
@@ -169,6 +181,7 @@ class ReducerIndex:
         bisect.insort(self.buckets.setdefault(lm[0], []), idx)
 
     def deactivate(self, idx: int):
+        self.memo.clear()
         self.alive[idx] = False
 
     def active(self) -> list:
@@ -204,12 +217,15 @@ def _reduce_with_index(den: int, terms: dict, index: ReducerIndex) -> tuple:
     # word being rewritten, hence not yet popped; any other is looked up in
     # the list before it is inserted, so no word is queued twice
     work = sorted((len(w), w) for w in terms)
+    memo = index.memo
     while work:
         word = work.pop()[1]
         coeff = terms.get(word)
         if not coeff:
             continue
-        hit = index.find_reducer(word)
+        hit = memo.get(word, False)
+        if hit is False:
+            hit = memo[word] = index.find_reducer(word)
         if hit is None:
             continue
         bi, pos = hit
@@ -302,9 +318,11 @@ def normal_form(p: NcPoly, basis) -> NcPoly:
 
 def _interreduce(rows, deadline: float | None = None) -> list:
     """Repeatedly reduce each primitive row (lm, row) against the others;
-    drop zeros.  The result is primitive rows in ascending order of their
-    leading monomials.  Past ``deadline`` (checked before each element)
-    return the set reached so far, which generates the same ideal."""
+    drop zeros, and stop after a pass that drops none and keeps every
+    leading monomial.  The result is primitive rows in ascending order of
+    their leading monomials.  Past ``deadline`` (checked before each
+    element) return the set reached so far, which generates the same
+    ideal."""
     current = list(rows)
     changed = True
     while changed:
@@ -324,7 +342,9 @@ def _interreduce(rows, deadline: float | None = None) -> list:
                 changed = True
                 continue
             r = _primitive(terms)
-            if r[1] != row:
+            # find_reducer reads leading monomials only: after a pass that
+            # keeps all of them, every row is irreducible against the others
+            if r[0] != lm:
                 changed = True
             index.replace(idx, *r)
         current = index.active()
@@ -353,9 +373,14 @@ def buchberger(gens, max_degree: int,
     labels = sorted({x for g in gens for w in g.terms for x in w})
     code = {x: chr(rank) for rank, x in enumerate(labels)}
 
+    def decode(w):
+        return tuple(labels[ord(ch)] for ch in w)
+
     def polys(rows):
-        return [NcPoly({tuple(labels[ord(ch)] for ch in w): Fraction(c, row[lm])
-                        for w, c in row.items()}) for lm, row in rows]
+        # a primitive row is the integer form of its monic element over the
+        # denominator row[lm], so each polynomial gets it with its lm
+        return [NcPoly.from_int_form(decode(lm), row[lm], {
+                    decode(w): c for w, c in row.items()}) for lm, row in rows]
 
     heap = []
     discarded = 0

@@ -82,6 +82,15 @@ def test_int_form_is_cached_and_clears_denominators():
     assert NcPoly.zero().int_form() == (1, {})
 
 
+def test_from_int_form_keeps_the_given_forms():
+    ints = {((1, 1), (1, 2)): 3, ((2, 2),): -4, (): 18}
+    p = NcPoly.from_int_form(((1, 1), (1, 2)), 6, ints)
+    assert p == parse_poly("1/2*u[1,1]*u[1,2] - 2/3*u[2,2] + 3")
+    assert all(type(c) is Fraction for c in p.terms.values())
+    assert p.int_form() == (6, ints) and p.int_form()[1] is ints
+    assert p.lm() == ((1, 1), (1, 2))
+
+
 def test_str_sign_handling():
     p = -u(1, 1) + NcPoly.one()
     text = str(p)

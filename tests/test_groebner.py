@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 from types import SimpleNamespace
@@ -252,9 +253,9 @@ def _clock_passing_after(monkeypatch, reads):
 
 
 def test_deadline_truncates_mid_run(monkeypatch):
-    """C4 at cap 6 reads the clock 78 times in the first inter-reduction
-    and once after it, then once per pending ambiguity: the 100th read
-    falls in the loop."""
+    """C4 at cap 6 reads the clock 59 times in the first inter-reduction
+    and once after it, then once per pending ambiguity (reads 61..129):
+    the 100th read falls in the loop."""
     runs = []
     for _ in range(2):
         _clock_passing_after(monkeypatch, 100)
@@ -267,9 +268,18 @@ def test_deadline_truncates_mid_run(monkeypatch):
 
 
 def test_deadline_in_final_interreduction_keeps_the_loop_result(monkeypatch):
-    full = buchberger(quantum_relations(cycle_graph(4)), max_degree=6)
-    # reads 149..220 are the final inter-reduction's
-    _clock_passing_after(monkeypatch, 180)
+    """An uncut C4 run at cap 6 reads the clock 166 times.  Reads 130..165
+    are the final inter-reduction's, one per element of its one pass over
+    the 36 rows, and read 166 follows it; from read 148 on the clock is
+    past the deadline, halfway through that pass."""
+    reads = []
+    monkeypatch.setattr(groebner_module, "time", SimpleNamespace(
+        monotonic=lambda: reads.append(0.0) or 0.0))
+    full = buchberger(quantum_relations(cycle_graph(4)), max_degree=6,
+                      deadline=1.0)
+    assert not full.truncated and len(full.basis) == 36
+    assert len(reads) == 166
+    _clock_passing_after(monkeypatch, 147)
     gb = buchberger(quantum_relations(cycle_graph(4)), max_degree=6,
                     deadline=1.0)
     assert gb.truncated
@@ -395,17 +405,36 @@ def _output_record(name, g, cap, gb):
                  gb.discarded_over_cap, commuting)).encode() + b"\n"
 
 
-def test_groebner_outputs_are_pinned():
+@pytest.fixture(scope="module")
+def pinned_runs():
+    """(name, graph, cap, basis) of the six inputs GROEBNER_OUTPUTS_SHA256
+    pins."""
+    return [(name, g, cap, buchberger(quantum_relations(g), max_degree=cap))
+            for name, g, cap in (("K3", complete_graph(3), 4),
+                                 ("C4", cycle_graph(4), 4),
+                                 ("K4", complete_graph(4), 3),
+                                 ("C6", cycle_graph(6), 3),
+                                 ("C8(4)", circulant(8, 4), 3),
+                                 ("edgeless(3)", edgeless_graph(3), 4))]
+
+
+def test_groebner_outputs_are_pinned(pinned_runs):
     digest = hashlib.sha256()
-    for name, g, cap in (("K3", complete_graph(3), 4),
-                         ("C4", cycle_graph(4), 4),
-                         ("K4", complete_graph(4), 3),
-                         ("C6", cycle_graph(6), 3),
-                         ("C8(4)", circulant(8, 4), 3),
-                         ("edgeless(3)", edgeless_graph(3), 4)):
-        gb = buchberger(quantum_relations(g), max_degree=cap)
+    for name, g, cap, gb in pinned_runs:
         digest.update(_output_record(name, g, cap, gb))
     assert digest.hexdigest() == GROEBNER_OUTPUTS_SHA256
+
+
+def test_basis_elements_carry_their_leading_monomial_and_integer_form(
+        pinned_runs):
+    """``buchberger`` hands each basis element the leading monomial and
+    the integer form that the completion already holds; both are what a
+    fresh polynomial with the same terms computes."""
+    for name, _g, _cap, gb in pinned_runs:
+        for p in gb.basis:
+            assert p._lm is not None and p._int is not None, name
+            fresh = NcPoly(p.terms)
+            assert (p.lm(), p.int_form()) == (fresh.lm(), fresh.int_form())
 
 
 @pytest.fixture(scope="module")
@@ -413,12 +442,55 @@ def c5_basis():
     return buchberger(quantum_relations(cycle_graph(5)), max_degree=3)
 
 
+C5_OUTPUT_SHA256 = (
+    "b60ae8d26a55afe417ad501bccefda436c0df2363e32272e2642601d885b3497")
+
+
 def test_c5_outputs_are_pinned(c5_basis):
     """C5 at cap 3 is the input whose reductions rescale their terms most
     often (over a thousand times), so it pins the fraction-free path."""
     record = _output_record("C5", cycle_graph(5), 3, c5_basis)
-    assert hashlib.sha256(record).hexdigest() == (
-        "b60ae8d26a55afe417ad501bccefda436c0df2363e32272e2642601d885b3497")
+    assert hashlib.sha256(record).hexdigest() == C5_OUTPUT_SHA256
+
+
+def test_add_element_clears_the_reducer_memo_it_deactivates_under(
+        monkeypatch):
+    """C5 at cap 3 is the pinned input on which a new element's leading
+    monomial divides older ones.  ``add_element`` deactivates those while
+    the memo of the previous leftover reduction still holds words, and the
+    basis is still the pinned one."""
+    deactivate = ReducerIndex.deactivate
+    memo_sizes = []
+
+    def spy(index, idx):
+        if sys._getframe(1).f_code.co_name == "add_element":
+            memo_sizes.append(len(index.memo))
+        deactivate(index, idx)
+        assert not index.memo
+
+    monkeypatch.setattr(ReducerIndex, "deactivate", spy)
+    gb = buchberger(quantum_relations(cycle_graph(5)), max_degree=3)
+    assert sum(1 for size in memo_sizes if size) >= 10
+    record = _output_record("C5", cycle_graph(5), 3, gb)
+    assert hashlib.sha256(record).hexdigest() == C5_OUTPUT_SHA256
+
+
+def test_interreduction_of_an_interreduced_basis_takes_one_pass(
+        monkeypatch, pinned_runs):
+    """C4@4's basis is inter-reduced, so one pass keeps every leading
+    monomial and stops: one reduction per row, and the rows unchanged."""
+    gb = next(run[3] for run in pinned_runs if run[0] == "C4")
+    rows = [(p.lm(), p.int_form()[1]) for p in gb.basis]
+    reduce_with_index = groebner_module._reduce_with_index
+    calls = []
+
+    def spy(den, terms, index):
+        calls.append(den)
+        return reduce_with_index(den, terms, index)
+
+    monkeypatch.setattr(groebner_module, "_reduce_with_index", spy)
+    assert _interreduce(rows) == rows
+    assert len(calls) == len(rows) > 10
 
 
 def test_integer_s_polynomial_matches_its_definition(c5_basis):
